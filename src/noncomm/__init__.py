@@ -45,6 +45,7 @@ from .dynamics import (
     schrodinger_state,
 )
 from .measurement import (
+    BatchOutcomes,
     MeasurementRecord,
     Outcome,
     ScheduleEntry,
@@ -53,9 +54,11 @@ from .measurement import (
     make_generator,
     partial_trace,
     perform,
+    run_batch,
     run_sequence,
     tensor,
     trial_generator,
+    trial_streams,
 )
 from .scenarios import (
     SCENARIOS,

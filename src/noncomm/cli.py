@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import datetime
 import json
 import math
 import operator
 import os
 import sys
+import tempfile
 
 from . import __version__
 from .algebra import ContextMismatchError
@@ -162,10 +164,22 @@ def result_json(result: ScenarioResult) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a fresh temp file in the target's directory, so runs
+    sharing an output path never share a temp file."""
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _utc_now() -> str:

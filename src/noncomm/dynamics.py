@@ -30,6 +30,8 @@ class Hamiltonian:
 
     operator: Observable
     hbar: float = 1.0
+    # eigh of the symmetrized operator, computed once for every propagator
+    eigh: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.operator, Observable):
@@ -38,6 +40,8 @@ class Hamiltonian:
             )
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
+        m = self.operator.matrix
+        object.__setattr__(self, "eigh", np.linalg.eigh((m + m.conj().T) / 2.0))
 
     @property
     def context(self):
@@ -105,10 +109,9 @@ def propagator(h: Hamiltonian, t: float) -> AlgebraElement:
     """The unitary U(t) = exp(iHt/hbar), via eigendecomposition of H.
 
     Diagonalizing keeps U unitary to eigensolver accuracy for any t, unlike
-    a truncated series.
+    a truncated series.  H is diagonalized once, when it is built.
     """
-    m = h.operator.matrix
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = h.eigh
     phases = np.exp(1j * w * (t / h.hbar))
     u = (v * phases) @ v.conj().T
     return AlgebraElement._unchecked(h.context, u)

@@ -8,14 +8,25 @@ measurement time before asking (the dynamics act on the observables, not on
 the state).  Kronecker products, local embeddings, and partial traces cover
 the composite systems needed for entangled-pair experiments.
 
+A schedule fixed in advance runs over all trials at once: `run_batch`
+holds the trials' states as one (trials, d, d) stack and, per schedule
+entry, makes one batched Born probability, one vectorized forced/draw
+decision and one batched Lueders update.  Its arithmetic gives every trial
+the bits `perform` gives it alone, and `run_sequence` is its one-trial case.
+`perform` remains the single step for schedules that depend on earlier
+outcomes.
+
 Randomness comes from numpy's Philox counter-based generator.  A run is
-keyed by a 64-bit seed; trial i of a multi-trial experiment uses the stream
-Philox(key=seed).jumped(i), so trials are independent and the draw schedule
-does not depend on how trials are distributed over workers.
+keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
+stream whose counter starts at i * 2**128, which is the stream
+Philox(key=seed).jumped(i) addressed directly (the counter-based design of
+Random123, Salmon et al., SC'11).  Trials are therefore independent, and
+results do not depend on how trials are batched or chunked.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +45,18 @@ from .algebra import (
     full_context,
 )
 from .dynamics import Flow, Hamiltonian, heisenberg_evolve, koopman_evolve
-from .states import P_FLOOR, State, condition, yes_probability
+from .states import (
+    P_FLOOR,
+    State,
+    ZeroProbabilityError,
+    condition,
+    renormalize,
+    yes_probability,
+)
+
+# Bytes of one chunk's uniform block plus its state stack in `run_batch`.
+# Every trial has its own stream, so results do not depend on this bound.
+CHUNK_BYTES = 1 << 22
 
 
 def make_generator(seed: int) -> np.random.Generator:
@@ -43,8 +65,15 @@ def make_generator(seed: int) -> np.random.Generator:
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """Independent stream for one trial: the root stream jumped `trial` times."""
-    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(int(trial)))
+    """Independent stream for one trial: the Philox counter starts at
+    trial * 2**128, the state the root stream reaches when jumped `trial`
+    times."""
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=int(trial) << 128))
+
+
+def trial_streams(seed: int, trials: int):
+    """The streams of trials 0 .. trials-1, made as they are consumed."""
+    return (trial_generator(seed, i) for i in range(trials))
 
 
 @dataclass(frozen=True)
@@ -94,22 +123,41 @@ class MeasurementRecord:
     def outcomes(self) -> list:
         return [e.outcome.yes for e in self.entries]
 
-    def all_yes(self) -> bool:
-        return all(e.outcome.yes for e in self.entries)
-
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "entries": [
-                {
-                    "time": e.time,
-                    "label": e.label,
-                    "answer": e.outcome.answer,
-                    "probability": e.outcome.probability,
-                }
-                for e in self.entries
-            ],
+            "entries": [entry_dict(e.time, e.label, e.outcome.yes, e.outcome.probability)
+                        for e in self.entries],
         }
+
+
+def entry_dict(time, label, yes, probability) -> dict:
+    """One measurement of a per-trial record, as result files write it."""
+    return {"time": time, "label": label, "answer": "yes" if yes else "no",
+            "probability": probability}
+
+
+@dataclass(frozen=True)
+class BatchOutcomes:
+    """One fixed schedule run over a batch of trials: row i is trial i,
+    column k schedule entry k."""
+
+    yes: np.ndarray          # (trials, n) bool answers
+    probability: np.ndarray  # (trials, n) pre-measurement probability of each answer
+    draws: np.ndarray        # (trials,) uniforms consumed, one per unforced outcome
+    final: np.ndarray        # (trials, d, d) density matrices after the last entry
+    snapshots: np.ndarray | None = None  # (trials, n, d, d) state after each entry
+
+    def to_dicts(self, schedule) -> list:
+        """Each trial's record in the `MeasurementRecord.to_dict` layout, with
+        seed None because the caller supplied the streams."""
+        stamps = [(e.time, e.experiment.label) for e in schedule]
+        return [
+            {"seed": None,
+             "entries": [entry_dict(t, label, y, p)
+                         for (t, label), y, p in zip(stamps, ys, ps)]}
+            for ys, ps in zip(self.yes.tolist(), self.probability.tolist())
+        ]
 
 
 def perform(state: State, experiment: YesNoExperiment,
@@ -149,19 +197,7 @@ def evolve_schedule(schedule, dynamics) -> list:
     return out
 
 
-def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = None,
-                 rng: np.random.Generator | None = None,
-                 keep_snapshots: bool = False) -> MeasurementRecord:
-    """Run a schedule of yes/no experiments, conditioning after each.
-
-    Exactly one of `seed` (fresh Philox stream, recorded) or `rng` (caller
-    supplies the stream, e.g. a per-trial jumped one) drives the draws.
-    Deterministic given the stream.
-    """
-    if (seed is None) == (rng is None):
-        raise ValueError("pass exactly one of seed or rng")
-    if rng is None:
-        rng = make_generator(seed)
+def _check_schedule(state: State, schedule):
     times = [e.time for e in schedule]
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("schedule times must be non-decreasing")
@@ -171,15 +207,112 @@ def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = No
                 f"experiment {entry.experiment.label!r} lives in a different algebra"
             )
 
+
+def run_batch(state: State, schedule, rngs, dynamics=None, *,
+              keep_snapshots: bool = False) -> BatchOutcomes:
+    """Run one schedule, fixed in advance, over a batch of trials at once.
+
+    `rngs` yields one generator per trial, all starting from `state`.  Trial
+    i draws a block of len(schedule) uniforms from its generator and uses
+    them in order, one per outcome that is not forced, so its answers,
+    probabilities and states are bit for bit those of `perform` applied
+    entry by entry with that generator.  Each generator is left past its
+    whole block.  Trials run in chunks of at most about CHUNK_BYTES of
+    uniforms and states; each has its own stream, so chunking does not
+    change results.  The errors are those of `perform`: ZeroProbabilityError
+    for an outcome conditioned on at probability <= P_FLOOR, ValueError for
+    an outcome probability outside [0, 1].
+    """
+    _check_schedule(state, schedule)
+    entries = evolve_schedule(schedule, dynamics)
+    n, d = len(entries), state.dim
+    steps = []
+    for entry in entries:
+        p = entry.experiment.projection.matrix
+        q = complement(entry.experiment.projection).matrix
+        # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
+        steps.append((p, q, p.T.ravel()[:, None], q.T.ravel()[:, None]))
+    size = max(1, CHUNK_BYTES // (8 * n + 16 * d * d))
+    rngs = iter(rngs)
+    chunks = iter(lambda: list(itertools.islice(rngs, size)), [])
+    parts = ([_run_chunk(state.rho, steps, c, keep_snapshots) for c in chunks]
+             or [_run_chunk(state.rho, steps, [], keep_snapshots)])
+    return BatchOutcomes(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+
+
+def _run_chunk(rho0, steps, rngs, keep_snapshots):
+    t, n, d = len(rngs), len(steps), rho0.shape[0]
+    uniforms = np.empty((t, n))
+    for row, rng in zip(uniforms, rngs):
+        rng.random(out=row)
+    rows = np.arange(t)
+    used = np.zeros(t, dtype=np.intp)
+    yes = np.empty((t, n), dtype=bool)
+    prob = np.empty((t, n))
+    snapshots = np.empty((t, n, d, d), dtype=complex) if keep_snapshots else None
+    # C order, as every later stack is: the BLAS calls then see the strides
+    # the single-matrix path sees, which keeps their rounding identical
+    rho = np.repeat(rho0[None], t, axis=0)
+    for k, (p, q, p_col, q_col) in enumerate(steps):
+        flat = rho.reshape(t, 1, d * d)
+        raw_yes = (flat @ p_col)[:, 0, 0].real
+        raw_no = (flat @ q_col)[:, 0, 0].real
+        p_yes = np.clip(raw_yes, 0.0, 1.0)
+        forced_no = p_yes <= P_FLOOR
+        forced_yes = p_yes >= 1.0 - P_FLOOR
+        free = ~(forced_no | forced_yes)
+        y = forced_yes | (free & (uniforms[rows, used] < p_yes))
+        used += free
+        conditioned = np.where(y, raw_yes, raw_no)
+        if (conditioned <= P_FLOOR).any():
+            worst = float(conditioned[conditioned <= P_FLOOR][0])
+            raise ZeroProbabilityError(
+                f"cannot condition on an outcome of probability {worst:.3e}"
+            )
+        realized = np.where(y, p_yes, 1.0 - p_yes)
+        valid = (0.0 <= realized) & (realized <= 1.0)
+        if not valid.all():
+            raise ValueError(
+                f"outcome probability {float(realized[~valid][0])} outside [0, 1]"
+            )
+        proj = np.where(y[:, None, None], p, q)
+        rho = renormalize(proj @ rho @ proj)
+        yes[:, k] = y
+        prob[:, k] = realized
+        if snapshots is not None:
+            snapshots[:, k] = rho
+    return yes, prob, used, rho, snapshots
+
+
+def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = None,
+                 rng: np.random.Generator | None = None,
+                 keep_snapshots: bool = False) -> MeasurementRecord:
+    """Run a schedule of yes/no experiments, conditioning after each: the
+    one-trial case of `run_batch`.
+
+    Exactly one of `seed` (fresh Philox stream, recorded) or `rng` (caller
+    supplies the stream, e.g. a per-trial one) drives the draws; a supplied
+    `rng` ends advanced by exactly one draw per unforced outcome.
+    Deterministic given the stream.
+    """
+    if (seed is None) == (rng is None):
+        raise ValueError("pass exactly one of seed or rng")
+    if rng is None:
+        rng = make_generator(seed)
+    start = rng.bit_generator.state
+    batch = run_batch(state, schedule, [rng], dynamics, keep_snapshots=keep_snapshots)
+    # rewind past the block, then consume only the draws the trial used
+    rng.bit_generator.state = start
+    rng.random(int(batch.draws[0]))
+
+    ctx = state.context
     record = MeasurementRecord(seed=seed)
-    current = state
-    for entry in evolve_schedule(schedule, dynamics):
-        outcome, current = perform(current, entry.experiment, rng)
-        record.entries.append(
-            RecordEntry(entry.time, entry.experiment.label, outcome,
-                        current if keep_snapshots else None)
-        )
-    record.final_state = current
+    for k, entry in enumerate(schedule):
+        yes = bool(batch.yes[0, k])
+        post = State._trusted(ctx, batch.snapshots[0, k]) if keep_snapshots else None
+        record.entries.append(RecordEntry(entry.time, entry.experiment.label,
+                                          Outcome(yes, float(batch.probability[0, k])), post))
+    record.final_state = State._trusted(ctx, batch.final[0])
     return record
 
 

@@ -8,9 +8,13 @@ control runs of the Zeno and EPR setups on the commutative algebra.
 
 A scenario takes a parameter mapping, a trial count, and a 64-bit seed, and
 returns a ScenarioResult: scalar summary statistics, sequence-valued series,
-and (optionally) per-trial outcome records.  Trial i draws from the jumped
-Philox stream `trial_generator(seed, i)`, so results are reproducible and
-independent of any trial-level parallelism.
+and (optionally) per-trial outcome records.  Trial i draws from the Philox
+stream `trial_generator(seed, i)`, identical to the root stream jumped i
+times, so results are reproducible and independent of how trials are
+scheduled.  Scenarios whose schedule is fixed in advance (polarization,
+precise Zeno, three observers) advance all trials as one batch through
+`run_batch`; the others step trial by trial with `perform`, because what
+they ask next depends on earlier outcomes.
 """
 
 from __future__ import annotations
@@ -36,12 +40,14 @@ from .measurement import (
     ScheduleEntry,
     YesNoExperiment,
     embed_local,
+    entry_dict,
     evolve_schedule,
     partial_trace,
     perform,
-    run_sequence,
+    run_batch,
     tensor,
     trial_generator,
+    trial_streams,
 )
 from .states import (
     State,
@@ -162,6 +168,15 @@ def _ket_projector(ctx, v) -> Projection:
     return Projection(ctx, np.outer(v, v.conj()))
 
 
+def _batch_records(record_trials, key, values, batch, schedule):
+    """Per-trial records of a batched run: the trial index, one verdict
+    under `key`, then the trial's measurement record."""
+    if not record_trials:
+        return None
+    return [{"trial": i, key: value, **doc}
+            for i, (value, doc) in enumerate(zip(values, batch.to_dicts(schedule)))]
+
+
 # ---------------------------------------------------------------- scenarios
 
 
@@ -196,16 +211,11 @@ def _run_polarization(params, trials, seed, record_trials):
     except ZeroProbabilityError:
         prob_final_after = None
 
-    passed = 0
-    records = [] if record_trials else None
-    for i in range(trials):
-        rec = run_sequence(initial, schedule, None, rng=trial_generator(seed, i))
-        ok = rec.all_yes()
-        passed += ok
-        if records is not None:
-            records.append({"trial": i, "pass_all": bool(ok), **rec.to_dict()})
+    batch = run_batch(initial, schedule, trial_streams(seed, trials))
+    pass_all = batch.yes.all(axis=1).tolist()
+    records = _batch_records(record_trials, "pass_all", pass_all, batch, schedule)
 
-    empirical = passed / trials
+    empirical = sum(pass_all) / trials
     summary = {
         "num_angles": len(angles),
         "analytic_pass_all": analytic,
@@ -236,20 +246,12 @@ def _run_zeno_precise(params, trials, seed, record_trials):
         ScheduleEntry(t_total * (k + 1) / n, YesNoExperiment("still in the initial level", survive))
         for k in range(n)
     ]
-    # The projections do not depend on the trial, so evolve the schedule once
-    # and replay it with per-trial streams.
-    evolved = evolve_schedule(schedule, ham)
-
     analytic = math.cos(omega * t_total / (2.0 * n)) ** (2 * n)
 
-    survived = 0
-    records = [] if record_trials else None
-    for i in range(trials):
-        rec = run_sequence(initial, evolved, None, rng=trial_generator(seed, i))
-        ok = rec.all_yes()
-        survived += ok
-        if records is not None:
-            records.append({"trial": i, "survived": bool(ok), **rec.to_dict()})
+    batch = run_batch(initial, schedule, trial_streams(seed, trials), ham)
+    survived_rows = batch.yes.all(axis=1).tolist()
+    survived = sum(survived_rows)
+    records = _batch_records(record_trials, "survived", survived_rows, batch, schedule)
 
     summary = {
         "omega": omega,
@@ -317,9 +319,8 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
             a_now = float(expectation(state, level_obs).real)
             levels_seen.append(a_now)
             if records is not None:
-                entries.append({"time": step, "label": f"level within [{lo},{hi}]",
-                                "answer": outcome.answer, "probability": outcome.probability,
-                                "mean_level": a_now})
+                entries.append({**entry_dict(step, f"level within [{lo},{hi}]", outcome.yes,
+                                             outcome.probability), "mean_level": a_now})
         trajectories[i] = levels_seen
         if records is not None:
             records.append({"trial": i, "entries": entries})
@@ -384,12 +385,8 @@ def _run_epr(params, trials, seed, record_trials):
         if records is not None:
             records.append({
                 "trial": i,
-                "entries": [
-                    {"time": 0.0, "label": ask_a.label, "answer": out_a.answer,
-                     "probability": out_a.probability},
-                    {"time": 0.0, "label": ask_b.label, "answer": out_b.answer,
-                     "probability": out_b.probability},
-                ],
+                "entries": [entry_dict(0.0, ask_a.label, out_a.yes, out_a.probability),
+                            entry_dict(0.0, ask_b.label, out_b.yes, out_b.probability)],
             })
 
     summary = {
@@ -516,18 +513,11 @@ def _run_three_observer(params, trials, seed, record_trials):
     schedule = [ScheduleEntry(float(k), exp) for k, exp in enumerate(chain)]
     initial = pure_state(ctx, [1.0, 0.0])
 
-    mismatch = 0
-    q_yes = 0
-    records = [] if record_trials else None
-    for i in range(trials):
-        rec = run_sequence(initial, schedule, None, rng=trial_generator(seed, i))
-        outs = rec.outcomes()
-        mismatch += outs[0] != outs[-1]
-        if middle == "plus":
-            q_yes += outs[1]
-        if records is not None:
-            records.append({"trial": i, "mismatch": bool(outs[0] != outs[-1]),
-                            **rec.to_dict()})
+    batch = run_batch(initial, schedule, trial_streams(seed, trials))
+    mismatch_rows = (batch.yes[:, 0] != batch.yes[:, -1]).tolist()
+    mismatch = sum(mismatch_rows)
+    q_yes = int(batch.yes[:, 1].sum()) if middle == "plus" else 0
+    records = _batch_records(record_trials, "mismatch", mismatch_rows, batch, schedule)
 
     summary = {
         "middle": middle,
@@ -579,8 +569,8 @@ def _classical_zeno(params, trials, seed, record_trials):
             for j, entry in enumerate(evolved):
                 out, state = perform(state, entry.experiment, rng)
                 if records is not None:
-                    entries.append({"time": t, "label": entry.experiment.label,
-                                    "answer": out.answer, "probability": out.probability})
+                    entries.append(entry_dict(t, entry.experiment.label, out.yes,
+                                              out.probability))
                 if out.yes:
                     pos = j
                     break
@@ -633,12 +623,8 @@ def _classical_epr(params, trials, seed, record_trials):
         if records is not None:
             records.append({
                 "trial": i,
-                "entries": [
-                    {"time": 0.0, "label": a_up.label, "answer": out_a.answer,
-                     "probability": out_a.probability},
-                    {"time": 0.0, "label": b_up.label, "answer": out_b.answer,
-                     "probability": out_b.probability},
-                ],
+                "entries": [entry_dict(0.0, a_up.label, out_a.yes, out_a.probability),
+                            entry_dict(0.0, b_up.label, out_b.yes, out_b.probability)],
             })
 
     summary = {

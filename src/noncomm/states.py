@@ -81,9 +81,13 @@ class State:
         """Internal fast path for matrices positive by construction
         (conjugations P rho P / unitary transports of valid states): still
         symmetrize and fix the trace, but skip the spectral check."""
+        return cls._trusted(context, renormalize(rho))
+
+    @classmethod
+    def _trusted(cls, context, arr):
+        """Internal: wrap a density matrix that is already symmetric with
+        unit trace, without copying it."""
         obj = object.__new__(cls)
-        arr = (rho + rho.conj().T) / 2.0
-        arr = arr / arr.trace().real
         arr.setflags(write=False)
         object.__setattr__(obj, "context", context)
         object.__setattr__(obj, "rho", arr)
@@ -100,6 +104,15 @@ class State:
 
     def __repr__(self):
         return f"State(dim={self.dim}, kind={self.context.kind})"
+
+
+def renormalize(rho: np.ndarray) -> np.ndarray:
+    """Symmetrize a matrix, or each matrix of a (..., d, d) stack, and scale
+    it to unit trace.  The stacked form gives every matrix the same bits as
+    the single-matrix form."""
+    arr = (rho + rho.swapaxes(-1, -2).conj()) / 2.0
+    tr = arr.trace(0, -2, -1).real
+    return arr / (tr if arr.ndim == 2 else tr[..., None, None])
 
 
 def density_state(context: AlgebraContext, matrix) -> State:

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 
 import jsonschema
+import pytest
 
 from noncomm.cli import main, parse_value, split_assignments
 from noncomm.scenarios import SCENARIOS, Scenario
@@ -116,6 +118,26 @@ def test_run_writes_result_and_manifest(tmp_path):
     assert manifest["scenario"] == "epr"
     assert manifest["seed"] == 1
     assert str(out) in manifest["outputs"]
+
+
+def test_run_keeps_foreign_tmp_file_and_leaves_no_temp(tmp_path):
+    out = tmp_path / "res.csv"
+    (tmp_path / "res.csv.tmp").write_text("not ours")
+    assert main(["run", "three_observer", "--trials", "5", "--seed", "1",
+                 "--snapshots", "--out", str(out)]) == 0
+    assert (tmp_path / "res.csv.tmp").read_text() == "not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "res.csv", "res.csv.manifest.json", "res.csv.tmp", "res.csv.trials.csv"]
+
+
+def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        main(["run", "epr", "--trials", "5", "--out", str(tmp_path / "res.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_json_result_validates_against_schema(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noncomm import measurement
 from noncomm.algebra import (
     SIGMA_X,
     SIGMA_Z,
@@ -10,6 +11,7 @@ from noncomm.algebra import (
     Observable,
     PhaseSpace,
     Projection,
+    characteristic_projection,
     diagonal_context,
     element,
     full_context,
@@ -25,12 +27,18 @@ from noncomm.measurement import (
     make_generator,
     partial_trace,
     perform,
+    run_batch,
     run_sequence,
     tensor,
     trial_generator,
+    trial_streams,
 )
+from noncomm.scenarios import run_scenario
 from noncomm.states import (
+    P_FLOOR,
     State,
+    ZeroProbabilityError,
+    classical_state,
     expectation,
     pure_state,
     state_distance,
@@ -215,6 +223,180 @@ def test_heisenberg_scheduling_duality():
         assert abs(lhs - rhs) <= 1e-10
 
 
+# ---------------------------------------------------------------- run_batch
+
+
+def scalar_reference(state, schedule, rngs):
+    """The per-trial loop that run_batch replaces: `perform` entry by entry.
+    Returns, per trial, the answers, the probabilities and the final rho."""
+    out = []
+    for rng in rngs:
+        current, yes, prob = state, [], []
+        for entry in schedule:
+            outcome, current = perform(current, entry.experiment, rng)
+            yes.append(outcome.yes)
+            prob.append(outcome.probability)
+        out.append((yes, prob, current.rho))
+    return out
+
+
+def assert_batch_matches_scalar(state, schedule, seed, trials):
+    batch = run_batch(state, schedule, trial_streams(seed, trials))
+    reference = scalar_reference(state, schedule, trial_streams(seed, trials))
+    assert batch.yes.shape == batch.probability.shape == (trials, len(schedule))
+    for i, (yes, prob, rho) in enumerate(reference):
+        assert batch.yes[i].tolist() == yes
+        assert batch.probability[i].tolist() == prob
+        assert batch.final[i].tobytes() == rho.tobytes()
+    return batch
+
+
+def zeno_schedule(n=100, omega=math.pi, t_total=1.0):
+    ham = Hamiltonian(Observable(QUBIT, (omega / 2.0) * SIGMA_X))
+    schedule = [ScheduleEntry(t_total * (k + 1) / n, YesNoExperiment("survive", GROUND))
+                for k in range(n)]
+    return evolve_schedule(schedule, ham)
+
+
+def polarizer(deg):
+    t = math.radians(deg)
+    v = np.array([math.cos(t), math.sin(t)])
+    return Projection(QUBIT, np.outer(v, v))
+
+
+def test_run_batch_matches_scalar_zeno_precise():
+    psi0 = pure_state(QUBIT, [1, 0])
+    batch = assert_batch_matches_scalar(psi0, zeno_schedule(), seed=42, trials=64)
+    assert 0 < batch.yes.all(axis=1).sum() < 64
+
+
+def test_run_batch_matches_scalar_polarization():
+    angles = [0.0, 20.0, 45.0, 70.0, 90.0, 135.0]
+    schedule = [ScheduleEntry(float(k), YesNoExperiment(f"{a:g}", polarizer(a)))
+                for k, a in enumerate(angles[1:], 1)]
+    assert_batch_matches_scalar(pure_state(QUBIT, [1, 0]), schedule, seed=7, trials=50)
+
+
+@pytest.mark.parametrize("middle", ["plus", "none", "repeat"])
+def test_run_batch_matches_scalar_three_observer(middle):
+    p = YesNoExperiment("z", GROUND)
+    q = YesNoExperiment("x", DIAG45)
+    chain = {"plus": [p, q, p], "none": [p, p], "repeat": [p, p, p]}[middle]
+    schedule = [ScheduleEntry(float(k), e) for k, e in enumerate(chain)]
+    batch = assert_batch_matches_scalar(pure_state(QUBIT, [1, 0]), schedule, seed=3,
+                                        trials=40)
+    # P on its own eigenstate is forced: no draw unless Q intervenes
+    assert batch.draws.tolist() == [2 if middle == "plus" else 0] * 40
+
+
+def test_run_batch_matches_scalar_diagonal_context():
+    space = PhaseSpace(tuple("abcde"))
+    ctx = diagonal_context(space)
+    rng = np.random.default_rng(35)
+    mu = rng.dirichlet(np.ones(5))
+    schedule = [
+        ScheduleEntry(float(k), YesNoExperiment(
+            f"in {sorted(members)}", characteristic_projection(ctx, space.subset(members))))
+        for k, members in enumerate([{0, 1, 2}, {1, 2, 3}, {2}, {2, 4}, {0, 2}])
+    ]
+    assert_batch_matches_scalar(classical_state(ctx, mu), schedule, seed=11, trials=30)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_run_batch_matches_scalar_random_mixed_states(dim):
+    ctx = full_context(dim)
+    rng = np.random.default_rng(36 + dim)
+    schedule = []
+    for k in range(8):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v = np.linalg.qr(g)[0][:, : 1 + k % (dim - 1)]
+        exp = YesNoExperiment(f"p{k}", Projection(ctx, v @ v.conj().T))
+        schedule.append(ScheduleEntry(float(k), exp))
+    assert_batch_matches_scalar(rand_density(ctx, rng), schedule, seed=2**64 - 1, trials=25)
+
+
+def test_run_batch_single_trial_and_empty_schedule():
+    psi0 = pure_state(QUBIT, [1, 0])
+    assert_batch_matches_scalar(psi0, zeno_schedule(n=9, omega=3.0), seed=5, trials=1)
+    empty = run_batch(psi0, [], trial_streams(5, 3))
+    assert empty.yes.shape == (3, 0) and empty.draws.tolist() == [0, 0, 0]
+    assert all(rho.tobytes() == psi0.rho.tobytes() for rho in empty.final)
+
+
+def test_run_batch_does_not_depend_on_chunking(monkeypatch):
+    psi0 = pure_state(QUBIT, [1, 0])
+    schedule = zeno_schedule(n=20, omega=4.0)
+    whole = run_batch(psi0, schedule, trial_streams(8, 23))
+    doc = run_scenario("zeno_precise", {"n": 20}, trials=23, seed=8,
+                       record_trials=True).to_dict()
+    # one trial per chunk, then three trials per chunk with a remainder
+    for chunk_bytes in (1, 3 * (8 * 20 + 16 * 4)):
+        monkeypatch.setattr(measurement, "CHUNK_BYTES", chunk_bytes)
+        part = run_batch(psi0, schedule, trial_streams(8, 23))
+        for name in ("yes", "probability", "draws", "final"):
+            assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
+        assert run_scenario("zeno_precise", {"n": 20}, trials=23, seed=8,
+                            record_trials=True).to_dict() == doc
+
+
+def test_run_batch_snapshots_match_perform():
+    psi0 = pure_state(QUBIT, [1, 0])
+    schedule = zeno_schedule(n=6, omega=2.0)
+    batch = run_batch(psi0, schedule, trial_streams(4, 5), keep_snapshots=True)
+    for i, rng in enumerate(trial_streams(4, 5)):
+        current = psi0
+        for k, entry in enumerate(schedule):
+            current = perform(current, entry.experiment, rng)[1]
+            assert batch.snapshots[i, k].tobytes() == current.rho.tobytes()
+
+
+def test_run_batch_checks_like_run_sequence():
+    psi0 = pure_state(QUBIT, [1, 0])
+    exp = YesNoExperiment("g", GROUND)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        run_batch(psi0, [ScheduleEntry(1.0, exp), ScheduleEntry(0.0, exp)], trial_streams(0, 2))
+    other = Projection(full_context(3), np.diag([1.0, 0.0, 0.0]))
+    with pytest.raises(ContextMismatchError):
+        run_batch(psi0, [ScheduleEntry(0.0, YesNoExperiment("x", other))], trial_streams(0, 2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rho, error", [
+    # trace 1/2: "yes" has probability 1/2 but "no" has probability 0
+    (np.diag([0.5, 0.0]).astype(complex), ZeroProbabilityError),
+    (np.full((2, 2), np.nan, dtype=complex), ValueError),
+])
+def test_run_batch_raises_where_perform_raises(rho, error):
+    # State._trusted skips validation, so the broken states reach the step
+    state = State._trusted(QUBIT, rho)
+    schedule = [ScheduleEntry(0.0, YesNoExperiment("ground", GROUND))]
+    with pytest.raises(error) as scalar:
+        scalar_reference(state, schedule, trial_streams(0, 8))
+    with pytest.raises(error) as batched:
+        run_batch(state, schedule, trial_streams(0, 8))
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_run_sequence_advances_supplied_rng_like_perform():
+    angles = [0.0, 0.0, 30.0, 30.0, 90.0, 90.0, 10.0]
+    schedule = [ScheduleEntry(float(k), YesNoExperiment(f"{a:g}", polarizer(a)))
+                for k, a in enumerate(angles)]
+    psi0 = pure_state(QUBIT, [1, 0])
+    for i in range(20):
+        supplied, scalar = trial_generator(13, i), trial_generator(13, i)
+        rec = run_sequence(psi0, schedule, rng=supplied)
+        current, unforced = psi0, 0
+        for entry in schedule:
+            p = yes_probability(current, entry.experiment.projection)
+            unforced += P_FLOOR < p < 1.0 - P_FLOOR
+            outcome, current = perform(current, entry.experiment, scalar)
+        assert rec.final_state.rho.tobytes() == current.rho.tobytes()
+        counted = trial_generator(13, i)
+        counted.random(unforced)
+        after = supplied.random(4).tolist()
+        assert after == scalar.random(4).tolist() == counted.random(4).tolist()
+
+
 # ------------------------------------------------------------------- tensor
 
 
@@ -330,6 +512,13 @@ def test_singlet_conditioning_drives_partner():
 
 
 # -------------------------------------------------------------------- rng
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_trial_generator_is_the_jumped_root_stream(seed):
+    for trial in (0, 1, 2, 1000, 2**32 + 3, 2**62, 2**63 - 1, 2**63, 2**64 - 1):
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
+        assert trial_generator(seed, trial).random(9).tolist() == jumped.random(9).tolist()
 
 
 def test_trial_generators_are_reproducible_and_distinct():
