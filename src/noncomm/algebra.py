@@ -178,10 +178,12 @@ def make_context(kind: str, dim: int | None = None,
     raise ValueError(f"unknown algebra kind {kind!r}")
 
 
-def _require_same_context(a: "AlgebraElement", b: "AlgebraElement"):
+def require_same_context(a, b):
+    """Raise ContextMismatchError unless two values (elements or states)
+    live in the same algebra."""
     if a.context != b.context:
         raise ContextMismatchError(
-            f"elements live in different algebras: {a.context} vs {b.context}"
+            f"values live in different algebras: {a.context} vs {b.context}"
         )
 
 
@@ -244,22 +246,22 @@ class AlgebraElement:
         return type(self)(self.context, self.matrix.conj().T)
 
     def is_hermitian(self, tol: float = EPS_ALG) -> bool:
-        return operator_norm(self.matrix - self.matrix.conj().T) <= tol
+        return within(self.matrix - self.matrix.conj().T, tol)
 
     def is_close(self, other: "AlgebraElement", tol: float = EPS_ALG) -> bool:
-        _require_same_context(self, other)
-        return operator_norm(self.matrix - other.matrix) <= tol
+        require_same_context(self, other)
+        return within(self.matrix - other.matrix, tol)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        _require_same_context(self, other)
+        require_same_context(self, other)
         return AlgebraElement(self.context, self.matrix + other.matrix)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        _require_same_context(self, other)
+        require_same_context(self, other)
         return AlgebraElement(self.context, self.matrix - other.matrix)
 
     def __neg__(self):
@@ -280,7 +282,7 @@ class AlgebraElement:
     def __matmul__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        _require_same_context(self, other)
+        require_same_context(self, other)
         if self.context.is_diagonal:
             # the function algebra's product is pointwise multiplication,
             # exact per entry (no BLAS accumulation)
@@ -299,9 +301,9 @@ class Observable(AlgebraElement):
     __slots__ = ()
 
     def _validate(self):
-        defect = operator_norm(self.matrix - self.matrix.conj().T)
-        if defect > EPS_ALG:
-            raise ValueError(f"observable is not Hermitian (defect {defect:.3e})")
+        herm = self.matrix - self.matrix.conj().T
+        if not within(herm, EPS_ALG):
+            raise ValueError(f"observable is not Hermitian (defect {operator_norm(herm):.3e})")
 
 
 class Projection(AlgebraElement):
@@ -311,12 +313,11 @@ class Projection(AlgebraElement):
 
     def _validate(self):
         m = self.matrix
-        idem = operator_norm(m @ m - m)
-        herm = operator_norm(m - m.conj().T)
-        if idem > EPS_ALG or herm > EPS_ALG:
+        idem, herm = m @ m - m, m - m.conj().T
+        if not (within(idem, EPS_ALG) and within(herm, EPS_ALG)):
             raise ValueError(
-                f"not a projection (idempotency defect {idem:.3e}, "
-                f"Hermiticity defect {herm:.3e})"
+                f"not a projection (idempotency defect {operator_norm(idem):.3e}, "
+                f"Hermiticity defect {operator_norm(herm):.3e})"
             )
 
 
@@ -332,6 +333,16 @@ class SpectralData:
         object.__setattr__(self, "projectors", tuple(self.projectors))
         if len(self.eigenvalues) != len(self.projectors):
             raise ValueError("eigenvalue/projector count mismatch")
+
+    def projection(self, value_set: ValueSet, cluster_tol: float = CLUSTER_TOL) -> Projection:
+        """Sum of the eigenprojectors whose eigenvalue lies in the value set,
+        with membership widened by cluster_tol to absorb eigensolver roundoff."""
+        ctx = self.projectors[0].context
+        total = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+        for val, proj in zip(self.eigenvalues, self.projectors):
+            if value_set.contains(val, atol=cluster_tol):
+                total = total + proj.matrix
+        return Projection(ctx, (total + total.conj().T) / 2.0)
 
 
 def unit(context: AlgebraContext) -> Projection:
@@ -362,15 +373,21 @@ def complement(p: Projection) -> Projection:
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value."""
+    """Largest singular value.
+
+    Tolerance checks call `within(m, tol)` instead of comparing this with
+    tol.  The Frobenius norm bounds the operator norm from above, so when it
+    is at most tol * (1 - 1e-9) (the margin absorbs roundoff in either norm)
+    the check passes without an SVD; otherwise this function decides.
+    """
     if matrix.size == 0:
         return 0.0
     return float(np.linalg.norm(matrix, 2))
 
 
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
+def within(matrix: np.ndarray, tol: float) -> bool:
+    """operator_norm(matrix) <= tol, Frobenius norm first (see operator_norm)."""
+    return bool(np.linalg.norm(matrix) <= tol * (1.0 - 1e-9)) or operator_norm(matrix) <= tol
 
 
 def norms(a: AlgebraElement) -> tuple[float, float]:
@@ -381,13 +398,12 @@ def norms(a: AlgebraElement) -> tuple[float, float]:
 
 def is_projection(a: AlgebraElement, tol: float = EPS_ALG) -> bool:
     m = a.matrix
-    return (operator_norm(m @ m - m) <= tol
-            and operator_norm(m - m.conj().T) <= tol)
+    return within(m @ m - m, tol) and within(m - m.conj().T, tol)
 
 
 def commutes(a: AlgebraElement, b: AlgebraElement, tol: float = EPS_ALG) -> bool:
-    _require_same_context(a, b)
-    return operator_norm(a.matrix @ b.matrix - b.matrix @ a.matrix) <= tol
+    require_same_context(a, b)
+    return within(a.matrix @ b.matrix - b.matrix @ a.matrix, tol)
 
 
 def characteristic_projection(context: AlgebraContext, subset: PhaseSubset) -> Projection:
@@ -463,11 +479,4 @@ def spectral_projection(a: AlgebraElement, value_set: ValueSet,
         vals = np.real(np.diag(a.matrix))
         d = np.array([1.0 if value_set.contains(x) else 0.0 for x in vals], dtype=complex)
         return Projection._unchecked(ctx, np.diag(d))
-
-    spec = eigendecompose(a, cluster_tol)
-    total = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-    for val, proj in zip(spec.eigenvalues, spec.projectors):
-        if value_set.contains(val, atol=cluster_tol):
-            total = total + proj.matrix
-    total = (total + total.conj().T) / 2.0
-    return Projection(ctx, total)
+    return eigendecompose(a, cluster_tol).projection(value_set, cluster_tol)

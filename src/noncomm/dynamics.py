@@ -75,16 +75,15 @@ class Flow:
         if t != int(t):
             raise ValueError("classical time must be an integer")
         t = int(t)
-        n = len(self.step)
-        forward = self.step
-        if t < 0:
-            inv = [0] * n
-            for i, j in enumerate(forward):
-                inv[j] = i
-            forward, t = tuple(inv), -t
-        perm = list(range(n))
-        for _ in range(t):
-            perm = [forward[i] for i in perm]
+        # time t moves each point t places along its cycle (% wraps t < 0)
+        perm = [None] * len(self.step)
+        for start in range(len(perm)):
+            if perm[start] is None:
+                cycle = [start]
+                while self.step[cycle[-1]] != start:
+                    cycle.append(self.step[cycle[-1]])
+                for pos, i in enumerate(cycle):
+                    perm[i] = cycle[(pos + t) % len(cycle)]
         return tuple(perm)
 
     def __call__(self, index: int, t: int = 1) -> int:
@@ -99,10 +98,7 @@ def compose_flows(t1: Flow, t2: Flow) -> Flow:
 
 
 def invert_flow(t: Flow) -> Flow:
-    inv = [0] * len(t.step)
-    for i, j in enumerate(t.step):
-        inv[j] = i
-    return Flow(t.space, tuple(inv))
+    return Flow(t.space, t.at(-1))
 
 
 def propagator(h: Hamiltonian, t: float) -> AlgebraElement:

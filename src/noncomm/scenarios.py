@@ -32,8 +32,8 @@ from .algebra import (
     ValueSet,
     characteristic_projection,
     diagonal_context,
+    eigendecompose,
     full_context,
-    spectral_projection,
 )
 from .dynamics import Flow, Hamiltonian, schrodinger_state
 from .measurement import (
@@ -291,13 +291,19 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     ham = Hamiltonian(Observable(ctx, hop))
 
     # window of `width` consecutive eigenvalues; even widths extend upward;
-    # near the spectrum edge the window shifts rather than shrinks
+    # near the spectrum edge the window shifts rather than shrinks.  Windows
+    # share one eigendecomposition and are built on first use, keyed by lo.
     below = (width - 1) // 2
+    spectrum = eigendecompose(level_obs)
+    windows = {}
 
-    def window_projection(center):
+    def window(center):
         lo = int(np.clip(center - below, 1, levels - width + 1))
-        hi = lo + width - 1
-        return lo, hi, spectral_window(level_obs, lo, hi)
+        if lo not in windows:
+            hi = lo + width - 1
+            windows[lo] = YesNoExperiment(f"level within [{lo},{hi}]",
+                                          spectrum.projection(ValueSet(intervals=((lo, hi),))))
+        return windows[lo]
 
     trajectories = np.zeros((trials, steps + 1))
     records = [] if record_trials else None
@@ -312,14 +318,12 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
             target = int(round(expectation(state, level_obs).real))
             center += int(np.clip(target - center, -drift, drift))
             center = int(np.clip(center, 1, levels))
-            lo, hi, proj = window_projection(center)
-            outcome, state = perform(
-                state, YesNoExperiment(f"level within [{lo},{hi}]", proj), rng
-            )
+            experiment = window(center)
+            outcome, state = perform(state, experiment, rng)
             a_now = float(expectation(state, level_obs).real)
             levels_seen.append(a_now)
             if records is not None:
-                entries.append({**entry_dict(step, f"level within [{lo},{hi}]", outcome.yes,
+                entries.append({**entry_dict(step, experiment.label, outcome.yes,
                                              outcome.probability), "mean_level": a_now})
         trajectories[i] = levels_seen
         if records is not None:
@@ -343,11 +347,6 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     echo = {k: params[k] for k in ("num_levels", "window_width", "drift_rate",
                                    "steps", "coupling", "dt", "initial_level")}
     return ScenarioResult("zeno_coarse", echo, seed, trials, summary, series, records)
-
-
-def spectral_window(obs: Observable, lo: float, hi: float) -> Projection:
-    """Projection of "is the level between lo and hi (inclusive)?"."""
-    return spectral_projection(obs, ValueSet(intervals=((lo, hi),)))
 
 
 def _run_epr(params, trials, seed, record_trials):
@@ -555,6 +554,10 @@ def _classical_zeno(params, trials, seed, record_trials):
 
     # Precise observation of a point mass is deterministic: every yes/no
     # answer is forced, so all trials coincide and no draws are consumed.
+    # The evolved schedule of each step is the same in every trial, and
+    # repeats with the cycle's period n_points: build each one once.
+    evolved_steps = [evolve_schedule([ScheduleEntry(float(t), e) for e in point_exps], cycle)
+                     for t in range(1, min(steps, n_points) + 1)]
     trajectories = []
     records = [] if record_trials else None
     for i in range(trials):
@@ -563,10 +566,8 @@ def _classical_zeno(params, trials, seed, record_trials):
         positions = [0]
         entries = []
         for t in range(1, steps + 1):
-            schedule = [ScheduleEntry(float(t), e) for e in point_exps]
-            evolved = evolve_schedule(schedule, cycle)
             pos = None
-            for j, entry in enumerate(evolved):
+            for j, entry in enumerate(evolved_steps[(t - 1) % n_points]):
                 out, state = perform(state, entry.experiment, rng)
                 if records is not None:
                     entries.append(entry_dict(t, entry.experiment.label, out.yes,

@@ -17,10 +17,11 @@ from .algebra import (
     EPS_ALG,
     AlgebraContext,
     AlgebraElement,
-    ContextMismatchError,
     PhaseSubset,
     Projection,
     operator_norm,
+    require_same_context,
+    within,
 )
 
 # Conditioning on outcomes with probability at or below this floor raises
@@ -53,9 +54,9 @@ class State:
             raise ValueError(
                 f"density matrix shape {arr.shape} does not match dimension {context.dim}"
             )
-        herm_defect = operator_norm(arr - arr.conj().T)
-        if herm_defect > EPS_ALG:
-            raise ValueError(f"density matrix is not Hermitian (defect {herm_defect:.3e})")
+        herm = arr - arr.conj().T
+        if not within(herm, EPS_ALG):
+            raise ValueError(f"density matrix is not Hermitian (defect {operator_norm(herm):.3e})")
         if context.is_diagonal:
             off = arr - np.diag(np.diag(arr))
             if off.size and np.abs(off).max() > EPS_ALG:
@@ -145,16 +146,9 @@ def classical_state(context: AlgebraContext, mu) -> State:
     return State(context, np.diag(np.clip(m, 0.0, None).astype(complex) / total))
 
 
-def _check_context(a, b):
-    if a.context != b.context:
-        raise ContextMismatchError(
-            f"values live in different algebras: {a.context} vs {b.context}"
-        )
-
-
 def expectation(state: State, a: AlgebraElement) -> complex:
     """Tr(rho A); real up to roundoff when A is Hermitian."""
-    _check_context(state, a)
+    require_same_context(state, a)
     # Tr(rho A) = sum_ij rho[i,j] A[j,i]
     return complex(state.rho.ravel().dot(a.matrix.T.ravel()))
 
@@ -171,7 +165,7 @@ def condition(state: State, p: Projection) -> State:
     The returned state satisfies Tr(rho' A) = Tr(rho P A P) / Tr(rho P) for
     every A, and assigns probability 1 to a repetition of the experiment.
     """
-    _check_context(state, p)
+    require_same_context(state, p)
     prob = state.rho.ravel().dot(p.matrix.T.ravel()).real
     if prob <= P_FLOOR:
         raise ZeroProbabilityError(
@@ -194,6 +188,6 @@ def classical_condition(mu, subset: PhaseSubset) -> np.ndarray:
 
 def state_distance(s1: State, s2: State) -> float:
     """Trace-norm distance ||rho1 - rho2||_1 (sum of singular values)."""
-    _check_context(s1, s2)
+    require_same_context(s1, s2)
     diff = s1.rho - s2.rho
     return float(np.abs(np.linalg.eigvalsh(diff)).sum())

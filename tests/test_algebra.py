@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncomm.algebra import (
+    CLUSTER_TOL,
+    EPS_ALG,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -25,6 +29,7 @@ from noncomm.algebra import (
     operator_norm,
     spectral_projection,
     unit,
+    within,
 )
 
 TOL = 1e-12
@@ -369,3 +374,90 @@ def test_spectral_data_validation():
     ctx = full_context(2)
     with pytest.raises(ValueError):
         SpectralData((1.0,), (unit(ctx), unit(ctx)))
+
+
+def test_spectral_data_projection_is_spectral_projection_bitwise():
+    # eigenvalue pairs split by less than, about, and more than CLUSTER_TOL,
+    # so windows must agree on how near-degenerate clusters are merged
+    rng = np.random.default_rng(31)
+    for n in (3, 5, 8):
+        ctx = full_context(n)
+        for _ in range(6):
+            eig = np.sort(rng.uniform(-3.0, 3.0, n))
+            for k in range(1, n, 2):
+                eig[k] = eig[k - 1] + rng.choice([1e-11, 0.5 * CLUSTER_TOL, 2 * CLUSTER_TOL])
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            q, _ = np.linalg.qr(g)
+            a = Observable(ctx, (q * eig) @ q.conj().T)
+            spec = eigendecompose(a)
+            lo, hi = np.sort(rng.uniform(-3.5, 3.5, 2))
+            value_sets = (ValueSet(intervals=((lo, hi),)), ValueSet(points=(eig[0], eig[-1])),
+                          ValueSet(intervals=((eig[1], eig[-2]),)), ValueSet())
+            for v in value_sets:
+                assert np.array_equal(spec.projection(v).matrix,
+                                      spectral_projection(a, v).matrix)
+            coarse = eigendecompose(a, 1e-6)
+            assert np.array_equal(coarse.projection(value_sets[0], 1e-6).matrix,
+                                  spectral_projection(a, value_sets[0], 1e-6).matrix)
+
+
+# ------------------------------------------------------------------ within
+
+
+def _unit_rank_one(n, rng):
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return np.outer(u, v.conj()) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([EPS_ALG, 1e-12, 1.0, 3.7e5]),
+       rel=st.one_of(st.sampled_from([-1e-12, 0.0, 1e-12, -1e-9]),
+                     st.floats(-3e-9, 3e-9)))
+def test_within_matches_operator_norm_on_rank_one_edges(n, seed, tol, rel):
+    # rank 1: the two norms coincide, so the Frobenius shortcut is decided
+    # right at the edge of its margin
+    m = tol * (1.0 + rel) * _unit_rank_one(n, np.random.default_rng(seed))
+    assert within(m, tol) == (operator_norm(m) <= tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       rel=st.sampled_from([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]))
+def test_within_flat_spectrum_needs_the_svd(n, seed, rel):
+    # c times a unitary: every singular value is c, so for c near tol the
+    # Frobenius norm c sqrt(n) exceeds tol and only the SVD can decide
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = EPS_ALG * (1.0 + rel) * q
+    assert np.linalg.norm(m) > EPS_ALG
+    assert within(m, EPS_ALG) == (operator_norm(m) <= EPS_ALG)
+    if abs(rel) > 1e-9:
+        assert within(m, EPS_ALG) == (rel < 0)
+
+
+def test_within_empty_matrix():
+    empty = np.zeros((0, 0), dtype=complex)
+    for tol in (0.0, EPS_ALG):
+        assert within(empty, tol) and operator_norm(empty) <= tol
+
+
+def test_rejection_messages_report_operator_norm_defects():
+    ctx = full_context(2)
+    # each Hermiticity defect below is flat (singular values 1e-3, 1e-3), so
+    # its Frobenius norm (1.414e-03) differs from the reported operator norm
+    cases = (
+        (Observable, [[0.0, 1e-3], [0.0, 0.0]], "observable is not Hermitian (defect 1.000e-03)"),
+        (Observable, [[1.0, 2e-9j], [0.0, 1.0]], "observable is not Hermitian (defect 2.000e-09)"),
+        (Projection, [[1.0, 1e-3], [0.0, 0.0]],
+         "not a projection (idempotency defect 0.000e+00, Hermiticity defect 1.000e-03)"),
+        (Projection, [[0.5, 0.0], [0.0, 0.0]],
+         "not a projection (idempotency defect 2.500e-01, Hermiticity defect 0.000e+00)"),
+    )
+    for cls, m, message in cases:
+        with pytest.raises(ValueError) as err:
+            cls(ctx, np.array(m, dtype=complex))
+        assert str(err.value) == message
+    # Frobenius defect 1.27e-9 > EPS_ALG, operator-norm defect 9e-10: accepted
+    Observable(ctx, np.array([[0.0, 9e-10], [0.0, 0.0]], dtype=complex))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -259,3 +260,21 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "zeno_precise" in proc.stdout
+
+
+# sha256 of `noncomm run zeno_coarse --format json --snapshots` output,
+# recorded when every window was rebuilt from its own eigendecomposition;
+# windows cut from one shared decomposition must give the same bytes
+@pytest.mark.parametrize("settings,seed,trials,digest", [
+    ((), 0, 20, "3c63cdae0b2b9028e8992e2521dafbd516fdefd35940514d4f0b69505d10d3b1"),
+    ((), 7, 20, "9366a160c6b553e51722358682a54fb84cb0ae43eb82ec32448b5b35680bd2d6"),
+    (("--set", "num_levels=16,steps=48"), 3, 6,
+     "598034cb14fabac09b7f3a386840db291ae0649418f52c7b667ae8fd0177657c"),
+    (("--set", "num_levels=16,steps=48"), 2026, 6,
+     "019f92aaff8deb8e7443f1d57b9d7540b9b492708f1e45360cf1022aaf359329"),
+])
+def test_zeno_coarse_snapshot_bytes_pinned(tmp_path, settings, seed, trials, digest):
+    out = tmp_path / "zeno_coarse.json"
+    assert main(["run", "zeno_coarse", *settings, "--trials", str(trials), "--seed", str(seed),
+                 "--format", "json", "--snapshots", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -197,6 +197,36 @@ def test_flow_composition_and_inverse():
         compose_flows(t, Flow(PhaseSpace(("x", "y")), (1, 0)))
 
 
+def _composed(step, t):
+    """step applied t times by plain composition (its inverse for t < 0)."""
+    forward = list(step)
+    if t < 0:
+        for i, j in enumerate(step):
+            forward[j] = i
+    perm = list(range(len(step)))
+    for _ in range(abs(t)):
+        perm = [forward[i] for i in perm]
+    return tuple(perm)
+
+
+def test_flow_at_matches_naive_composition():
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 5, 9):
+        space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
+        for _ in range(4):
+            step = tuple(int(i) for i in rng.permutation(n))
+            flow = Flow(space, step)
+            for t in range(-3 * n, 3 * n + 1):
+                assert flow.at(t) == _composed(step, t)
+            assert invert_flow(flow).step == _composed(step, -1)
+    # the first has cycles of lengths 3, 4 and 5: order 60, which does not
+    # divide 10^6
+    space = PhaseSpace(tuple(f"x{i}" for i in range(12)))
+    for step in ((1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7),
+                 tuple(int(i) for i in rng.permutation(12))):
+        assert Flow(space, step).at(10**6) == _composed(step, 10**6)
+
+
 def test_koopman_automorphism_laws_integer_times():
     rng = np.random.default_rng(25)
     space = PhaseSpace(tuple(f"x{i}" for i in range(9)))

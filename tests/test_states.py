@@ -63,6 +63,14 @@ def test_density_state_classical_point_mass():
     assert np.array_equal(s.probabilities(), [1, 0, 0, 0])
 
 
+def test_density_state_hermiticity_message_and_margin():
+    with pytest.raises(ValueError) as err:
+        density_state(QUBIT, [[0.5, 2e-9], [0.0, 0.5]])
+    assert str(err.value) == "density matrix is not Hermitian (defect 2.000e-09)"
+    # Frobenius defect 1.27e-9 exceeds EPS_ALG, the operator norm 9e-10 does not
+    density_state(QUBIT, [[0.5, 9e-10], [0.0, 0.5]])
+
+
 def test_density_state_trace_and_offdiagonal_errors():
     with pytest.raises(ValueError):
         density_state(QUBIT, np.diag([0.7, 0.7]))
