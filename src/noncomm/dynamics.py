@@ -128,13 +128,16 @@ def heisenberg_evolve(a: AlgebraElement, h: Hamiltonian, t: float) -> AlgebraEle
 
 def koopman_evolve(g: AlgebraElement, flow: Flow, t: int) -> AlgebraElement:
     """tau_t(g) = g o T_t on the diagonal algebra: a pure index permutation."""
+    return koopman_permute(g, flow, flow.at(t))
+
+
+def koopman_permute(g: AlgebraElement, flow: Flow, perm: tuple) -> AlgebraElement:
+    """g o T for a permutation T = perm of the flow's space, e.g. `flow.at(t)`."""
     if not g.context.is_diagonal:
         raise ValueError("Koopman evolution acts on the diagonal algebra")
     if g.context.phase_space != flow.space:
         raise ContextMismatchError("element and flow live on different phase spaces")
-    perm = flow.at(t)
-    diag = np.diag(g.matrix)
-    moved = diag[list(perm)]
+    moved = np.diag(g.matrix)[list(perm)]
     return type(g)._unchecked(g.context, np.diag(moved))
 
 

@@ -8,13 +8,13 @@ measurement time before asking (the dynamics act on the observables, not on
 the state).  Kronecker products, local embeddings, and partial traces cover
 the composite systems needed for entangled-pair experiments.
 
-A schedule fixed in advance runs over all trials at once: `run_batch`
-holds the trials' states as one (trials, d, d) stack and, per schedule
-entry, makes one batched Born probability, one vectorized forced/draw
-decision and one batched Lueders update.  Its arithmetic gives every trial
-the bits `perform` gives it alone, and `run_sequence` is its one-trial case.
-`perform` remains the single step for schedules that depend on earlier
-outcomes.
+Trials run as one (trials, d, d) stack: `born_step` asks one question of
+every trial at once, giving each the bits `perform` gives it alone.  A trial
+draws one block of uniforms, sized to its run's most draws, and its one
+pointer moves only on unforced outcomes, so in every phase the k-th uniform
+used is the k-th `perform` would draw.  `run_batch` loops the step over a
+fixed schedule; an `active` mask stops trials early.  `perform` remains for
+runs whose next question depends on the state reached.
 
 Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
@@ -26,6 +26,7 @@ results do not depend on how trials are batched or chunked.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -44,7 +45,7 @@ from .algebra import (
     diagonal_context,
     full_context,
 )
-from .dynamics import Flow, Hamiltonian, heisenberg_evolve, koopman_evolve
+from .dynamics import Flow, Hamiltonian, heisenberg_evolve, koopman_permute
 from .states import (
     P_FLOOR,
     State,
@@ -54,7 +55,7 @@ from .states import (
     yes_probability,
 )
 
-# Bytes of one chunk's uniform block plus its state stack in `run_batch`.
+# Bytes of one chunk's uniform blocks plus its state stacks in `run_chunked`.
 # Every trial has its own stream, so results do not depend on this bound.
 CHUNK_BYTES = 1 << 22
 
@@ -82,6 +83,13 @@ class YesNoExperiment:
 
     label: str
     projection: Projection
+
+    @property
+    def no_projection(self) -> Projection:
+        """1 - P, the projection of the answer "no", built on first use."""
+        if "_no" not in self.__dict__:  # cached_property's lock costs more than 1 - P
+            self.__dict__["_no"] = complement(self.projection)
+        return self.__dict__["_no"]
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,7 @@ class BatchOutcomes:
 
     yes: np.ndarray          # (trials, n) bool answers
     probability: np.ndarray  # (trials, n) pre-measurement probability of each answer
+    p_yes: np.ndarray        # (trials, n) clamped probability of "yes" before each entry
     draws: np.ndarray        # (trials,) uniforms consumed, one per unforced outcome
     final: np.ndarray        # (trials, d, d) density matrices after the last entry
     snapshots: np.ndarray | None = None  # (trials, n, d, d) state after each entry
@@ -169,14 +178,8 @@ def perform(state: State, experiment: YesNoExperiment,
     and avoids conditioning on impossible outcomes.
     """
     p = yes_probability(state, experiment.projection)
-    if p <= P_FLOOR:
-        yes = False
-    elif p >= 1.0 - P_FLOOR:
-        yes = True
-    else:
-        yes = bool(rng.random() < p)
-    proj = experiment.projection if yes else complement(experiment.projection)
-    post = condition(state, proj)
+    yes = p >= 1.0 - P_FLOOR or (not p <= P_FLOOR and bool(rng.random() < p))
+    post = condition(state, experiment.projection if yes else experiment.no_projection)
     return Outcome(yes=yes, probability=p if yes else 1.0 - p), post
 
 
@@ -186,11 +189,13 @@ def evolve_schedule(schedule, dynamics) -> list:
     if dynamics is None:
         return list(schedule)
     out = []
+    # one permutation per distinct time, shared by the entries at that time
+    at = functools.cache(dynamics.at) if isinstance(dynamics, Flow) else None
     for entry in schedule:
         if isinstance(dynamics, Hamiltonian):
             moved = heisenberg_evolve(entry.experiment.projection, dynamics, entry.time)
         elif isinstance(dynamics, Flow):
-            moved = koopman_evolve(entry.experiment.projection, dynamics, int(entry.time))
+            moved = koopman_permute(entry.experiment.projection, dynamics, at(int(entry.time)))
         else:
             raise TypeError(f"dynamics must be a Hamiltonian or Flow, got {type(dynamics)!r}")
         out.append(ScheduleEntry(entry.time, YesNoExperiment(entry.experiment.label, moved)))
@@ -208,80 +213,92 @@ def _check_schedule(state: State, schedule):
             )
 
 
+def run_chunked(rngs, draws: int, state_bytes: int, run) -> tuple:
+    """Run trials in chunks of at most about CHUNK_BYTES of uniforms plus
+    `state_bytes` per trial.  `run(uniforms, used)` gets each trial's next
+    `draws` uniforms as a row and its pointer, the flat index of that row's
+    start; the per-trial arrays (or None) it returns are joined on axis 0."""
+    size = max(1, CHUNK_BYTES // (8 * draws + state_bytes))
+
+    def blocks(chunk):
+        uniforms = np.empty((len(chunk), draws))
+        for row, rng in zip(uniforms, chunk):
+            rng.random(out=row)
+        return run(uniforms, np.arange(len(chunk), dtype=np.intp) * draws)
+
+    rngs = iter(rngs)
+    chunks = iter(lambda: list(itertools.islice(rngs, size)), [])
+    parts = [blocks(c) for c in chunks] or [blocks([])]
+    return tuple(None if f[0] is None else np.concatenate(f) for f in zip(*parts))
+
+
+def born_step(rho: np.ndarray, experiment: YesNoExperiment, uniforms: np.ndarray,
+              used: np.ndarray, active: np.ndarray | None = None) -> tuple:
+    """Ask one yes/no experiment of every trial of a C-ordered (trials, d, d)
+    stack (as `np.repeat` makes it, so BLAS sees the strides of the
+    one-matrix path), with the bits and errors `perform` gives each trial
+    alone.  Trial i's answer is forced when its clamped yes-probability p is
+    within P_FLOOR of 0 or 1, else it is uniforms.ravel()[used[i]] < p and
+    the flat pointer used[i] advances in place.  Returns the conditioned
+    stack, the answers and p; a "no" has probability 1 - p.  With a bool
+    `active` mask, `rho` is updated in place and only active trials are
+    asked: the others draw nothing, keep their state, skip the checks and
+    read "no" with p = 0."""
+    if active is not None:
+        rows = np.flatnonzero(active)
+        ahead, out = used[rows], np.zeros((2, len(rho)))
+        rho[rows], *answers = born_step(rho[rows], experiment, uniforms, ahead)
+        used[rows], out[:, rows] = ahead, answers
+        return rho, out[0].astype(bool), out[1]
+    p, q = experiment.projection.matrix, experiment.no_projection.matrix
+    flat = rho.reshape(len(rho), 1, rho.shape[-1] ** 2)
+    # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
+    raw_yes = (flat @ p.T.ravel()[:, None])[:, 0, 0].real
+    raw_no = (flat @ q.T.ravel()[:, None])[:, 0, 0].real
+    p_yes = np.clip(raw_yes, 0.0, 1.0)
+    forced_yes = p_yes >= 1.0 - P_FLOOR
+    free = ~(forced_yes | (p_yes <= P_FLOOR))
+    yes = forced_yes | (free & (uniforms.ravel()[used] < p_yes))
+    used += free
+    conditioned = np.where(yes, raw_yes, raw_no)
+    if (conditioned <= P_FLOOR).any():
+        worst = float(conditioned[conditioned <= P_FLOOR][0])
+        raise ZeroProbabilityError(f"cannot condition on an outcome of probability {worst:.3e}")
+    realized = np.where(yes, p_yes, 1.0 - p_yes)
+    valid = (0.0 <= realized) & (realized <= 1.0)
+    if not valid.all():
+        raise ValueError(f"outcome probability {float(realized[~valid][0])} outside [0, 1]")
+    proj = np.where(yes[:, None, None], p, q)
+    return renormalize(proj @ rho @ proj), yes, p_yes
+
+
 def run_batch(state: State, schedule, rngs, dynamics=None, *,
               keep_snapshots: bool = False) -> BatchOutcomes:
     """Run one schedule, fixed in advance, over a batch of trials at once.
 
     `rngs` yields one generator per trial, all starting from `state`.  Trial
-    i draws a block of len(schedule) uniforms from its generator and uses
-    them in order, one per outcome that is not forced, so its answers,
-    probabilities and states are bit for bit those of `perform` applied
-    entry by entry with that generator.  Each generator is left past its
-    whole block.  Trials run in chunks of at most about CHUNK_BYTES of
-    uniforms and states; each has its own stream, so chunking does not
-    change results.  The errors are those of `perform`: ZeroProbabilityError
-    for an outcome conditioned on at probability <= P_FLOOR, ValueError for
-    an outcome probability outside [0, 1].
+    i draws a block of len(schedule) uniforms and `born_step` uses them in
+    order, one per unforced outcome, so its answers, probabilities, states
+    and errors are bit for bit those of `perform` applied entry by entry
+    with that generator.  Each generator is left past its whole block.
     """
     _check_schedule(state, schedule)
     entries = evolve_schedule(schedule, dynamics)
     n, d = len(entries), state.dim
-    steps = []
-    for entry in entries:
-        p = entry.experiment.projection.matrix
-        q = complement(entry.experiment.projection).matrix
-        # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
-        steps.append((p, q, p.T.ravel()[:, None], q.T.ravel()[:, None]))
-    size = max(1, CHUNK_BYTES // (8 * n + 16 * d * d))
-    rngs = iter(rngs)
-    chunks = iter(lambda: list(itertools.islice(rngs, size)), [])
-    parts = ([_run_chunk(state.rho, steps, c, keep_snapshots) for c in chunks]
-             or [_run_chunk(state.rho, steps, [], keep_snapshots)])
-    return BatchOutcomes(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
 
+    def run(uniforms, used):
+        t = len(used)
+        yes, p_yes = np.empty((t, n), dtype=bool), np.empty((t, n))
+        snapshots = np.empty((t, n, d, d), dtype=complex) if keep_snapshots else None
+        rho = np.repeat(state.rho[None], t, axis=0)
+        for k, e in enumerate(entries):
+            rho, yes[:, k], p_yes[:, k] = born_step(rho, e.experiment, uniforms, used)
+            if snapshots is not None:
+                snapshots[:, k] = rho
+        prob = np.where(yes, p_yes, 1.0 - p_yes)
+        return yes, prob, p_yes, used - np.arange(t) * n, rho, snapshots
 
-def _run_chunk(rho0, steps, rngs, keep_snapshots):
-    t, n, d = len(rngs), len(steps), rho0.shape[0]
-    uniforms = np.empty((t, n))
-    for row, rng in zip(uniforms, rngs):
-        rng.random(out=row)
-    rows = np.arange(t)
-    used = np.zeros(t, dtype=np.intp)
-    yes = np.empty((t, n), dtype=bool)
-    prob = np.empty((t, n))
-    snapshots = np.empty((t, n, d, d), dtype=complex) if keep_snapshots else None
-    # C order, as every later stack is: the BLAS calls then see the strides
-    # the single-matrix path sees, which keeps their rounding identical
-    rho = np.repeat(rho0[None], t, axis=0)
-    for k, (p, q, p_col, q_col) in enumerate(steps):
-        flat = rho.reshape(t, 1, d * d)
-        raw_yes = (flat @ p_col)[:, 0, 0].real
-        raw_no = (flat @ q_col)[:, 0, 0].real
-        p_yes = np.clip(raw_yes, 0.0, 1.0)
-        forced_no = p_yes <= P_FLOOR
-        forced_yes = p_yes >= 1.0 - P_FLOOR
-        free = ~(forced_no | forced_yes)
-        y = forced_yes | (free & (uniforms[rows, used] < p_yes))
-        used += free
-        conditioned = np.where(y, raw_yes, raw_no)
-        if (conditioned <= P_FLOOR).any():
-            worst = float(conditioned[conditioned <= P_FLOOR][0])
-            raise ZeroProbabilityError(
-                f"cannot condition on an outcome of probability {worst:.3e}"
-            )
-        realized = np.where(y, p_yes, 1.0 - p_yes)
-        valid = (0.0 <= realized) & (realized <= 1.0)
-        if not valid.all():
-            raise ValueError(
-                f"outcome probability {float(realized[~valid][0])} outside [0, 1]"
-            )
-        proj = np.where(y[:, None, None], p, q)
-        rho = renormalize(proj @ rho @ proj)
-        yes[:, k] = y
-        prob[:, k] = realized
-        if snapshots is not None:
-            snapshots[:, k] = rho
-    return yes, prob, used, rho, snapshots
+    return BatchOutcomes(*run_chunked(rngs, n, 16 * d * d, run))
 
 
 def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = None,

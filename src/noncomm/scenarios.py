@@ -11,10 +11,11 @@ returns a ScenarioResult: scalar summary statistics, sequence-valued series,
 and (optionally) per-trial outcome records.  Trial i draws from the Philox
 stream `trial_generator(seed, i)`, identical to the root stream jumped i
 times, so results are reproducible and independent of how trials are
-scheduled.  Scenarios whose schedule is fixed in advance (polarization,
-precise Zeno, three observers) advance all trials as one batch through
-`run_batch`; the others step trial by trial with `perform`, because what
-they ask next depends on earlier outcomes.
+scheduled.  Polarization, precise Zeno, three observers and both EPR runs
+advance all trials as one stack through `run_batch`, and two-slit asks its
+stop-at-first-yes chains as masked `born_step`s.  `zeno_coarse` and the
+classical Zeno control step trial by trial with `perform`, because what
+they ask next depends on the state the trial reached.
 """
 
 from __future__ import annotations
@@ -35,16 +36,18 @@ from .algebra import (
     eigendecompose,
     full_context,
 )
-from .dynamics import Flow, Hamiltonian, schrodinger_state
+from .dynamics import Flow, Hamiltonian, propagator
 from .measurement import (
     ScheduleEntry,
     YesNoExperiment,
+    born_step,
     embed_local,
     entry_dict,
     evolve_schedule,
     partial_trace,
     perform,
     run_batch,
+    run_chunked,
     tensor,
     trial_generator,
     trial_streams,
@@ -298,13 +301,16 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     windows = {}
 
     def window(center):
-        lo = int(np.clip(center - below, 1, levels - width + 1))
+        lo = min(max(center - below, 1), levels - width + 1)
         if lo not in windows:
             hi = lo + width - 1
             windows[lo] = YesNoExperiment(f"level within [{lo},{hi}]",
                                           spectrum.projection(ValueSet(intervals=((lo, hi),))))
         return windows[lo]
 
+    # `schrodinger_state`'s step rho -> U(-dt) rho U(-dt)*, with U built once
+    u = propagator(ham, -dt).matrix
+    u_adj = u.conj().T
     trajectories = np.zeros((trials, steps + 1))
     records = [] if record_trials else None
     for i in range(trials):
@@ -314,10 +320,10 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
         levels_seen = [float(expectation(state, level_obs).real)]
         entries = []
         for step in range(1, steps + 1):
-            state = schrodinger_state(state, ham, dt)
+            state = State._renormalized(ctx, u @ state.rho @ u_adj)
             target = int(round(expectation(state, level_obs).real))
-            center += int(np.clip(target - center, -drift, drift))
-            center = int(np.clip(center, 1, levels))
+            center += min(max(target - center, -drift), drift)
+            center = min(max(center, 1), levels)
             experiment = window(center)
             outcome, state = perform(state, experiment, rng)
             a_now = float(expectation(state, level_obs).real)
@@ -369,55 +375,49 @@ def _run_epr(params, trials, seed, record_trials):
     marg0 = state_distance(partial_trace(joint, 0, (2, 2)), mixed)
     marg1 = state_distance(partial_trace(joint, 1, (2, 2)), mixed)
 
-    a_yes = b_yes = anti = 0
-    b_prob_after_a_yes, b_prob_after_a_no = [], []
-    records = [] if record_trials else None
-    for i in range(trials):
-        rng = trial_generator(seed, i)
-        out_a, st = perform(joint, ask_a, rng)
-        b_pre = yes_probability(st, ask_b.projection)
-        out_b, st = perform(st, ask_b, rng)
-        a_yes += out_a.yes
-        b_yes += out_b.yes
-        anti += out_a.yes != out_b.yes
-        (b_prob_after_a_yes if out_a.yes else b_prob_after_a_no).append(b_pre)
-        if records is not None:
-            records.append({
-                "trial": i,
-                "entries": [entry_dict(0.0, ask_a.label, out_a.yes, out_a.probability),
-                            entry_dict(0.0, ask_b.label, out_b.yes, out_b.probability)],
-            })
-
+    a, b, b_pre, _, records = _ask_pair(joint, ask_a, ask_b, trials, seed, record_trials)
+    anti = int((a != b).sum())
     summary = {
         "state": which,
-        "a_yes_rate": a_yes / trials,
-        "b_yes_rate": b_yes / trials,
+        "a_yes_rate": int(a.sum()) / trials,
+        "b_yes_rate": int(b.sum()) / trials,
         "anticorrelation_rate": anti / trials,
         "anticorrelated_every_trial": anti == trials,
         "correlation_rate": (trials - anti) / trials,
         "marginal_ci_halfwidth": _ci4(0.5, trials),
-        "b_yes_prob_given_a_yes": _mean_or_none(b_prob_after_a_yes),
-        "b_yes_prob_given_a_no": _mean_or_none(b_prob_after_a_no),
+        "b_yes_prob_given_a_yes": _mean_or_none(b_pre[a]),
+        "b_yes_prob_given_a_no": _mean_or_none(b_pre[~a]),
         "marginal_mixed_distance_slot0": marg0,
         "marginal_mixed_distance_slot1": marg1,
     }
     return ScenarioResult("epr", {"state": which}, seed, trials, summary, {}, records)
 
 
+def _ask_pair(initial, ask_a, ask_b, trials, seed, record_trials):
+    """Ask A, then B, of every trial of a pair state (the quantum and classical
+    EPR runs differ only in state and questions).  Returns the answers to A
+    and B, B's yes-probability when asked, the final states and the records."""
+    schedule = [ScheduleEntry(0.0, ask_a), ScheduleEntry(0.0, ask_b)]
+    batch = run_batch(initial, schedule, trial_streams(seed, trials))
+    records = None if not record_trials else [
+        {"trial": i, "entries": doc["entries"]} for i, doc in enumerate(batch.to_dicts(schedule))]
+    return (*batch.yes.T, batch.p_yes[:, 1], batch.final, records)
+
+
 def _mean_or_none(xs):
-    return float(np.mean(xs)) if xs else None
+    return float(np.mean(xs)) if len(xs) else None
 
 
-def _sample_point(state, projectors, labels, rng):
-    """Sample a position by asking "is it at point m?" in index order,
-    conditioning on each answer.  The chain reproduces the Born distribution;
-    the final question is forced once all earlier answers were no."""
-    st = state
-    for m, proj in enumerate(projectors):
-        out, st = perform(st, YesNoExperiment(labels[m], proj), rng)
-        if out.yes:
-            return m, st
-    return len(projectors) - 1, st
+def _first_yes(rho, experiments, uniforms, used):
+    """Each trial's position, sampled by asking "is it at point m?" in order
+    until its first yes, conditioning on each answer: the chain reproduces
+    the Born distribution, and the last question is forced if reached."""
+    point = np.full(len(rho), -1)
+    for m, experiment in enumerate(experiments):
+        if (point >= 0).all():
+            break
+        point[born_step(rho, experiment, uniforms, used, point < 0)[1]] = m
+    return np.where(point < 0, len(experiments) - 1, point)
 
 
 def _run_two_slit(params, trials, seed, record_trials):
@@ -443,10 +443,10 @@ def _run_two_slit(params, trials, seed, record_trials):
     ctx2 = _qubit()
     ctx_joint = tensor(ctx_screen, ctx2)
 
-    point_projs = [Projection(ctx_screen, np.diag(np.eye(m_points)[m]).astype(complex))
-                   for m in range(m_points)]
-    point_labels = [f"screen point {m}" for m in range(m_points)]
-    joint_projs = [embed_local(p, 0, (m_points, 2)) for p in point_projs]
+    point_exps = [YesNoExperiment(f"screen point {m}", Projection(
+        ctx_screen, np.diag(np.eye(m_points)[m]).astype(complex))) for m in range(m_points)]
+    joint_exps = [YesNoExperiment(e.label, embed_local(e.projection, 0, (m_points, 2)))
+                  for e in point_exps]
     path_left = YesNoExperiment(
         "went through the left slit", embed_local(
             Projection(ctx2, np.diag([1.0, 0.0]).astype(complex)), 1, (m_points, 2))
@@ -456,36 +456,35 @@ def _run_two_slit(params, trials, seed, record_trials):
     psi_joint = np.kron(amp_l, np.array([1.0, 0.0])) + np.kron(amp_r, np.array([0.0, 1.0]))
     joint_state = pure_state(ctx_joint, psi_joint)
 
-    counts_nwp = np.zeros(m_points, dtype=int)
-    counts_wp = np.zeros(m_points, dtype=int)
-    left_count = 0
-    records = [] if record_trials else None
-    for i in range(trials):
-        rng = trial_generator(seed, i)
-        pos, _ = _sample_point(screen_state, point_projs, point_labels, rng)
-        counts_nwp[pos] += 1
-        out_path, st = perform(joint_state, path_left, rng)
-        left_count += out_path.yes
-        pos_wp, _ = _sample_point(st, joint_projs, point_labels, rng)
-        counts_wp[pos_wp] += 1
-        if records is not None:
-            records.append({"trial": i, "no_which_path_point": int(pos),
-                            "path_answer": out_path.answer,
-                            "which_path_point": int(pos_wp)})
+    def run(uniforms, used):
+        screen, joint = (np.repeat(s.rho[None], len(used), axis=0)
+                         for s in (screen_state, joint_state))
+        pos = _first_yes(screen, point_exps, uniforms, used)
+        joint, left, _ = born_step(joint, path_left, uniforms, used)
+        return pos, left, _first_yes(joint, joint_exps, uniforms, used)
+
+    # per trial: 2m + 1 uniforms (m per screen chain, 1 for the path; one
+    # pointer walks them across the phases) and m x m plus 2m x 2m states
+    pos, left, pos_wp = run_chunked(trial_streams(seed, trials), 2 * m_points + 1,
+                                    16 * 5 * m_points * m_points, run)
+    records = None if not record_trials else [
+        {"trial": i, "no_which_path_point": p, "path_answer": "yes" if y else "no",
+         "which_path_point": q}
+        for i, (p, y, q) in enumerate(zip(pos.tolist(), left.tolist(), pos_wp.tolist()))]
 
     flipped = [m for m in range(m_points)
                if analytic_nwp[m] <= 1e-12 and analytic_wp[m] > 1e-12]
     summary = {
         "num_points": m_points,
-        "left_slit_rate": left_count / trials,
+        "left_slit_rate": int(left.sum()) / trials,
         "invalidated_points": len(flipped),
         "first_invalidated_point": flipped[0] if flipped else None,
     }
     series = {
         "analytic_no_which_path": analytic_nwp,
         "analytic_which_path": analytic_wp,
-        "empirical_no_which_path": (counts_nwp / trials).tolist(),
-        "empirical_which_path": (counts_wp / trials).tolist(),
+        "empirical_no_which_path": (np.bincount(pos, minlength=m_points) / trials).tolist(),
+        "empirical_which_path": (np.bincount(pos_wp, minlength=m_points) / trials).tolist(),
         "invalidated_point_indices": flipped,
     }
     echo = {"amp_l": _echo([complex(v) for v in amp_l]),
@@ -607,35 +606,16 @@ def _classical_epr(params, trials, seed, record_trials):
     b_up = YesNoExperiment("particle 2 up", characteristic_projection(ctx, space.subset([0, 2])))
     zero_idx = np.flatnonzero(mu == 0.0)
 
-    a_yes = anti = 0
-    zero_preserved = True
-    b_prob_after_a_yes, b_prob_after_a_no = [], []
-    records = [] if record_trials else None
-    for i in range(trials):
-        rng = trial_generator(seed, i)
-        out_a, st = perform(initial, a_up, rng)
-        b_pre = yes_probability(st, b_up.projection)
-        out_b, st = perform(st, b_up, rng)
-        a_yes += out_a.yes
-        anti += out_a.yes != out_b.yes
-        if np.any(st.probabilities()[zero_idx] > 1e-15):
-            zero_preserved = False
-        (b_prob_after_a_yes if out_a.yes else b_prob_after_a_no).append(b_pre)
-        if records is not None:
-            records.append({
-                "trial": i,
-                "entries": [entry_dict(0.0, a_up.label, out_a.yes, out_a.probability),
-                            entry_dict(0.0, b_up.label, out_b.yes, out_b.probability)],
-            })
-
+    a, b, b_pre, final, records = _ask_pair(initial, a_up, b_up, trials, seed, record_trials)
+    anti = int((a != b).sum())
     summary = {
         "scenario": "epr",
-        "a_up_rate": a_yes / trials,
+        "a_up_rate": int(a.sum()) / trials,
         "anticorrelation_rate": anti / trials,
         "anticorrelated_every_trial": anti == trials,
-        "zero_probabilities_preserved": zero_preserved,
-        "b_up_prob_given_a_up": _mean_or_none(b_prob_after_a_yes),
-        "b_up_prob_given_a_down": _mean_or_none(b_prob_after_a_no),
+        "zero_probabilities_preserved": not np.any(final[:, zero_idx, zero_idx].real > 1e-15),
+        "b_up_prob_given_a_up": _mean_or_none(b_pre[a]),
+        "b_up_prob_given_a_down": _mean_or_none(b_pre[~a]),
     }
     echo = {"scenario": "epr"}
     return ScenarioResult("classical_control", echo, seed, trials, summary, {}, records)

@@ -12,22 +12,31 @@ from noncomm.algebra import (
     PhaseSpace,
     Projection,
     characteristic_projection,
+    complement,
     diagonal_context,
     element,
     full_context,
 )
-from noncomm.dynamics import Flow, Hamiltonian, heisenberg_evolve, schrodinger_state
+from noncomm.dynamics import (
+    Flow,
+    Hamiltonian,
+    heisenberg_evolve,
+    koopman_evolve,
+    schrodinger_state,
+)
 from noncomm.measurement import (
     MeasurementRecord,
     Outcome,
     ScheduleEntry,
     YesNoExperiment,
+    born_step,
     embed_local,
     evolve_schedule,
     make_generator,
     partial_trace,
     perform,
     run_batch,
+    run_chunked,
     run_sequence,
     tensor,
     trial_generator,
@@ -395,6 +404,112 @@ def test_run_sequence_advances_supplied_rng_like_perform():
         counted.random(unforced)
         after = supplied.random(4).tolist()
         assert after == scalar.random(4).tolist() == counted.random(4).tolist()
+
+
+def screen_chain(dim=3):
+    """A stop-at-first-yes chain "is it at point m?" on a complex pure state."""
+    ctx = full_context(dim)
+    psi = np.array([0.6, 0.48j, 0.64, 0.1 - 0.2j][:dim])
+    exps = [YesNoExperiment(f"at {m}", Projection(ctx, np.diag(np.eye(dim)[m])))
+            for m in range(dim)]
+    return pure_state(ctx, psi), exps
+
+
+def test_run_batch_and_masked_steps_take_empty_stacks():
+    state, exps = screen_chain()
+    none = run_batch(state, [ScheduleEntry(0.0, e) for e in exps], [])
+    assert none.yes.shape == none.p_yes.shape == (0, 3) and none.final.shape == (0, 3, 3)
+    rho, used = np.repeat(state.rho[None], 2, axis=0), np.zeros(2, dtype=np.intp)
+    out, yes, _ = born_step(rho, exps[0], np.zeros((2, 1)), used, np.zeros(2, dtype=bool))
+    assert out.tobytes() == np.repeat(state.rho[None], 2, axis=0).tobytes()
+    assert not yes.any() and used.tolist() == [0, 0]
+
+
+def test_draw_pointer_carries_across_phases():
+    # phase 1 is a stop-at-first-yes chain of masked steps; the uniform each
+    # trial's pointer then points at is the draw the scalar run makes next
+    state, exps = screen_chain()
+    seed, trials = 17, 40
+
+    def run(uniforms, used):
+        rho = np.repeat(state.rho[None], len(used), axis=0)
+        active = np.ones(len(used), dtype=bool)
+        for exp in exps:
+            active &= ~born_step(rho, exp, uniforms, used, active)[1]
+        return uniforms.ravel()[used], used - np.arange(len(used)) * uniforms.shape[1]
+
+    following, used = run_chunked(trial_streams(seed, trials), 2 * len(exps) + 1, 0, run)
+    for i, rng in enumerate(trial_streams(seed, trials)):
+        current, draws = state, 0
+        for exp in exps:
+            p = yes_probability(current, exp.projection)
+            draws += P_FLOOR < p < 1.0 - P_FLOOR
+            outcome, current = perform(current, exp, rng)
+            if outcome.yes:
+                break
+        assert used[i] == draws
+        assert following[i] == rng.random()
+
+
+def test_masked_step_leaves_inactive_trials_alone():
+    state, exps = screen_chain(4)
+    uniforms = np.linspace(0.05, 0.95, 6 * 9).reshape(6, 9)
+    used = np.arange(6) * 9 + [0, 1, 2, 3, 4, 5]
+    rho = np.repeat(state.rho[None], 6, axis=0)
+    rho[1] = 0.0  # an inactive trial that asking would break
+    before, active = rho.copy(), np.array([True, False, True, False, True, False])
+    out, yes, p_yes = born_step(rho, exps[0], uniforms, used, active)
+    assert out is rho
+    assert rho[~active].tobytes() == before[~active].tobytes()
+    assert used[~active].tolist() == [10, 30, 50]
+    assert not yes[~active].any() and (p_yes[~active] == 0).all()
+    # the active trials step exactly as a stack of only them would
+    alone_used = np.array([0, 20, 40])
+    alone = born_step(before[active], exps[0], uniforms, alone_used)
+    assert rho[active].tobytes() == alone[0].tobytes()
+    for got, want in zip((yes, p_yes), alone[1:]):
+        assert got[active].tolist() == want.tolist()
+    assert used[active].tolist() == alone_used.tolist() == [1, 21, 41]
+
+
+def test_no_projection_is_built_once_per_experiment(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return complement(p)
+
+    monkeypatch.setattr(measurement, "complement", counting)
+    exp = YesNoExperiment("excited", EXCITED)
+    for i in range(5):
+        outcome, _ = perform(pure_state(QUBIT, [1, 0]), exp, trial_generator(0, i))
+        assert not outcome.yes
+    run_batch(pure_state(QUBIT, [1, 0]), [ScheduleEntry(0.0, exp)] * 3, trial_streams(0, 4))
+    assert len(calls) == 1
+    assert exp.no_projection.matrix.tobytes() == complement(EXCITED).matrix.tobytes()
+    # a new experiment, as every run builds its own, builds its own complement
+    YesNoExperiment("excited", EXCITED).no_projection
+    assert len(calls) == 2
+
+
+def test_koopman_schedule_makes_one_permutation_per_time(monkeypatch):
+    space = PhaseSpace(tuple("abcde"))
+    ctx = diagonal_context(space)
+    flow = Flow(space, (2, 0, 4, 1, 3))
+    exps = [YesNoExperiment(f"in {m}", characteristic_projection(ctx, space.subset(m)))
+            for m in ([0], [1, 2], [3], [0, 4])]
+    schedule = [ScheduleEntry(t, e) for t in (1, 3, 3, 7) for e in exps]
+    expected = [koopman_evolve(e.experiment.projection, flow, int(e.time)).matrix
+                for e in schedule]
+    calls = []
+    at = Flow.at
+    monkeypatch.setattr(Flow, "at", lambda self, t: calls.append(t) or at(self, t))
+    moved = evolve_schedule(schedule, flow)
+    assert calls == [1, 3, 7]
+    assert [e.experiment.projection.matrix.tobytes() for e in moved] == [
+        m.tobytes() for m in expected]
+    assert [(e.time, e.experiment.label) for e in moved] == [
+        (e.time, e.experiment.label) for e in schedule]
 
 
 # ------------------------------------------------------------------- tensor

@@ -1,10 +1,28 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from noncomm.measurement import trial_generator
+from noncomm import measurement, scenarios
+from noncomm.algebra import (
+    PhaseSpace,
+    Projection,
+    characteristic_projection,
+    diagonal_context,
+    full_context,
+)
+from noncomm.cli import main
+from noncomm.dynamics import propagator
+from noncomm.measurement import (
+    YesNoExperiment,
+    embed_local,
+    perform,
+    tensor,
+    trial_generator,
+    trial_streams,
+)
 from noncomm.scenarios import (
     SCENARIOS,
     ParameterError,
@@ -12,6 +30,7 @@ from noncomm.scenarios import (
     run_scenario,
     validate_params,
 )
+from noncomm.states import classical_state, pure_state, yes_probability
 
 SEED = 20240817
 
@@ -341,3 +360,189 @@ def test_scenario_determinism_and_seed_sensitivity():
 def test_trials_must_be_positive():
     with pytest.raises(ParameterError):
         run_scenario("epr", trials=0, seed=0)
+
+
+# ------------------------------------------- batched vs scalar reference runs
+#
+# The per-trial loops that the batched epr, classical epr and two_slit runs
+# replaced, kept here as references: every answer, probability and summary
+# value must match bit for bit.
+
+
+def _mean_or_none(xs):
+    return float(np.mean(xs)) if xs else None
+
+
+def scalar_pair(initial, ask_a, ask_b, seed, trials):
+    """Per trial: ask A, note B's yes-probability, ask B (one `perform` each)."""
+    runs = []
+    for rng in trial_streams(seed, trials):
+        out_a, st = perform(initial, ask_a, rng)
+        b_pre = yes_probability(st, ask_b.projection)
+        out_b, st = perform(st, ask_b, rng)
+        runs.append((out_a, out_b, b_pre, st))
+    return runs
+
+
+def assert_pair_records(doc, runs, labels):
+    assert [r["trial"] for r in doc["trial_records"]] == list(range(len(runs)))
+    for record, (out_a, out_b, _, _) in zip(doc["trial_records"], runs):
+        assert record == {"trial": record["trial"], "entries": [
+            {"time": 0.0, "label": labels[0], "answer": out_a.answer,
+             "probability": out_a.probability},
+            {"time": 0.0, "label": labels[1], "answer": out_b.answer,
+             "probability": out_b.probability}]}
+
+
+def b_given_a(runs):
+    return (_mean_or_none([b_pre for a, _, b_pre, _ in runs if a.yes]),
+            _mean_or_none([b_pre for a, _, b_pre, _ in runs if not a.yes]))
+
+
+@pytest.mark.parametrize("which", ["singlet", "product"])
+@pytest.mark.parametrize("seed", [0, 11, SEED, 2**64 - 1])
+def test_epr_batch_matches_scalar_reference(which, seed):
+    ctx2 = full_context(2)
+    psi = {"singlet": [0.0, 1.0, -1.0, 0.0], "product": [1.0, 0.0, 0.0, 0.0]}[which]
+    joint = pure_state(tensor(ctx2, ctx2), psi)
+    up = Projection(ctx2, np.diag([1.0, 0.0]).astype(complex))
+    ask_a = YesNoExperiment("particle 1 spin-up", embed_local(up, 0, (2, 2)))
+    ask_b = YesNoExperiment("particle 2 spin-up", embed_local(up, 1, (2, 2)))
+    runs = scalar_pair(joint, ask_a, ask_b, seed, 60)
+
+    res = run_scenario("epr", {"state": which}, trials=60, seed=seed, record_trials=True)
+    assert_pair_records(res.to_dict(), runs, (ask_a.label, ask_b.label))
+    anti = sum(a.yes != b.yes for a, b, _, _ in runs)
+    assert res.summary["a_yes_rate"] == sum(a.yes for a, _, _, _ in runs) / 60
+    assert res.summary["b_yes_rate"] == sum(b.yes for _, b, _, _ in runs) / 60
+    assert res.summary["anticorrelation_rate"] == anti / 60
+    assert (res.summary["b_yes_prob_given_a_yes"],
+            res.summary["b_yes_prob_given_a_no"]) == b_given_a(runs)
+
+
+@pytest.mark.parametrize("seed", [0, 3, SEED, 2**64 - 1])
+def test_classical_epr_batch_matches_scalar_reference(seed):
+    spin = PhaseSpace(("up", "down"))
+    ctx = tensor(diagonal_context(spin), diagonal_context(spin))
+    space = ctx.phase_space
+    initial = classical_state(ctx, [0.0, 0.5, 0.5, 0.0])
+    a_up = YesNoExperiment("particle 1 up", characteristic_projection(ctx, space.subset([0, 1])))
+    b_up = YesNoExperiment("particle 2 up", characteristic_projection(ctx, space.subset([0, 2])))
+    runs = scalar_pair(initial, a_up, b_up, seed, 60)
+
+    res = run_scenario("classical_control", {"scenario": "epr"}, trials=60, seed=seed,
+                       record_trials=True)
+    assert_pair_records(res.to_dict(), runs, (a_up.label, b_up.label))
+    assert res.summary["a_up_rate"] == sum(a.yes for a, _, _, _ in runs) / 60
+    assert (res.summary["b_up_prob_given_a_up"],
+            res.summary["b_up_prob_given_a_down"]) == b_given_a(runs)
+    assert res.summary["zero_probabilities_preserved"] == all(
+        st.probabilities()[[0, 3]].max() <= 1e-15 for _, _, _, st in runs)
+
+
+def scalar_two_slit(amp_l, amp_r, seed, trials):
+    """Per trial: sample a screen point, ask the path, sample again."""
+    amp_l, amp_r = np.asarray(amp_l, dtype=complex), np.asarray(amp_r, dtype=complex)
+    m = len(amp_l)
+    screen, ctx2 = full_context(m), full_context(2)
+    points = [Projection(screen, np.diag(np.eye(m)[k]).astype(complex)) for k in range(m)]
+    joint_points = [embed_local(p, 0, (m, 2)) for p in points]
+    left = YesNoExperiment("left", embed_local(
+        Projection(ctx2, np.diag([1.0, 0.0]).astype(complex)), 1, (m, 2)))
+    screen_state = pure_state(screen, amp_l + amp_r)
+    joint_state = pure_state(tensor(screen, ctx2),
+                             np.kron(amp_l, [1.0, 0.0]) + np.kron(amp_r, [0.0, 1.0]))
+
+    def sample_point(state, projectors, rng):
+        for k, proj in enumerate(projectors):
+            out, state = perform(state, YesNoExperiment(f"screen point {k}", proj), rng)
+            if out.yes:
+                return k, state
+        return m - 1, state
+
+    records = []
+    for i, rng in enumerate(trial_streams(seed, trials)):
+        pos, _ = sample_point(screen_state, points, rng)
+        out_path, st = perform(joint_state, left, rng)
+        pos_wp, _ = sample_point(st, joint_points, rng)
+        records.append({"trial": i, "no_which_path_point": pos,
+                        "path_answer": out_path.answer, "which_path_point": pos_wp})
+    return records
+
+
+TWO_SLIT_CASES = [
+    ([0.7071067811865476, 0.7071067811865476], [0.7071067811865476, -0.7071067811865476]),
+    ([1, 1, 1, 1, 1, 1, 1, 1], [1, -1, 1, -1, 1, -1, 1, -1]),
+    ([[1, 0.5], [0, 1], [0.3, -0.2]], [[0.2, 0], [1, -1], [0, 0.7]]),
+    ([[0, 1], 0.5, [0.25, 0.25], 1], [1, [0, -0.5], 0.1, [0, 1]]),
+]
+
+
+@pytest.mark.parametrize("amp_l, amp_r", TWO_SLIT_CASES)
+@pytest.mark.parametrize("seed", [1, SEED, 2**64 - 1])
+def test_two_slit_batch_matches_scalar_reference(amp_l, amp_r, seed):
+    res = run_scenario("two_slit", {"amp_l": amp_l, "amp_r": amp_r}, trials=70, seed=seed,
+                       record_trials=True)
+    amps = [[scenarios._as_complex(v) for v in side] for side in (amp_l, amp_r)]
+    records = scalar_two_slit(*amps, seed, 70)
+    assert res.trial_records == records
+    m = len(amp_l)
+    assert res.summary["left_slit_rate"] == sum(r["path_answer"] == "yes" for r in records) / 70
+    for key, series in (("no_which_path_point", "empirical_no_which_path"),
+                        ("which_path_point", "empirical_which_path")):
+        counts = np.zeros(m, dtype=int)
+        for r in records:
+            counts[r[key]] += 1
+        assert res.series[series] == (counts / 70).tolist()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("epr", {}),
+    ("epr", {"state": "product"}),
+    ("classical_control", {"scenario": "epr"}),
+    ("two_slit", {}),
+    ("two_slit", {"amp_l": [1, 1, 1, 1, 1, 1, 1, 1], "amp_r": [1, -1, 1, -1, 1, -1, 1, -1]}),
+])
+def test_batched_scenarios_do_not_depend_on_chunking(monkeypatch, name, params):
+    whole = run_scenario(name, params, trials=23, seed=8, record_trials=True).to_dict()
+    # one trial per chunk, then a few trials per chunk with a remainder
+    for chunk_bytes in (1, 2000, 16000):
+        monkeypatch.setattr(measurement, "CHUNK_BYTES", chunk_bytes)
+        assert run_scenario(name, params, trials=23, seed=8,
+                            record_trials=True).to_dict() == whole
+
+
+# sha256 of `noncomm run <scenario> --format json --snapshots` output,
+# recorded when these scenarios stepped trial by trial with `perform`
+@pytest.mark.parametrize("scenario, settings, seed, trials, digest", [
+    ("epr", (), 0, 40, "5f2952f334b22f35a330efde8c2846ee04f14c1c87cfe72e2f4701f06536319c"),
+    ("epr", (), 2026, 40, "d852e4e575043fd6a6db048a46aee7528b602be816507d8d826033235dfdd20f"),
+    ("epr", ("--set", "state=product"), 5, 30,
+     "82e1aaf2b0a44cf74cea95d61338851b10063c95ba9bc966632db862af6239a3"),
+    ("two_slit", (), 1, 40, "9031c934d105011c0d27f045de4d157f7ab4f4a290cf0fdabb2b78f06cbb2716"),
+    ("two_slit", (), 77, 40, "d5e7fc2573c7b1143a824d8b6c06e55d28e9be0c080322209571fe33ad82c757"),
+    ("two_slit",
+     ("--set", "amp_l=[[1,0.5],[0,1],[0.3,-0.2]],amp_r=[[0.2,0],[1,-1],[0,0.7]]"), 9, 30,
+     "3e84218aac57e3cd71890fc6198db3884ad02aee1145b81b4d2e9c27f96f8d84"),
+    ("classical_control", ("--set", "scenario=epr"), 0, 40,
+     "2f77dc8ea79080a313d7ffad0688984c7d7b5b4af195a6204ed1fbf76bb648c9"),
+    ("classical_control", ("--set", "scenario=epr"), 2**64 - 1, 40,
+     "4c558a2f33837e7d7414529bc1e22cbca624b75192e3c7a093650c8b298fa64d"),
+])
+def test_batched_scenario_bytes_pinned(tmp_path, scenario, settings, seed, trials, digest):
+    out = tmp_path / "result.json"
+    assert main(["run", scenario, *settings, "--trials", str(trials), "--seed", str(seed),
+                 "--format", "json", "--snapshots", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_zeno_coarse_builds_its_propagator_once(monkeypatch):
+    calls = []
+
+    def counting(h, t):
+        calls.append(t)
+        return propagator(h, t)
+
+    monkeypatch.setattr(scenarios, "propagator", counting)
+    run_scenario("zeno_coarse", {"steps": 12}, trials=3, seed=4)
+    assert calls == [-1.0]
