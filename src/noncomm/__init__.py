@@ -68,6 +68,7 @@ from .scenarios import (
     run_scenario,
 )
 from .states import (
+    NumericalInvariantError,
     State,
     ZeroProbabilityError,
     classical_condition,

@@ -37,7 +37,7 @@ from .scenarios import (
     UnknownScenarioError,
     validate_params,
 )
-from .states import ZeroProbabilityError
+from .states import NumericalInvariantError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -261,7 +261,7 @@ def _cmd_run(args) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ZeroProbabilityError, ContextMismatchError, ValueError) as exc:
+    except (NumericalInvariantError, ContextMismatchError) as exc:
         print(f"error: numerical invariant violation during run: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 

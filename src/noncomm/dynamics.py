@@ -5,7 +5,9 @@ tau_t(A) = exp(iHt/hbar) A exp(-iHt/hbar) (Heisenberg picture).  Classical
 dynamics act on the diagonal function algebra by composition with a flow on
 phase space, tau_t(g) = g o T_t (the Koopman lift).  Finite phase spaces
 admit no faithful continuous flow, so classical time is the group of integers
-generated by one bijection.
+generated by one bijection.  `evolve_stack` moves a whole stack of
+observables, each to its own time, in one stacked conjugation or one index
+gather; the one-element evolutions are its one-time case.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .algebra import (
     Observable,
     PhaseSpace,
     Projection,
+    diagonal_context,
 )
 from .states import State
 
@@ -101,44 +104,61 @@ def invert_flow(t: Flow) -> Flow:
     return Flow(t.space, t.at(-1))
 
 
-def propagator(h: Hamiltonian, t: float) -> AlgebraElement:
-    """The unitary U(t) = exp(iHt/hbar), via eigendecomposition of H.
-
-    Diagonalizing keeps U unitary to eigensolver accuracy for any t, unlike
-    a truncated series.  H is diagonalized once, when it is built.
-    """
+def propagators(h: Hamiltonian, times) -> np.ndarray:
+    """The (n, d, d) stack of unitaries U(t) = exp(iHt/hbar), one per time,
+    from the eigendecomposition H keeps: unitary to eigensolver accuracy for
+    any t, unlike a truncated series."""
     w, v = h.eigh
-    phases = np.exp(1j * w * (t / h.hbar))
-    u = (v * phases) @ v.conj().T
-    return AlgebraElement._unchecked(h.context, u)
+    phases = np.exp(1j * w * (np.asarray(times, dtype=float)[:, None] / h.hbar))
+    return (v * phases[:, None, :]) @ v.conj().T
+
+
+def propagator(h: Hamiltonian, t: float) -> AlgebraElement:
+    """The unitary U(t): the one-time case of `propagators`."""
+    return AlgebraElement._unchecked(h.context, propagators(h, [t])[0])
+
+
+def evolve_stack(dynamics, times, stack, hermitian: bool = True) -> np.ndarray:
+    """tau_t(A) for each time and matrix A of an (n, d, d) stack.  A Hamiltonian
+    conjugates, U(t) A U(t)*, which keeps a `hermitian` A Hermitian (only
+    roundoff is stripped); a Flow gathers each diagonal by `at(t)`."""
+    if isinstance(dynamics, Flow):
+        perms = {t: dynamics.at(t) for t in dict.fromkeys(times)}  # once per distinct t
+        diagonal, out = np.arange(stack.shape[-1]), np.zeros_like(stack)
+        gather = np.array([perms[t] for t in times], dtype=np.intp).reshape(stack.shape[:2])
+        out[:, diagonal, diagonal] = np.take_along_axis(stack[:, diagonal, diagonal], gather, 1)
+        return out
+    u = propagators(dynamics, times)
+    out = u @ stack @ u.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0 if hermitian else out
+
+
+def check_dynamics(dynamics, contexts) -> None:
+    """Reject `dynamics` unless it is None, or a Hamiltonian or Flow whose
+    algebra is each of `contexts`."""
+    if dynamics is None:
+        return
+    if not isinstance(dynamics, (Hamiltonian, Flow)):
+        raise TypeError(f"dynamics must be a Hamiltonian or Flow, got {type(dynamics)!r}")
+    home = diagonal_context(dynamics.space) if isinstance(dynamics, Flow) else dynamics.context
+    if any(ctx != home for ctx in contexts):
+        raise ContextMismatchError("values and dynamics live in different algebras")
 
 
 def heisenberg_evolve(a: AlgebraElement, h: Hamiltonian, t: float) -> AlgebraElement:
-    """tau_t(A) = U(t) A U(t)*.  Preserves Hermiticity and the projection
-    property, and therefore the class of the input element."""
-    if a.context != h.context:
-        raise ContextMismatchError("element and Hamiltonian live in different algebras")
-    u = propagator(h, t).matrix
-    out = u @ a.matrix @ u.conj().T
-    if isinstance(a, (Projection, Observable)):
-        # conjugation preserves the defining defects; just strip roundoff
-        return type(a)._unchecked(a.context, (out + out.conj().T) / 2.0)
-    return AlgebraElement._unchecked(a.context, out)
+    """tau_t(A) = U(t) A U(t)*, the one-time case of `evolve_stack`.  Keeps
+    the class of the input element."""
+    check_dynamics(h, [a.context])
+    hermitian = isinstance(a, (Projection, Observable))
+    out = evolve_stack(h, [t], a.matrix[None], hermitian)[0]
+    return (type(a) if hermitian else AlgebraElement)._unchecked(a.context, out)
 
 
 def koopman_evolve(g: AlgebraElement, flow: Flow, t: int) -> AlgebraElement:
-    """tau_t(g) = g o T_t on the diagonal algebra: a pure index permutation."""
-    return koopman_permute(g, flow, flow.at(t))
-
-
-def koopman_permute(g: AlgebraElement, flow: Flow, perm: tuple) -> AlgebraElement:
-    """g o T for a permutation T = perm of the flow's space, e.g. `flow.at(t)`."""
-    if not g.context.is_diagonal:
-        raise ValueError("Koopman evolution acts on the diagonal algebra")
-    if g.context.phase_space != flow.space:
-        raise ContextMismatchError("element and flow live on different phase spaces")
-    moved = np.diag(g.matrix)[list(perm)]
-    return type(g)._unchecked(g.context, np.diag(moved))
+    """tau_t(g) = g o T_t on the diagonal algebra: the one-time case of
+    `evolve_stack`, a pure index permutation."""
+    check_dynamics(flow, [g.context])
+    return type(g)._unchecked(g.context, evolve_stack(flow, [t], g.matrix[None])[0])
 
 
 def schrodinger_state(state: State, h: Hamiltonian, t: float) -> State:
@@ -147,7 +167,6 @@ def schrodinger_state(state: State, h: Hamiltonian, t: float) -> State:
     rho(t)."""
     if state.context.is_diagonal:
         raise ValueError("state-picture evolution is defined for the full algebra")
-    if state.context != h.context:
-        raise ContextMismatchError("state and Hamiltonian live in different algebras")
+    check_dynamics(h, [state.context])
     u = propagator(h, -t).matrix
     return State._renormalized(state.context, u @ state.rho @ u.conj().T)

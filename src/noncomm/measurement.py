@@ -5,8 +5,10 @@ projection P; "yes" happens with probability Tr(rho P) and updates the state
 by the conditional rho' = P rho P / Tr(rho P), "no" by the complementary
 projection 1 - P.  Schedules evolve each experiment's projection to its
 measurement time before asking (the dynamics act on the observables, not on
-the state).  Kronecker products, local embeddings, and partial traces cover
-the composite systems needed for entangled-pair experiments.
+the state); a run evolves its whole schedule once, as one stack, and
+compiles it into the stacks of P, 1 - P and their rows that `born_step`
+reads.  Kronecker products, local embeddings, and partial traces cover the
+composite systems needed for entangled-pair experiments.
 
 Trials run as one (trials, d, d) stack: `born_step` asks one question of
 every trial at once, giving each the bits `perform` gives it alone.  A trial
@@ -26,7 +28,6 @@ results do not depend on how trials are batched or chunked.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -45,9 +46,10 @@ from .algebra import (
     diagonal_context,
     full_context,
 )
-from .dynamics import Flow, Hamiltonian, heisenberg_evolve, koopman_permute
+from .dynamics import check_dynamics, evolve_stack
 from .states import (
     P_FLOOR,
+    NumericalInvariantError,
     State,
     ZeroProbabilityError,
     condition,
@@ -99,7 +101,7 @@ class Outcome:
 
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"outcome probability {self.probability} outside [0, 1]")
+            raise NumericalInvariantError(f"outcome probability {self.probability} outside [0, 1]")
 
     @property
     def answer(self) -> str:
@@ -185,21 +187,35 @@ def perform(state: State, experiment: YesNoExperiment,
 
 def evolve_schedule(schedule, dynamics) -> list:
     """Evolve every entry's projection to its own time (observables move,
-    the state does not).  With dynamics None the schedule is returned as-is."""
-    if dynamics is None:
-        return list(schedule)
-    out = []
-    # one permutation per distinct time, shared by the entries at that time
-    at = functools.cache(dynamics.at) if isinstance(dynamics, Flow) else None
-    for entry in schedule:
-        if isinstance(dynamics, Hamiltonian):
-            moved = heisenberg_evolve(entry.experiment.projection, dynamics, entry.time)
-        elif isinstance(dynamics, Flow):
-            moved = koopman_permute(entry.experiment.projection, dynamics, at(int(entry.time)))
-        else:
-            raise TypeError(f"dynamics must be a Hamiltonian or Flow, got {type(dynamics)!r}")
-        out.append(ScheduleEntry(entry.time, YesNoExperiment(entry.experiment.label, moved)))
-    return out
+    the state does not), as a view of the one stack `run_batch` would ask.
+    With dynamics None the schedule is returned as-is."""
+    schedule = list(schedule)
+    contexts = {e.experiment.projection.context for e in schedule}
+    check_dynamics(dynamics, contexts)
+    if dynamics is None or not schedule:
+        return schedule
+    ctx = contexts.pop()
+    moved = _evolved(schedule, dynamics, ctx.dim)
+    return [ScheduleEntry(e.time, YesNoExperiment(e.experiment.label,
+                                                  Projection._unchecked(ctx, m)))
+            for e, m in zip(schedule, moved)]
+
+
+def _evolved(schedule, dynamics, dim: int) -> np.ndarray:
+    """The (n, d, d) stack of the schedule's projections, each at its time."""
+    stack = np.array([e.experiment.projection.matrix for e in schedule]).reshape(-1, dim, dim)
+    return stack if dynamics is None else evolve_stack(dynamics, [e.time for e in schedule], stack)
+
+
+def compile_questions(projections) -> list:
+    """Compile projection matrices, a list or an (n, d, d) stack, for
+    `born_step`: question k is (P, 1 - P, P^T, (1 - P)^T), views of four
+    stacks built once, each transpose flattened to a (d*d, 1) column."""
+    yes = np.asarray(projections)
+    n, d = len(yes), yes.shape[-1]
+    no = np.eye(d, dtype=complex) - yes
+    cols = (m.swapaxes(-1, -2).reshape(n, d * d, 1) for m in (yes, no))
+    return list(zip(yes, no, *cols))
 
 
 def _check_schedule(state: State, schedule):
@@ -232,30 +248,32 @@ def run_chunked(rngs, draws: int, state_bytes: int, run) -> tuple:
     return tuple(None if f[0] is None else np.concatenate(f) for f in zip(*parts))
 
 
-def born_step(rho: np.ndarray, experiment: YesNoExperiment, uniforms: np.ndarray,
+def born_step(rho: np.ndarray, question, uniforms: np.ndarray,
               used: np.ndarray, active: np.ndarray | None = None) -> tuple:
-    """Ask one yes/no experiment of every trial of a C-ordered (trials, d, d)
+    """Ask one yes/no question of every trial of a C-ordered (trials, d, d)
     stack (as `np.repeat` makes it, so BLAS sees the strides of the
     one-matrix path), with the bits and errors `perform` gives each trial
-    alone.  Trial i's answer is forced when its clamped yes-probability p is
-    within P_FLOOR of 0 or 1, else it is uniforms.ravel()[used[i]] < p and
-    the flat pointer used[i] advances in place.  Returns the conditioned
-    stack, the answers and p; a "no" has probability 1 - p.  With a bool
-    `active` mask, `rho` is updated in place and only active trials are
-    asked: the others draw nothing, keep their state, skip the checks and
-    read "no" with p = 0."""
+    alone.  Questions come from `compile_questions`, or are experiments.
+    Trial i's answer is forced when its clamped yes-probability p is within
+    P_FLOOR of 0 or 1, else it is uniforms.ravel()[used[i]] < p and the flat
+    pointer used[i] advances in place.  Returns the conditioned stack, the
+    answers and p; a "no" has probability 1 - p.  With a bool `active` mask,
+    `rho` is updated in place and only active trials are asked: the others
+    draw nothing, keep their state, skip the checks and read "no" with p = 0."""
+    if isinstance(question, YesNoExperiment):
+        question = compile_questions([question.projection.matrix])[0]
     if active is not None:
         rows = np.flatnonzero(active)
         ahead, out = used[rows], np.zeros((2, len(rho)))
-        rho[rows], *answers = born_step(rho[rows], experiment, uniforms, ahead)
+        rho[rows], *answers = born_step(rho[rows], question, uniforms, ahead)
         used[rows], out[:, rows] = ahead, answers
         return rho, out[0].astype(bool), out[1]
-    p, q = experiment.projection.matrix, experiment.no_projection.matrix
+    p, q, p_col, q_col = question
     flat = rho.reshape(len(rho), 1, rho.shape[-1] ** 2)
     # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
-    raw_yes = (flat @ p.T.ravel()[:, None])[:, 0, 0].real
-    raw_no = (flat @ q.T.ravel()[:, None])[:, 0, 0].real
-    p_yes = np.clip(raw_yes, 0.0, 1.0)
+    raw_yes = (flat @ p_col)[:, 0, 0].real
+    raw_no = (flat @ q_col)[:, 0, 0].real
+    p_yes = raw_yes.clip(0.0, 1.0)  # keeps -0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
     free = ~(forced_yes | (p_yes <= P_FLOOR))
     yes = forced_yes | (free & (uniforms.ravel()[used] < p_yes))
@@ -264,10 +282,8 @@ def born_step(rho: np.ndarray, experiment: YesNoExperiment, uniforms: np.ndarray
     if (conditioned <= P_FLOOR).any():
         worst = float(conditioned[conditioned <= P_FLOOR][0])
         raise ZeroProbabilityError(f"cannot condition on an outcome of probability {worst:.3e}")
-    realized = np.where(yes, p_yes, 1.0 - p_yes)
-    valid = (0.0 <= realized) & (realized <= 1.0)
-    if not valid.all():
-        raise ValueError(f"outcome probability {float(realized[~valid][0])} outside [0, 1]")
+    if np.isnan(p_yes).any():  # p is clamped, so only nan leaves [0, 1]
+        raise NumericalInvariantError("outcome probability nan outside [0, 1]")
     proj = np.where(yes[:, None, None], p, q)
     return renormalize(proj @ rho @ proj), yes, p_yes
 
@@ -276,6 +292,7 @@ def run_batch(state: State, schedule, rngs, dynamics=None, *,
               keep_snapshots: bool = False) -> BatchOutcomes:
     """Run one schedule, fixed in advance, over a batch of trials at once.
 
+    The schedule is evolved and compiled once, as one stack of questions.
     `rngs` yields one generator per trial, all starting from `state`.  Trial
     i draws a block of len(schedule) uniforms and `born_step` uses them in
     order, one per unforced outcome, so its answers, probabilities, states
@@ -283,16 +300,17 @@ def run_batch(state: State, schedule, rngs, dynamics=None, *,
     with that generator.  Each generator is left past its whole block.
     """
     _check_schedule(state, schedule)
-    entries = evolve_schedule(schedule, dynamics)
-    n, d = len(entries), state.dim
+    check_dynamics(dynamics, [state.context])
+    questions = compile_questions(_evolved(schedule, dynamics, state.dim))
+    n, d = len(questions), state.dim
 
     def run(uniforms, used):
         t = len(used)
         yes, p_yes = np.empty((t, n), dtype=bool), np.empty((t, n))
         snapshots = np.empty((t, n, d, d), dtype=complex) if keep_snapshots else None
         rho = np.repeat(state.rho[None], t, axis=0)
-        for k, e in enumerate(entries):
-            rho, yes[:, k], p_yes[:, k] = born_step(rho, e.experiment, uniforms, used)
+        for k, question in enumerate(questions):
+            rho, yes[:, k], p_yes[:, k] = born_step(rho, question, uniforms, used)
             if snapshots is not None:
                 snapshots[:, k] = rho
         prob = np.where(yes, p_yes, 1.0 - p_yes)

@@ -41,6 +41,7 @@ from .measurement import (
     ScheduleEntry,
     YesNoExperiment,
     born_step,
+    compile_questions,
     embed_local,
     entry_dict,
     evolve_schedule,
@@ -408,16 +409,16 @@ def _mean_or_none(xs):
     return float(np.mean(xs)) if len(xs) else None
 
 
-def _first_yes(rho, experiments, uniforms, used):
+def _first_yes(rho, questions, uniforms, used):
     """Each trial's position, sampled by asking "is it at point m?" in order
     until its first yes, conditioning on each answer: the chain reproduces
     the Born distribution, and the last question is forced if reached."""
     point = np.full(len(rho), -1)
-    for m, experiment in enumerate(experiments):
+    for m, question in enumerate(questions):
         if (point >= 0).all():
             break
-        point[born_step(rho, experiment, uniforms, used, point < 0)[1]] = m
-    return np.where(point < 0, len(experiments) - 1, point)
+        point[born_step(rho, question, uniforms, used, point < 0)[1]] = m
+    return np.where(point < 0, len(questions) - 1, point)
 
 
 def _run_two_slit(params, trials, seed, record_trials):
@@ -440,17 +441,13 @@ def _run_two_slit(params, trials, seed, record_trials):
     analytic_wp = ((np.abs(amp_l) ** 2 + np.abs(amp_r) ** 2) / joint_norm2).tolist()
 
     ctx_screen = full_context(m_points)
-    ctx2 = _qubit()
-    ctx_joint = tensor(ctx_screen, ctx2)
+    ctx_joint = tensor(ctx_screen, _qubit())
 
-    point_exps = [YesNoExperiment(f"screen point {m}", Projection(
-        ctx_screen, np.diag(np.eye(m_points)[m]).astype(complex))) for m in range(m_points)]
-    joint_exps = [YesNoExperiment(e.label, embed_local(e.projection, 0, (m_points, 2)))
-                  for e in point_exps]
-    path_left = YesNoExperiment(
-        "went through the left slit", embed_local(
-            Projection(ctx2, np.diag([1.0, 0.0]).astype(complex)), 1, (m_points, 2))
-    )
+    # "is it at screen point m?" on the screen and on screen (x) path, and
+    # "did it go through the left slit?" (1 (x) |left><left|), compiled once
+    points = np.array([np.diag(row) for row in np.eye(m_points, dtype=complex)])
+    at_screen, at_joint = compile_questions(points), compile_questions(np.kron(points, np.eye(2)))
+    path_left, = compile_questions(np.kron(np.eye(m_points), np.diag([1.0 + 0j, 0.0]))[None])
 
     screen_state = pure_state(ctx_screen, combined)
     psi_joint = np.kron(amp_l, np.array([1.0, 0.0])) + np.kron(amp_r, np.array([0.0, 1.0]))
@@ -459,9 +456,9 @@ def _run_two_slit(params, trials, seed, record_trials):
     def run(uniforms, used):
         screen, joint = (np.repeat(s.rho[None], len(used), axis=0)
                          for s in (screen_state, joint_state))
-        pos = _first_yes(screen, point_exps, uniforms, used)
+        pos = _first_yes(screen, at_screen, uniforms, used)
         joint, left, _ = born_step(joint, path_left, uniforms, used)
-        return pos, left, _first_yes(joint, joint_exps, uniforms, used)
+        return pos, left, _first_yes(joint, at_joint, uniforms, used)
 
     # per trial: 2m + 1 uniforms (m per screen chain, 1 for the path; one
     # pointer walks them across the phases) and m x m plus 2m x 2m states

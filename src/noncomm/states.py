@@ -34,7 +34,11 @@ P_FLOOR = 1e-12
 TRACE_TOL = 1e-6
 
 
-class ZeroProbabilityError(ValueError):
+class NumericalInvariantError(ValueError):
+    """A computed probability or state broke an invariant it must keep."""
+
+
+class ZeroProbabilityError(NumericalInvariantError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 

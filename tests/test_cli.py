@@ -9,7 +9,7 @@ import pytest
 from noncomm.cli import main, parse_value, split_assignments
 from noncomm.scenarios import SCENARIOS, Scenario
 from noncomm.schema import MANIFEST_SCHEMA, RESULT_SCHEMA
-from noncomm.states import ZeroProbabilityError
+from noncomm.states import NumericalInvariantError, ZeroProbabilityError
 
 
 # ---------------------------------------------------------------- plumbing
@@ -90,6 +90,25 @@ def test_run_numerical_violation_exit_code(monkeypatch, capsys):
     broken = Scenario("epr", "broken", SCENARIOS["epr"].params, explode)
     monkeypatch.setitem(SCENARIOS, "epr", broken)
     assert main(["run", "epr"]) == 4
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (NumericalInvariantError("outcome probability nan outside [0, 1]"), 4),
+    (ValueError("a programming error, not a numerical fault"), None),
+])
+def test_run_exit_4_means_a_numerical_fault(monkeypatch, capsys, error, exit_code):
+    def explode(params, trials, seed, record):
+        raise error
+
+    monkeypatch.setitem(SCENARIOS, "epr", Scenario("epr", "broken", SCENARIOS["epr"].params,
+                                                    explode))
+    if exit_code is not None:
+        assert main(["run", "epr"]) == exit_code
+        assert "numerical invariant violation" in capsys.readouterr().err
+    else:
+        # a plain ValueError is a bug: it propagates instead of reading as exit 4
+        with pytest.raises(ValueError, match="programming error"):
+            main(["run", "epr"])
 
 
 def test_run_stdout_csv(capsys):

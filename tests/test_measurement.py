@@ -22,6 +22,7 @@ from noncomm.dynamics import (
     Hamiltonian,
     heisenberg_evolve,
     koopman_evolve,
+    propagator,
     schrodinger_state,
 )
 from noncomm.measurement import (
@@ -45,6 +46,7 @@ from noncomm.measurement import (
 from noncomm.scenarios import run_scenario
 from noncomm.states import (
     P_FLOOR,
+    NumericalInvariantError,
     State,
     ZeroProbabilityError,
     classical_state,
@@ -114,6 +116,17 @@ def test_outcome_validation():
     with pytest.raises(ValueError):
         Outcome(yes=True, probability=1.5)
     assert Outcome(yes=False, probability=0.25).answer == "no"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_faults_are_numerical_invariant_errors():
+    assert issubclass(ZeroProbabilityError, NumericalInvariantError)
+    assert issubclass(NumericalInvariantError, ValueError)
+    with pytest.raises(NumericalInvariantError):
+        Outcome(yes=True, probability=1.5)
+    broken = State._trusted(QUBIT, np.full((2, 2), np.nan, dtype=complex))
+    with pytest.raises(NumericalInvariantError, match=r"outside \[0, 1\]"):
+        run_batch(broken, [ScheduleEntry(0.0, YesNoExperiment("g", GROUND))], trial_streams(0, 3))
 
 
 # ------------------------------------------------------------- run_sequence
@@ -230,6 +243,89 @@ def test_heisenberg_scheduling_duality():
         lhs = yes_probability(s, heisenberg_evolve(p, ham, t))
         rhs = yes_probability(schrodinger_state(s, ham, t), p)
         assert abs(lhs - rhs) <= 1e-10
+
+
+def per_entry_heisenberg(p, ham, t):
+    """One projection evolved as the per-entry pass did it: its own
+    propagator, one conjugation, then the symmetrization."""
+    w, v = ham.eigh
+    u = (v * np.exp(1j * w * (t / ham.hbar))) @ v.conj().T
+    out = u @ p @ u.conj().T
+    return u, (out + out.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+def test_stacked_heisenberg_pass_matches_per_entry_bits(dim):
+    rng = np.random.default_rng(60 + dim)
+    ctx = full_context(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    ham = Hamiltonian(Observable(ctx, (m + m.conj().T) / 2), hbar=0.37)
+    exps = []
+    for rank in (1, max(1, dim // 2), dim - 1 or 1):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v = np.linalg.qr(g)[0][:, :rank]
+        exps.append(YesNoExperiment(f"rank {rank}", Projection(ctx, v @ v.conj().T)))
+    # negative, zero, repeated and far times, in schedule order and not
+    times = [*(rng.standard_normal(30) * 4), -2.5, -2.5, 0.0, 0.0, 1.25, 1.25, 1e4]
+    schedule = [ScheduleEntry(float(t), exps[k % 3]) for k, t in enumerate(times)]
+    moved = evolve_schedule(schedule, ham)
+    assert [(e.time, e.experiment.label) for e in moved] == [
+        (e.time, e.experiment.label) for e in schedule]
+    for entry, got in zip(schedule, moved):
+        p = entry.experiment.projection
+        u, want = per_entry_heisenberg(p.matrix, ham, entry.time)
+        assert np.array_equal(got.experiment.projection.matrix, want)
+        assert np.array_equal(heisenberg_evolve(p, ham, entry.time).matrix, want)
+        assert np.array_equal(propagator(ham, entry.time).matrix, u)
+        assert type(got.experiment.projection) is Projection
+
+
+def test_stacked_koopman_pass_matches_per_entry_bits():
+    n = 11
+    space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
+    ctx = diagonal_context(space)
+    # cycles (0 4 2)(1 3 6 5 7)(8 9) and the fixed point 10
+    flow = Flow(space, (4, 3, 0, 6, 2, 7, 5, 1, 9, 8, 10))
+    exps = [YesNoExperiment(f"in {m}", characteristic_projection(ctx, space.subset(m)))
+            for m in ([0], [1, 2, 8], [3, 10], [4, 5, 6, 7, 9])]
+    times = [-31, -4, -1, 0, 0, 1, 2, 2, 7, 30, 10**6]
+    schedule = [ScheduleEntry(t, e) for t in times for e in exps]
+    moved = evolve_schedule(schedule, flow)
+    for entry, got in zip(schedule, moved):
+        p = entry.experiment.projection
+        want = np.diag(np.diag(p.matrix)[list(flow.at(int(entry.time)))])
+        assert np.array_equal(got.experiment.projection.matrix, want)
+        assert np.array_equal(koopman_evolve(p, flow, entry.time).matrix, want)
+
+
+def test_dynamics_are_checked_before_any_entry():
+    psi0 = pure_state(QUBIT, [1, 0])
+    qutrit = Hamiltonian(Observable(full_context(3), np.diag([1.0, 2.0, 3.0])))
+    space = PhaseSpace(tuple("abc"))
+    ctx = diagonal_context(space)
+    elsewhere = Flow(PhaseSpace(tuple("xyz")), (1, 2, 0))
+    for schedule in ([], [ScheduleEntry(0.0, YesNoExperiment("g", GROUND))]):
+        with pytest.raises(TypeError):
+            evolve_schedule(schedule, 42)
+        with pytest.raises(TypeError):
+            run_batch(psi0, schedule, trial_streams(0, 2), 42)
+        with pytest.raises(ContextMismatchError):
+            run_batch(psi0, schedule, trial_streams(0, 2), qutrit)
+        with pytest.raises(ContextMismatchError):
+            run_sequence(psi0, schedule, qutrit, seed=0)
+        with pytest.raises(ContextMismatchError):  # a flow acts on a diagonal algebra
+            run_batch(psi0, schedule, trial_streams(0, 2), Flow(PhaseSpace(("u", "v"))))
+    with pytest.raises(ContextMismatchError):
+        run_batch(classical_state(ctx, [1, 0, 0]), [], trial_streams(0, 2), elsewhere)
+    at_a = YesNoExperiment("at a", characteristic_projection(ctx, space.subset([0])))
+    with pytest.raises(ContextMismatchError):
+        evolve_schedule([ScheduleEntry(1, at_a)], elsewhere)
+    with pytest.raises(ContextMismatchError):
+        evolve_schedule([ScheduleEntry(0.0, YesNoExperiment("g", GROUND))], qutrit)
+    # classical time is an integer: a fractional time is rejected, not truncated
+    with pytest.raises(ValueError, match="integer"):
+        evolve_schedule([ScheduleEntry(1.5, at_a)], Flow(space, (1, 2, 0)))
+    assert evolve_schedule([], qutrit) == [] and evolve_schedule([], None) == []
 
 
 # ---------------------------------------------------------------- run_batch

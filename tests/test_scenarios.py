@@ -536,6 +536,36 @@ def test_batched_scenario_bytes_pinned(tmp_path, scenario, settings, seed, trial
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `noncomm run <scenario> --format json --snapshots` output,
+# recorded when every schedule entry was evolved with its own propagator and
+# every kernel step transposed its own projections
+@pytest.mark.parametrize("scenario, settings, seed, trials, digest", [
+    ("zeno_precise", (), 0, 40, "8e0580f7000cbb6722bd7d650d4bffcfd305f0a5ce3e69be6bc4ca54c34486eb"),
+    ("zeno_precise", (), 7, 40, "ed43afa40e361f94e328145fb28182cc2485dbafac8a9e1736737b7ea4837696"),
+    ("zeno_precise", ("--set", "n=100"), 2026, 16,
+     "85389bb23ff2a8088c8ca4f7e0382c30681848af383e2148358c004e5ab10089"),
+    ("zeno_precise", ("--set", "omega=2.5,T=3,n=37"), 11, 20,
+     "d6fa3d9c7edef48217ff33948bb15d71be2815cdfec2feb9d1f8b4c997a9eda1"),
+    ("polarization_sequence", (), 0, 40,
+     "34c8404191e442cb5318a2f4636de545ba23f459bef9fbbf35360345dc2215c7"),
+    ("polarization_sequence", ("--set", "angles=[0,10,20,30,40,50,60,70,80,90]"), 5, 40,
+     "299f6c8ea4027487bf4ef1092c21af56bf943c6535cf5828126d845127aec118"),
+    ("three_observer", (), 0, 40,
+     "e426df22ba9d70670eb02f2173feba17c019f5c3fee8976bd38649a35cac961e"),
+    ("three_observer", ("--set", "middle=repeat"), 3, 20,
+     "6239689d91a0b9d043d0f62aec7a51afc24d06f1736160d15f69ccf92db7d0a1"),
+    ("classical_control", ("--set", "scenario=zeno"), 0, 5,
+     "033bca31d1d984c5b317e0352ec79ee42eea57650b79e02940dedf5b3346cea1"),
+    ("classical_control", ("--set", "scenario=zeno,num_points=16,steps=64"), 9, 2,
+     "74646bd4bc2c373dc68025d820a48e4179968faee5aa6633b5b4617e819276a1"),
+])
+def test_schedule_scenario_bytes_pinned(tmp_path, scenario, settings, seed, trials, digest):
+    out = tmp_path / "result.json"
+    assert main(["run", scenario, *settings, "--trials", str(trials), "--seed", str(seed),
+                 "--format", "json", "--snapshots", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_zeno_coarse_builds_its_propagator_once(monkeypatch):
     calls = []
 
