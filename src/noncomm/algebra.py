@@ -239,18 +239,11 @@ class AlgebraElement:
     def diagonal(self) -> np.ndarray:
         return np.diag(self.matrix).copy()
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
     def adjoint(self) -> "AlgebraElement":
         return type(self)(self.context, self.matrix.conj().T)
 
     def is_hermitian(self, tol: float = EPS_ALG) -> bool:
         return within(self.matrix - self.matrix.conj().T, tol)
-
-    def is_close(self, other: "AlgebraElement", tol: float = EPS_ALG) -> bool:
-        require_same_context(self, other)
-        return within(self.matrix - other.matrix, tol)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -34,10 +34,10 @@ from .dynamics import Flow, Hamiltonian, heisenberg_evolve, koopman_evolve, schr
 from .measurement import (
     ScheduleEntry,
     YesNoExperiment,
+    born_step,
     embed_local,
     make_generator,
     partial_trace,
-    perform,
     run_sequence,
     tensor,
     trial_generator,
@@ -471,8 +471,10 @@ def _check_born_rule_sampling(profile):
         psi = [math.sqrt(p), math.sqrt(1.0 - p)]
         state = pure_state(ctx, psi)
         exp = YesNoExperiment("ground", Projection(ctx, np.diag([1.0, 0.0]).astype(complex)))
-        rng = make_generator(400 + k)
-        hits = sum(perform(state, exp, rng)[0].yes for _ in range(draws))
+        # one stacked step: copy i reads the draw the i-th scalar `perform` makes
+        uniforms = make_generator(400 + k).random((draws, 1))
+        rho = np.repeat(state.rho[None], draws, axis=0)
+        hits = int(born_step(rho, exp, uniforms, np.arange(draws))[1].sum())
         band = 4.0 * math.sqrt(p * (1.0 - p) / draws)
         worst_ratio = max(worst_ratio, abs(hits / draws - p) / band)
     return CheckResult("measurement", "born_rule_sampling", worst_ratio <= 1.0,

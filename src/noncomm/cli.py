@@ -189,7 +189,7 @@ def _utc_now() -> str:
 def _check_seed(seed) -> int:
     try:
         seed = int(seed)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"seed must be an integer, got {seed!r}") from exc
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
@@ -245,7 +245,7 @@ def _cmd_run(args) -> int:
         trials = args.trials if args.trials is not None else config.get("trials", _DEFAULT_TRIALS)
         try:
             trials = int(trials)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"trials must be an integer, got {trials!r}") from exc
         if trials < 1:
             raise ParameterError("trials must be positive")

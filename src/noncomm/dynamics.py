@@ -89,9 +89,6 @@ class Flow:
                     perm[i] = cycle[(pos + t) % len(cycle)]
         return tuple(perm)
 
-    def __call__(self, index: int, t: int = 1) -> int:
-        return self.at(t)[index]
-
 
 def compose_flows(t1: Flow, t2: Flow) -> Flow:
     """The flow x -> T1(T2(x))."""

@@ -15,11 +15,14 @@ scheduled.  Polarization, precise Zeno, three observers and both EPR runs
 advance all trials as one stack through `run_batch`, and two-slit asks its
 stop-at-first-yes chains as masked `born_step`s.  `zeno_coarse` and the
 classical Zeno control step trial by trial with `perform`, because what
-they ask next depends on the state the trial reached.
+they ask next depends on the state the trial reached.  The classical Zeno
+run builds its point questions once and asks the evolved ones as these
+points relabelled by the flow, never as evolved matrices.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +47,6 @@ from .measurement import (
     compile_questions,
     embed_local,
     entry_dict,
-    evolve_schedule,
     partial_trace,
     perform,
     run_batch,
@@ -142,8 +144,11 @@ def _coerce(spec: ParamSpec, value):
             raise ParameterError(f"unknown parameter kind {spec.kind!r}")
     except ParameterError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad value for {spec.name}: {value!r} ({exc})") from exc
+    numbers = [] if spec.kind == "string" else out if isinstance(out, list) else [out]
+    if not all(map(cmath.isfinite, numbers)):  # a complex entry is finite in both parts
+        raise ParameterError(f"{spec.name} must be finite, got {value!r}")
     if spec.choices and out not in spec.choices:
         raise ParameterError(f"{spec.name} must be one of {spec.choices}, got {out!r}")
     return out
@@ -286,6 +291,8 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
         raise ParameterError("initial level out of range")
     if drift < 0:
         raise ParameterError("drift rate must be non-negative")
+    if steps < 0:
+        raise ParameterError("steps must be non-negative")
 
     ctx = full_context(levels)
     level_obs = Observable(ctx, np.diag(np.arange(1, levels + 1)).astype(complex))
@@ -539,6 +546,8 @@ def _classical_zeno(params, trials, seed, record_trials):
     steps = params["steps"]
     if n_points < 2:
         raise ParameterError("need at least two phase-space points")
+    if steps < 0:
+        raise ParameterError("steps must be non-negative")
     space = PhaseSpace(tuple(f"x{i + 1}" for i in range(n_points)))
     ctx = diagonal_context(space)
     cycle = Flow(space, tuple((i + 1) % n_points for i in range(n_points)))
@@ -550,10 +559,9 @@ def _classical_zeno(params, trials, seed, record_trials):
 
     # Precise observation of a point mass is deterministic: every yes/no
     # answer is forced, so all trials coincide and no draws are consumed.
-    # The evolved schedule of each step is the same in every trial, and
-    # repeats with the cycle's period n_points: build each one once.
-    evolved_steps = [evolve_schedule([ScheduleEntry(float(t), e) for e in point_exps], cycle)
-                     for t in range(1, min(steps, n_points) + 1)]
+    # The Koopman lift of a point indicator is a point indicator,
+    # 1_{x_j} o T_t = 1_{T_t^-1(x_j)}: at time t question j is the point
+    # experiment of at(-t)[j], recorded under the label of x_j.
     trajectories = []
     records = [] if record_trials else None
     for i in range(trials):
@@ -563,10 +571,10 @@ def _classical_zeno(params, trials, seed, record_trials):
         entries = []
         for t in range(1, steps + 1):
             pos = None
-            for j, entry in enumerate(evolved_steps[(t - 1) % n_points]):
-                out, state = perform(state, entry.experiment, rng)
+            for j, k in enumerate(cycle.at(-t)):
+                out, state = perform(state, point_exps[k], rng)
                 if records is not None:
-                    entries.append(entry_dict(t, entry.experiment.label, out.yes,
+                    entries.append(entry_dict(t, point_exps[j].label, out.yes,
                                               out.probability))
                 if out.yes:
                     pos = j

@@ -41,3 +41,11 @@ def test_check_result_line_format():
     line = res.line()
     assert line.startswith(("PASS", "FAIL"))
     assert "defect=" in line and "tolerance=" in line
+
+
+def test_born_rule_sampling_defect_is_pinned():
+    # recorded with one scalar `perform` call per draw: the stacked step must
+    # make the same 3 x 10^5 decisions, so the defect matches to the last bit
+    res = checks._check_born_rule_sampling("default")
+    assert res.passed
+    assert res.defect == 0.4690711862583106

@@ -83,6 +83,35 @@ def test_run_bad_config(tmp_path, capsys):
     assert main(["run", "epr", "--config", str(path)]) == 3
 
 
+@pytest.mark.parametrize("scenario, assignments, config", [
+    ("zeno_coarse", "dt=nan", None),
+    ("zeno_precise", "omega=nan", None),
+    ("zeno_coarse", "coupling=inf", None),
+    ("zeno_precise", "T=inf", None),
+    ("zeno_precise", "omega=-1e400", None),
+    ("zeno_precise", "n=1e400", None),
+    ("polarization_sequence", "angles=[0,NaN]", None),
+    ("two_slit", "amp_l=[[0.5,Infinity],0.5]", None),
+    ("two_slit", "amp_r=[0.5,[NaN,0]]", None),
+    ("zeno_precise", None, {"parameters": {"omega": math.nan}}),
+    ("zeno_coarse", None, {"parameters": {"dt": -math.inf}}),
+    ("polarization_sequence", None, {"parameters": {"angles": [0, math.inf]}}),
+    ("two_slit", None, {"parameters": {"amp_l": [[0.5, math.nan], 0.5]}}),
+    ("epr", None, {"trials": math.inf}),
+    ("epr", None, {"seed": math.inf}),
+])
+def test_run_non_finite_input_is_a_config_error(tmp_path, capsys, scenario, assignments, config):
+    args = ["run", scenario]
+    if assignments is not None:
+        args += ["--set", assignments]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))  # writes NaN and Infinity, as json.load reads them
+        args += ["--config", str(path)]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_numerical_violation_exit_code(monkeypatch, capsys):
     def explode(params, trials, seed, record):
         raise ZeroProbabilityError("conditioned on the impossible")

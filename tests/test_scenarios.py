@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from noncomm.algebra import (
     full_context,
 )
 from noncomm.cli import main
-from noncomm.dynamics import propagator
+from noncomm.dynamics import Flow, propagator
 from noncomm.measurement import (
+    ScheduleEntry,
     YesNoExperiment,
     embed_local,
+    evolve_schedule,
     perform,
     tensor,
     trial_generator,
@@ -137,6 +140,10 @@ def test_zeno_coarse_parameter_validation():
         run_scenario("zeno_coarse", {"window_width": 0}, trials=1, seed=0)
     with pytest.raises(ParameterError):
         run_scenario("zeno_coarse", {"initial_level": 99}, trials=1, seed=0)
+    with pytest.raises(ParameterError):
+        run_scenario("zeno_coarse", {"steps": -1}, trials=1, seed=0)
+    res = run_scenario("zeno_coarse", {"steps": 0}, trials=2, seed=0)
+    assert res.series["mean_level_trajectory"] == [1.0]
 
 
 def _coarse_state_vector_oracle(levels, width, drift, steps, coupling, dt,
@@ -299,6 +306,68 @@ def test_classical_zeno_never_freezes():
     assert res.summary["all_trials_identical"] is True
 
 
+def scalar_classical_zeno(n_points, steps, trials, seed):
+    """The loop the relabelled point questions replaced: every step evolves
+    the point schedule with `evolve_schedule` and asks it with `perform`
+    until the first yes.  Returns the whole result dict, records included."""
+    space = PhaseSpace(tuple(f"x{i + 1}" for i in range(n_points)))
+    ctx = diagonal_context(space)
+    cycle = Flow(space, tuple((i + 1) % n_points for i in range(n_points)))
+    point_exps = [YesNoExperiment(f"at {space.points[j]}",
+                                  characteristic_projection(ctx, space.subset([j])))
+                  for j in range(n_points)]
+    trajectories, records = [], []
+    for i, rng in enumerate(trial_streams(seed, trials)):
+        state, positions, entries = classical_state(ctx, np.eye(n_points)[0]), [0], []
+        for t in range(1, steps + 1):
+            pos = None
+            schedule = [ScheduleEntry(float(t), e) for e in point_exps]
+            for j, entry in enumerate(evolve_schedule(schedule, cycle)):
+                out, state = perform(state, entry.experiment, rng)
+                entries.append({"time": t, "label": entry.experiment.label,
+                                "answer": out.answer, "probability": out.probability})
+                if out.yes:
+                    pos = j
+                    break
+            positions.append(pos)
+        trajectories.append(positions)
+        records.append({"trial": i, "trajectory": positions, "entries": entries})
+    traj = trajectories[0]
+    moves = sum(a != b for a, b in zip(traj, traj[1:]))
+    echo = {"scenario": "zeno", "num_points": n_points, "steps": steps}
+    summary = {"scenario": "zeno", "num_points": n_points, "steps": steps,
+               "advanced_every_step": moves == steps, "frozen_steps": steps - moves,
+               "cycles_completed": steps // n_points,
+               "all_trials_identical": all(t == traj for t in trajectories)}
+    return {"scenario": "classical_control", "parameters": echo, "seed": seed,
+            "trials": trials, "summary": summary,
+            "series": {"position_trajectory": traj}, "trial_records": records}
+
+
+# steps below, equal to, a multiple of and not a multiple of the period
+@pytest.mark.parametrize("n_points, steps, trials, seed", [
+    (2, 5, 3, 0), (4, 8, 3, SEED), (5, 3, 2, 7), (7, 30, 2, 11), (16, 64, 2, 9),
+    (48, 96, 1, 2**64 - 1),
+])
+def test_classical_zeno_matches_evolved_schedule_reference(n_points, steps, trials, seed):
+    res = run_scenario("classical_control",
+                       {"scenario": "zeno", "num_points": n_points, "steps": steps},
+                       trials=trials, seed=seed, record_trials=True)
+    assert res.to_dict() == scalar_classical_zeno(n_points, steps, trials, seed)
+
+
+def test_classical_zeno_keeps_no_dense_evolved_schedule():
+    # one period of evolved dense 48 x 48 projections alone is 85 MB
+    tracemalloc.start()
+    try:
+        run_scenario("classical_control", {"scenario": "zeno", "num_points": 48, "steps": 96},
+                     trials=1, seed=0, record_trials=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_classical_epr_anticorrelates_by_bayes():
     res = run_scenario("classical_control", {"scenario": "epr"}, trials=800, seed=SEED)
     assert res.summary["anticorrelation_rate"] == 1.0
@@ -311,6 +380,11 @@ def test_classical_epr_anticorrelates_by_bayes():
 def test_classical_control_unknown_subscenario():
     with pytest.raises(ParameterError):
         run_scenario("classical_control", {"scenario": "pot"}, trials=1, seed=0)
+    with pytest.raises(ParameterError):
+        run_scenario("classical_control", {"scenario": "zeno", "steps": -1}, trials=1, seed=0)
+    res = run_scenario("classical_control", {"scenario": "zeno", "steps": 0}, trials=2, seed=0)
+    assert res.series["position_trajectory"] == [0]
+    assert res.summary["frozen_steps"] == res.summary["cycles_completed"] == 0
 
 
 # ----------------------------------------------------------------- plumbing
