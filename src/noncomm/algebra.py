@@ -180,8 +180,8 @@ def make_context(kind: str, dim: int | None = None,
 
 def require_same_context(a, b):
     """Raise ContextMismatchError unless two values (elements or states)
-    live in the same algebra."""
-    if a.context != b.context:
+    live in the same algebra; identity decides before equality does."""
+    if a.context is not b.context and a.context != b.context:
         raise ContextMismatchError(
             f"values live in different algebras: {a.context} vs {b.context}"
         )

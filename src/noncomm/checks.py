@@ -319,6 +319,22 @@ def _check_diagonal_update_matches_bayes(profile):
     return CheckResult("states", "diagonal_update_matches_bayes", worst <= tol, worst, tol)
 
 
+def _check_diagonal_update_matches_dense_lueders(profile):
+    # `condition` on a diagonal algebra against P rho P / Tr(rho P) from the matrices
+    rng = make_generator(207)
+    tol = _tol(1e-12, profile)
+    space = PhaseSpace(tuple(f"x{i}" for i in range(12)))
+    ctx = diagonal_context(space)
+    worst = 0.0
+    for _ in range(100):
+        s = _random_density(ctx, rng)
+        members = [i for i in range(12) if rng.random() < 0.5] or [0]
+        chi = characteristic_projection(ctx, space.subset(members))
+        dense = chi.matrix @ s.rho @ chi.matrix / np.trace(s.rho @ chi.matrix)
+        worst = max(worst, float(np.abs(condition(s, chi).rho - dense).max()))
+    return CheckResult("states", "diagonal_update_matches_dense_lueders", worst <= tol, worst, tol)
+
+
 def _check_commuting_compatibility(profile):
     rng = make_generator(205)
     tol = _tol(1e-12, profile)
@@ -604,6 +620,7 @@ SUITES = {
         _check_conditioning_idempotence,
         _check_projection_update_functional_identity,
         _check_diagonal_update_matches_bayes,
+        _check_diagonal_update_matches_dense_lueders,
         _check_commuting_compatibility,
         _check_invalidation_witness,
         _check_fingerprint_uniqueness,

@@ -133,30 +133,26 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def result_csv(result: ScenarioResult) -> str:
+def _csv_text(header, rows) -> str:
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "statistic", "value"])
-    for key, value in result.summary.items():
-        writer.writerow([result.scenario, key, _csv_cell(value)])
-    for key, value in result.series.items():
-        writer.writerow([result.scenario, key, _csv_cell(value)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def result_csv(result: ScenarioResult) -> str:
+    return _csv_text(["scenario", "statistic", "value"],
+                     ([result.scenario, key, _csv_cell(value)]
+                      for key, value in (*result.summary.items(), *result.series.items())))
 
 
 def trials_csv(result: ScenarioResult) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "record"])
-    for rec in result.trial_records or ():
-        writer.writerow([rec.get("trial"), json.dumps(rec)])
-    return buf.getvalue()
+    return _csv_text(["trial", "record"],
+                     ([rec.get("trial"), json.dumps(rec)] for rec in result.trial_records or ()))
 
 
 def result_json(result: ScenarioResult) -> str:
@@ -224,8 +220,7 @@ def _load_config(path):
     if unknown:
         raise ParameterError(f"unknown config keys {sorted(unknown)}; "
                              "expected seed, trials, parameters")
-    params = cfg.get("parameters", {})
-    if not isinstance(params, dict):
+    if not isinstance(cfg.get("parameters", {}), dict):
         raise ParameterError("config 'parameters' must be an object")
     return cfg
 
@@ -265,10 +260,7 @@ def _cmd_run(args) -> int:
         print(f"error: numerical invariant violation during run: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 
-    if args.format == "json":
-        payload = result_json(result)
-    else:
-        payload = result_csv(result)
+    payload = result_json(result) if args.format == "json" else result_csv(result)
 
     if args.out is None:
         sys.stdout.write(payload)

@@ -11,7 +11,10 @@ reads.  Kronecker products, local embeddings, and partial traces cover the
 composite systems needed for entangled-pair experiments.
 
 Trials run as one (trials, d, d) stack: `born_step` asks one question of
-every trial at once, giving each the bits `perform` gives it alone.  A trial
+every trial at once, giving each the bits `perform` gives it alone.  On a
+diagonal algebra the stack holds (trials, n) measures, a question is its
+indicator rows (s, 1 - s) and the update is `condition`'s Bayes rule; final
+states and snapshots are (trials, d, d) density matrices either way.  A trial
 draws one block of uniforms, sized to its run's most draws, and its one
 pointer moves only on unforced outcomes, so in every phase the k-th uniform
 used is the k-th `perform` would draw.  `run_batch` loops the step over a
@@ -28,6 +31,7 @@ results do not depend on how trials are batched or chunked.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -51,9 +55,12 @@ from .states import (
     P_FLOOR,
     NumericalInvariantError,
     State,
-    ZeroProbabilityError,
+    bayes,
     condition,
+    measure,
+    measure_matrix,
     renormalize,
+    require_probability,
     yes_probability,
 )
 
@@ -207,11 +214,15 @@ def _evolved(schedule, dynamics, dim: int) -> np.ndarray:
     return stack if dynamics is None else evolve_stack(dynamics, [e.time for e in schedule], stack)
 
 
-def compile_questions(projections) -> list:
+def compile_questions(projections, diagonal: bool = False) -> list:
     """Compile projection matrices, a list or an (n, d, d) stack, for
     `born_step`: question k is (P, 1 - P, P^T, (1 - P)^T), views of four
-    stacks built once, each transpose flattened to a (d*d, 1) column."""
+    stacks built once, each transpose flattened to a (d*d, 1) column.  On a
+    diagonal algebra question k is the indicator rows (s, 1 - s) of P."""
     yes = np.asarray(projections)
+    if diagonal:
+        s = np.ascontiguousarray(measure(yes))
+        return list(zip(s, 1.0 - s))
     n, d = len(yes), yes.shape[-1]
     no = np.eye(d, dtype=complex) - yes
     cols = (m.swapaxes(-1, -2).reshape(n, d * d, 1) for m in (yes, no))
@@ -252,40 +263,48 @@ def born_step(rho: np.ndarray, question, uniforms: np.ndarray,
               used: np.ndarray, active: np.ndarray | None = None) -> tuple:
     """Ask one yes/no question of every trial of a C-ordered (trials, d, d)
     stack (as `np.repeat` makes it, so BLAS sees the strides of the
-    one-matrix path), with the bits and errors `perform` gives each trial
-    alone.  Questions come from `compile_questions`, or are experiments.
-    Trial i's answer is forced when its clamped yes-probability p is within
-    P_FLOOR of 0 or 1, else it is uniforms.ravel()[used[i]] < p and the flat
-    pointer used[i] advances in place.  Returns the conditioned stack, the
-    answers and p; a "no" has probability 1 - p.  With a bool `active` mask,
-    `rho` is updated in place and only active trials are asked: the others
-    draw nothing, keep their state, skip the checks and read "no" with p = 0."""
+    one-matrix path), or of a (trials, n) stack of measures on a diagonal
+    algebra, with the bits and errors `perform` gives each trial alone.
+    Questions come from `compile_questions`, or are experiments.  Trial i's
+    answer is forced when its clamped yes-probability p is within P_FLOOR of
+    0 or 1, else it is uniforms.ravel()[used[i]] < p and the flat pointer
+    used[i] advances in place.  Returns the conditioned stack, the answers
+    and p; a "no" has probability 1 - p.  With a bool `active` mask, `rho`
+    is updated in place and only active trials are asked: the others draw
+    nothing, keep their state, skip the checks and read "no" with p = 0."""
+    diagonal = rho.ndim == 2
     if isinstance(question, YesNoExperiment):
-        question = compile_questions([question.projection.matrix])[0]
+        question = compile_questions([question.projection.matrix], diagonal)[0]
     if active is not None:
         rows = np.flatnonzero(active)
         ahead, out = used[rows], np.zeros((2, len(rho)))
         rho[rows], *answers = born_step(rho[rows], question, uniforms, ahead)
         used[rows], out[:, rows] = ahead, answers
         return rho, out[0].astype(bool), out[1]
-    p, q, p_col, q_col = question
-    flat = rho.reshape(len(rho), 1, rho.shape[-1] ** 2)
-    # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
-    raw_yes = (flat @ p_col)[:, 0, 0].real
-    raw_no = (flat @ q_col)[:, 0, 0].real
+    if diagonal:
+        s, s_no = question
+        raw_yes = np.add.reduce(rho * s, -1)  # the sum `yes_probability` takes
+    else:
+        p, q, p_col, q_col = question
+        flat = rho.reshape(len(rho), 1, rho.shape[-1] ** 2)
+        # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
+        raw_yes = (flat @ p_col)[:, 0, 0].real
+        raw_no = (flat @ q_col)[:, 0, 0].real
     p_yes = raw_yes.clip(0.0, 1.0)  # keeps -0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
     free = ~(forced_yes | (p_yes <= P_FLOOR))
     yes = forced_yes | (free & (uniforms.ravel()[used] < p_yes))
     used += free
-    conditioned = np.where(yes, raw_yes, raw_no)
-    if (conditioned <= P_FLOOR).any():
-        worst = float(conditioned[conditioned <= P_FLOOR][0])
-        raise ZeroProbabilityError(f"cannot condition on an outcome of probability {worst:.3e}")
+    if diagonal:
+        # each trial's answer picks its indicator row: one Bayes update, as `condition` makes it
+        post = bayes(rho, np.where(yes[:, None], s, s_no))
+    else:
+        require_probability(np.where(yes, raw_yes, raw_no))
+        proj = np.where(yes[:, None, None], p, q)
+        post = renormalize(proj @ rho @ proj)
     if np.isnan(p_yes).any():  # p is clamped, so only nan leaves [0, 1]
         raise NumericalInvariantError("outcome probability nan outside [0, 1]")
-    proj = np.where(yes[:, None, None], p, q)
-    return renormalize(proj @ rho @ proj), yes, p_yes
+    return post, yes, p_yes
 
 
 def run_batch(state: State, schedule, rngs, dynamics=None, *,
@@ -301,20 +320,24 @@ def run_batch(state: State, schedule, rngs, dynamics=None, *,
     """
     _check_schedule(state, schedule)
     check_dynamics(dynamics, [state.context])
-    questions = compile_questions(_evolved(schedule, dynamics, state.dim))
+    diagonal = state.context.is_diagonal
+    questions = compile_questions(_evolved(schedule, dynamics, state.dim), diagonal)
     n, d = len(questions), state.dim
+    # a diagonal algebra carries measures, expanded to density matrices once per chunk
+    start, expand = (measure(state.rho), measure_matrix) if diagonal else (state.rho, np.asarray)
 
     def run(uniforms, used):
         t = len(used)
         yes, p_yes = np.empty((t, n), dtype=bool), np.empty((t, n))
-        snapshots = np.empty((t, n, d, d), dtype=complex) if keep_snapshots else None
-        rho = np.repeat(state.rho[None], t, axis=0)
+        rho = np.repeat(start[None], t, axis=0)
+        snapshots = np.empty((t, n, *rho.shape[1:]), rho.dtype) if keep_snapshots else None
         for k, question in enumerate(questions):
             rho, yes[:, k], p_yes[:, k] = born_step(rho, question, uniforms, used)
             if snapshots is not None:
                 snapshots[:, k] = rho
         prob = np.where(yes, p_yes, 1.0 - p_yes)
-        return yes, prob, p_yes, used - np.arange(t) * n, rho, snapshots
+        return (yes, prob, p_yes, used - np.arange(t) * n, expand(rho),
+                None if snapshots is None else expand(snapshots))
 
     return BatchOutcomes(*run_chunked(rngs, n, 16 * d * d, run))
 
@@ -376,31 +399,22 @@ def tensor(*items):
     if len(items) == 1:
         return items[0]
     first = items[0]
-    if isinstance(first, AlgebraContext):
-        if not all(isinstance(x, AlgebraContext) for x in items):
-            raise TypeError("cannot tensor contexts with non-contexts")
+    nouns = {AlgebraContext: "contexts", State: "states", AlgebraElement: "elements"}
+    kind = next((k for k in nouns if isinstance(first, k)), None)
+    if kind is None:
+        raise TypeError(f"cannot tensor values of type {type(first)!r}")
+    if not all(isinstance(x, kind) for x in items):
+        raise TypeError(f"cannot tensor {nouns[kind]} with non-{nouns[kind]}")
+    if kind is AlgebraContext:
         return _tensor_contexts(items)
-    if isinstance(first, State):
-        if not all(isinstance(x, State) for x in items):
-            raise TypeError("cannot tensor states with non-states")
-        ctx = _tensor_contexts([x.context for x in items])
-        rho = items[0].rho
-        for x in items[1:]:
-            rho = np.kron(rho, x.rho)
-        return State(ctx, rho)
-    if isinstance(first, AlgebraElement):
-        if not all(isinstance(x, AlgebraElement) for x in items):
-            raise TypeError("cannot tensor elements with non-elements")
-        ctx = _tensor_contexts([x.context for x in items])
-        m = items[0].matrix
-        for x in items[1:]:
-            m = np.kron(m, x.matrix)
-        if all(isinstance(x, Projection) for x in items):
-            return Projection(ctx, m)
-        if all(isinstance(x, Observable) for x in items):
-            return Observable(ctx, m)
-        return AlgebraElement(ctx, m)
-    raise TypeError(f"cannot tensor values of type {type(first)!r}")
+    ctx = _tensor_contexts([x.context for x in items])
+    if kind is State:
+        return State(ctx, functools.reduce(np.kron, [x.rho for x in items]))
+    m = functools.reduce(np.kron, [x.matrix for x in items])
+    for cls in (Projection, Observable):
+        if all(isinstance(x, cls) for x in items):
+            return cls(ctx, m)
+    return AlgebraElement(ctx, m)
 
 
 def embed_local(a: AlgebraElement, slot: int, dims) -> AlgebraElement:

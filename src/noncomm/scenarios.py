@@ -203,9 +203,7 @@ def _run_polarization(params, trials, seed, record_trials):
     ]
     schedule = [ScheduleEntry(float(k), experiments[k]) for k in range(1, len(angles))]
 
-    analytic = 1.0
-    for t1, t2 in zip(thetas, thetas[1:]):
-        analytic *= math.cos(t2 - t1) ** 2
+    analytic = math.prod(math.cos(t2 - t1) ** 2 for t1, t2 in zip(thetas, thetas[1:]))
 
     # Invalidation witness: probability of passing the final polarizer on the
     # initial state versus after conditioning on "yes" at every intermediate
@@ -262,27 +260,21 @@ def _run_zeno_precise(params, trials, seed, record_trials):
     survived = sum(survived_rows)
     records = _batch_records(record_trials, "survived", survived_rows, batch, schedule)
 
+    echo = {"omega": omega, "T": t_total, "n": n}
     summary = {
-        "omega": omega,
-        "T": t_total,
-        "n": n,
+        **echo,
         "analytic": analytic,
         "empirical": survived / trials,
         "ci_halfwidth": _ci4(analytic, trials),
         "survived_count": survived,
     }
-    return ScenarioResult("zeno_precise", {"omega": omega, "T": t_total, "n": n},
-                          seed, trials, summary, {}, records)
+    return ScenarioResult("zeno_precise", echo, seed, trials, summary, {}, records)
 
 
 def _run_zeno_coarse(params, trials, seed, record_trials):
-    levels = params["num_levels"]
-    width = params["window_width"]
-    drift = params["drift_rate"]
-    steps = params["steps"]
-    coupling = params["coupling"]
-    dt = params["dt"]
-    start = params["initial_level"]
+    echo = {k: params[k] for k in ("num_levels", "window_width", "drift_rate", "steps",
+                                   "coupling", "dt", "initial_level")}
+    levels, width, drift, steps, coupling, dt, start = echo.values()
     if levels < 2:
         raise ParameterError("need at least two levels")
     if not 1 <= width <= levels:
@@ -344,22 +336,13 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
             records.append({"trial": i, "entries": entries})
 
     mean_traj = trajectories.mean(axis=0)
-    freeze_metric = float(np.abs(np.diff(mean_traj)).sum())
     summary = {
-        "num_levels": levels,
-        "window_width": width,
-        "drift_rate": drift,
-        "steps": steps,
-        "coupling": coupling,
-        "dt": dt,
-        "initial_level": start,
-        "freeze_metric": freeze_metric,
+        **echo,
+        "freeze_metric": float(np.abs(np.diff(mean_traj)).sum()),
         "net_drift": float(mean_traj[-1] - mean_traj[0]),
         "max_mean_excursion": float(np.abs(mean_traj - mean_traj[0]).max()),
     }
     series = {"mean_level_trajectory": [float(x) for x in mean_traj]}
-    echo = {k: params[k] for k in ("num_levels", "window_width", "drift_rate",
-                                   "steps", "coupling", "dt", "initial_level")}
     return ScenarioResult("zeno_coarse", echo, seed, trials, summary, series, records)
 
 
@@ -367,13 +350,11 @@ def _run_epr(params, trials, seed, record_trials):
     which = params["state"]
     ctx2 = _qubit()
     ctx4 = tensor(ctx2, ctx2)
-    if which == "singlet":
-        psi = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    elif which == "product":
-        psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    else:
+    kets = {"singlet": np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0),
+            "product": np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)}
+    if which not in kets:
         raise ParameterError(f"unknown initial state {which!r}")
-    joint = pure_state(ctx4, psi)
+    joint = pure_state(ctx4, kets[which])
 
     up = Projection(ctx2, np.diag([1.0, 0.0]).astype(complex))
     ask_a = YesNoExperiment("particle 1 spin-up", embed_local(up, 0, (2, 2)))
@@ -501,17 +482,11 @@ def _run_three_observer(params, trials, seed, record_trials):
     ctx = _qubit()
     p_exp = YesNoExperiment("spin-up along z", Projection(ctx, np.diag([1.0, 0.0]).astype(complex)))
     q_exp = YesNoExperiment("spin-up along x", _ket_projector(ctx, [1.0, 1.0]))
-    if middle == "plus":
-        chain = [p_exp, q_exp, p_exp]
-        analytic = 0.5
-    elif middle == "none":
-        chain = [p_exp, p_exp]
-        analytic = 0.0
-    elif middle == "repeat":
-        chain = [p_exp, p_exp, p_exp]
-        analytic = 0.0
-    else:
+    chains = {"plus": ([p_exp, q_exp, p_exp], 0.5), "none": ([p_exp, p_exp], 0.0),
+              "repeat": ([p_exp, p_exp, p_exp], 0.0)}
+    if middle not in chains:
         raise ParameterError(f"unknown middle experiment {middle!r}")
+    chain, analytic = chains[middle]
     schedule = [ScheduleEntry(float(k), exp) for k, exp in enumerate(chain)]
     initial = pure_state(ctx, [1.0, 0.0])
 
@@ -533,12 +508,10 @@ def _run_three_observer(params, trials, seed, record_trials):
 
 
 def _run_classical_control(params, trials, seed, record_trials):
-    which = params["scenario"]
-    if which == "zeno":
-        return _classical_zeno(params, trials, seed, record_trials)
-    if which == "epr":
-        return _classical_epr(params, trials, seed, record_trials)
-    raise ParameterError(f"unknown classical control scenario {which!r}")
+    run = {"zeno": _classical_zeno, "epr": _classical_epr}.get(params["scenario"])
+    if run is None:
+        raise ParameterError(f"unknown classical control scenario {params['scenario']!r}")
+    return run(params, trials, seed, record_trials)
 
 
 def _classical_zeno(params, trials, seed, record_trials):
@@ -586,17 +559,15 @@ def _classical_zeno(params, trials, seed, record_trials):
 
     traj = trajectories[0]
     moves = sum(a != b for a, b in zip(traj, traj[1:]))
+    echo = {"scenario": "zeno", "num_points": n_points, "steps": steps}
     summary = {
-        "scenario": "zeno",
-        "num_points": n_points,
-        "steps": steps,
+        **echo,
         "advanced_every_step": moves == steps,
         "frozen_steps": steps - moves,
         "cycles_completed": steps // n_points,
         "all_trials_identical": all(t == traj for t in trajectories),
     }
     series = {"position_trajectory": traj}
-    echo = {"scenario": "zeno", "num_points": n_points, "steps": steps}
     return ScenarioResult("classical_control", echo, seed, trials, summary, series, records)
 
 

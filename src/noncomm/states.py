@@ -3,10 +3,11 @@
 A state is a density matrix rho (positive, unit trace); expectations are
 Tr(rho A).  Conditioning on a "yes" for the experiment with projection P is
 the projection postulate rho' = P rho P / Tr(rho P) -- the noncommutative
-conditional probability.  On the diagonal (classical) algebra the same
-update restricted to the diagonal reproduces the Bayes rule
-mu'(U) = mu(U & S) / mu(S), and `classical_condition` implements that rule
-directly on probability vectors.
+conditional probability.  On the diagonal (classical) algebra that update
+*is* the Bayes rule mu'(U) = mu(U & S) / mu(S), so a diagonal state is read
+as its measure mu = diag(rho) and `expectation`, `yes_probability` and
+`condition` work on mu alone, through `bayes`, the one helper that
+`classical_condition` and the measurement kernel share.
 """
 
 from __future__ import annotations
@@ -150,16 +151,55 @@ def classical_state(context: AlgebraContext, mu) -> State:
     return State(context, np.diag(np.clip(m, 0.0, None).astype(complex) / total))
 
 
+def measure(rho: np.ndarray) -> np.ndarray:
+    """The real diagonal of a matrix or (..., d, d) stack, as a view: a measure."""
+    return rho.diagonal(0, -2, -1).real
+
+
+def measure_matrix(mu: np.ndarray) -> np.ndarray:
+    """The complex matrix diag(mu) of a measure, or of each row of a stack."""
+    n = mu.shape[-1]
+    out = np.zeros(mu.shape + (n,), dtype=complex)
+    out.reshape(mu.shape[:-1] + (n * n,))[..., :: n + 1] = mu
+    return out
+
+
+def require_probability(prob):
+    """Raise ZeroProbabilityError, naming the first, if any probability to
+    condition on is at or below P_FLOOR."""
+    low = prob <= P_FLOOR
+    if np.count_nonzero(low):
+        worst = float(np.ravel(prob)[np.ravel(low)][0])
+        raise ZeroProbabilityError(f"cannot condition on an outcome of probability {worst:.3e}")
+
+
+def bayes(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Bayes rule mu'(U) = mu(U & S) / mu(S) over the last axis of mu, S given
+    by its indicator s; it divides nothing unless `require_probability` passes."""
+    joint = mu * s
+    mass = np.add.reduce(joint, -1, keepdims=True)  # sum(), minus its Python wrapper
+    require_probability(mass)
+    return joint / mass
+
+
 def expectation(state: State, a: AlgebraElement) -> complex:
-    """Tr(rho A); real up to roundoff when A is Hermitian."""
+    """Tr(rho A); real up to roundoff when A is Hermitian.  On a diagonal
+    algebra this is the integral sum_x mu(x) a(x)."""
     require_same_context(state, a)
+    if state.context.is_diagonal:
+        mu, values = measure(state.rho), a.matrix.diagonal()
+        return complex(np.add.reduce(mu * values.real), np.add.reduce(mu * values.imag))
     # Tr(rho A) = sum_ij rho[i,j] A[j,i]
     return complex(state.rho.ravel().dot(a.matrix.T.ravel()))
 
 
 def yes_probability(state: State, p: Projection) -> float:
     """Probability of "yes" for the experiment with projection P, clamped to [0, 1]."""
-    val = expectation(state, p).real
+    if state.context.is_diagonal:  # the real part of `expectation`, without its imaginary sum
+        require_same_context(state, p)
+        val = float(np.add.reduce(measure(state.rho) * measure(p.matrix)))
+    else:
+        val = expectation(state, p).real
     return min(max(val, 0.0), 1.0)
 
 
@@ -168,13 +208,13 @@ def condition(state: State, p: Projection) -> State:
 
     The returned state satisfies Tr(rho' A) = Tr(rho P A P) / Tr(rho P) for
     every A, and assigns probability 1 to a repetition of the experiment.
+    On a diagonal algebra this is `bayes` on the measure and P's indicator.
     """
     require_same_context(state, p)
-    prob = state.rho.ravel().dot(p.matrix.T.ravel()).real
-    if prob <= P_FLOOR:
-        raise ZeroProbabilityError(
-            f"cannot condition on an outcome of probability {prob:.3e}"
-        )
+    if state.context.is_diagonal:
+        posterior = bayes(measure(state.rho), measure(p.matrix))
+        return State._trusted(state.context, measure_matrix(posterior))
+    require_probability(state.rho.ravel().dot(p.matrix.T.ravel()).real)
     return State._renormalized(state.context, p.matrix @ state.rho @ p.matrix)
 
 
@@ -183,11 +223,7 @@ def classical_condition(mu, subset: PhaseSubset) -> np.ndarray:
     m = np.asarray(mu, dtype=float)
     if m.shape != (len(subset.space),):
         raise ValueError("measure length does not match the subset's phase space")
-    ind = subset.indicator()
-    mass = float(m @ ind)
-    if mass <= P_FLOOR:
-        raise ZeroProbabilityError(f"subset has probability {mass:.3e}")
-    return m * ind / mass
+    return bayes(m, subset.indicator())
 
 
 def state_distance(s1: State, s2: State) -> float:

@@ -1,0 +1,212 @@
+"""The commutative path: on a diagonal algebra a state is its measure, and
+`condition`, `classical_condition` and the measurement kernel all take the
+one Bayes update `states.bayes`."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noncomm.algebra import (
+    ContextMismatchError,
+    PhaseSpace,
+    characteristic_projection,
+    diagonal_context,
+    require_same_context,
+)
+from noncomm.measurement import (
+    ScheduleEntry,
+    YesNoExperiment,
+    born_step,
+    perform,
+    run_batch,
+    trial_streams,
+)
+from noncomm.states import (
+    P_FLOOR,
+    State,
+    ZeroProbabilityError,
+    classical_condition,
+    classical_state,
+    condition,
+    measure,
+    renormalize,
+    yes_probability,
+)
+
+DIMS = (1, 2, 3, 4, 8, 16, 33)
+
+
+def points(n):
+    space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
+    return space, diagonal_context(space)
+
+
+class FixedDraw:
+    """A stream whose every draw is u, standing in for the uniform a kernel row reads."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def outcome(fn):
+    """The bytes of what fn returns, or the type and message of what it raises."""
+    try:
+        out = fn()
+    except ZeroProbabilityError as err:
+        return type(err), str(err)
+    return tuple(np.asarray(x).tobytes() for x in out)
+
+
+@st.composite
+def measured_subsets(draw):
+    """A Dirichlet measure and a subset, whose mass is sometimes pushed to
+    within a factor 4 of P_FLOOR or of 1 - P_FLOOR."""
+    n = draw(st.sampled_from(DIMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = rng.dirichlet(np.full(n, draw(st.sampled_from((0.1, 1.0, 10.0)))))
+    inside = np.zeros(n, dtype=bool)
+    inside[sorted(draw(st.sets(st.integers(0, n - 1))))] = True
+    target = draw(st.none() | st.floats(P_FLOOR / 4, 4 * P_FLOOR))
+    if target is not None and mu[inside].sum() > 0 and mu[~inside].sum() > 0:
+        target = 1.0 - target if draw(st.booleans()) else target
+        mu = np.where(inside, mu * target / mu[inside].sum(),
+                      mu * (1.0 - target) / mu[~inside].sum())
+    return mu, np.flatnonzero(inside).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(measured_subsets(), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_condition_classical_condition_and_kernel_agree_bitwise(case, u, v):
+    start, members = case
+    space, ctx = points(len(start))
+    state = classical_state(ctx, start)
+    mu = state.probabilities()
+    subset = space.subset(members)
+    for s in (subset, subset.complement()):
+        chi = characteristic_projection(ctx, s)
+        assert (outcome(lambda: (condition(state, chi).probabilities(),))
+                == outcome(lambda: (classical_condition(mu, s),)))
+
+    # the kernel on one trial answers and conditions as `perform` with the same draw
+    exp = YesNoExperiment("in S", characteristic_projection(ctx, subset))
+
+    def scalar(state, u):
+        p_yes = yes_probability(state, exp.projection)
+        out, post = perform(state, exp, FixedDraw(u))
+        return measure(post.rho)[None], [out.yes], [p_yes]
+
+    def kernel(rows, uniforms):
+        return born_step(rows, exp, uniforms, np.arange(len(rows)))
+
+    alone = outcome(lambda: kernel(mu[None].copy(), np.array([[u]])))
+    assert alone == outcome(lambda: scalar(state, u))
+    # and a row of a stack steps as it does alone
+    other = classical_state(ctx, mu[::-1])
+    second = outcome(lambda: kernel(measure(other.rho)[None].copy(), np.array([[v]])))
+    assert second == outcome(lambda: scalar(other, v))
+    if len(alone) == len(second) == 3:
+        stacked = kernel(np.stack([mu, measure(other.rho)]), np.array([[u], [v]]))
+        for k, row in enumerate((alone, second)):
+            assert tuple(x[k:k + 1].tobytes() for x in stacked) == row
+
+
+def test_point_masses_and_the_epr_measure_condition_as_the_dense_update():
+    # the dense update diagonal states took before, kept as the reference
+    def dense(state, chi):
+        return renormalize(chi.matrix @ state.rho @ chi.matrix)
+
+    cases = []
+    for n in (1, 2, 3, 5, 16):
+        space, ctx = points(n)
+        subsets = ([space.subset(m) for r in range(n + 1)
+                    for m in itertools.combinations(range(n), r)] if n <= 5 else
+                   [space.subset(m) for m in ([0], [3, 4], range(8), range(1, 16), range(16))])
+        cases += [(classical_state(ctx, np.eye(n)[j]), s) for j in range(n) for s in subsets]
+    space, ctx = points(4)
+    epr = classical_state(ctx, [0.0, 0.5, 0.5, 0.0])
+    cases += [(epr, space.subset(m)) for r in range(5)
+              for m in itertools.combinations(range(4), r)]
+    checked = 0
+    for state, s in cases:
+        chi = characteristic_projection(state.context, s)
+        if state.probabilities()[sorted(s.members)].sum() == 0.0:
+            with pytest.raises(ZeroProbabilityError):
+                condition(state, chi)
+            continue
+        assert condition(state, chi).rho.tobytes() == dense(state, chi).tobytes()
+        checked += 1
+    assert checked > 100
+
+
+def test_zero_mass_outcome_raises_the_same_error_from_condition_and_the_kernel():
+    space, ctx = points(3)
+    exp = YesNoExperiment("at x0", characteristic_projection(ctx, space.subset([0])))
+    # trace 1/2, past validation: "yes" has mass 1/2, so "no" is drawn and has mass 0
+    broken = State._trusted(ctx, np.diag([0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(ZeroProbabilityError) as scalar:
+        condition(broken, exp.no_projection)
+    with pytest.raises(ZeroProbabilityError) as performed:
+        perform(broken, exp, FixedDraw(0.9))
+    rows = np.repeat(measure(broken.rho)[None], 3, axis=0)
+    with pytest.raises(ZeroProbabilityError) as kernel:
+        born_step(rows, exp, np.array([[0.1], [0.9], [0.7]]), np.arange(3))
+    with pytest.raises(ZeroProbabilityError) as bayes:
+        classical_condition([0.5, 0.5, 0.0], space.subset([2]))
+    message = "cannot condition on an outcome of probability 0.000e+00"
+    assert {str(e.value) for e in (scalar, performed, kernel, bayes)} == {message}
+
+
+def test_masked_diagonal_step_matches_a_stack_of_the_active_trials():
+    space, ctx = points(5)
+    exp = YesNoExperiment("in S", characteristic_projection(ctx, space.subset([1, 3])))
+    mus = np.random.default_rng(4).dirichlet(np.ones(5), size=6)
+    uniforms = np.linspace(0.05, 0.95, 6 * 3).reshape(6, 3)
+    used = np.arange(6) * 3 + [0, 1, 2, 0, 1, 2]
+    mus[1] = 0.0  # an inactive trial that asking would break
+    before, active = mus.copy(), np.array([True, False, True, True, False, True])
+    out, yes, p_yes = born_step(mus, exp, uniforms, used, active)
+    assert out is mus
+    assert mus[~active].tobytes() == before[~active].tobytes()
+    assert used[~active].tolist() == [4, 13]
+    assert not yes[~active].any() and (p_yes[~active] == 0).all()
+    alone_used = np.array([0, 8, 9, 17])
+    alone = born_step(before[active], exp, uniforms, alone_used)
+    assert mus[active].tobytes() == alone[0].tobytes()
+    for got, want in zip((yes, p_yes), alone[1:]):
+        assert got[active].tolist() == want.tolist()
+    assert used[active].tolist() == alone_used.tolist() == [1, 9, 10, 18]
+
+
+def test_diagonal_batch_keeps_dense_final_and_snapshot_layout():
+    space, ctx = points(4)
+    state = classical_state(ctx, np.random.default_rng(8).dirichlet(np.ones(4)))
+    schedule = [ScheduleEntry(float(k), YesNoExperiment(f"in {m}", characteristic_projection(
+        ctx, space.subset(m)))) for k, m in enumerate([[0, 1], [1, 2, 3], [1], [2, 3]])]
+    batch = run_batch(state, schedule, trial_streams(6, 7), keep_snapshots=True)
+    assert batch.final.shape == (7, 4, 4) and batch.final.dtype == complex
+    assert batch.snapshots.shape == (7, 4, 4, 4) and batch.snapshots.dtype == complex
+    for i, rng in enumerate(trial_streams(6, 7)):
+        current = state
+        for k, entry in enumerate(schedule):
+            current = perform(current, entry.experiment, rng)[1]
+            assert batch.snapshots[i, k].tobytes() == current.rho.tobytes()
+        assert batch.final[i].tobytes() == current.rho.tobytes()
+
+
+def test_context_check_accepts_equal_contexts_and_names_different_ones():
+    (space, ctx), (twin_space, twin) = points(3), points(3)
+    a = characteristic_projection(ctx, space.subset([0]))
+    b = characteristic_projection(twin, twin_space.subset([1]))
+    assert a.context is not b.context
+    require_same_context(a, b)
+    wider, wider_ctx = points(4)
+    c = characteristic_projection(wider_ctx, wider.subset([0]))
+    with pytest.raises(ContextMismatchError, match="values live in different algebras"):
+        require_same_context(a, c)
