@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -299,6 +300,8 @@ def _check_projection_update_functional_identity(profile):
 
 
 def _check_diagonal_update_matches_bayes(profile):
+    # `condition` and `classical_condition` against mu(U & S) / mu(S) computed
+    # in exact rational arithmetic and rounded once
     rng = make_generator(204)
     tol = _tol(1e-12, profile)
     space = PhaseSpace(tuple(f"x{i}" for i in range(12)))
@@ -310,12 +313,15 @@ def _check_diagonal_update_matches_bayes(profile):
         subset = space.subset(members)
         chi = characteristic_projection(ctx, subset)
         mu = s.probabilities()
+        joint = [Fraction(m) * int(x) for m, x in zip(mu, subset.indicator())]
+        exact = np.array([float(j / sum(joint)) for j in joint])
         try:
             post = condition(s, chi)
             bayes = classical_condition(mu, subset)
         except ZeroProbabilityError:
             continue
-        worst = max(worst, float(np.abs(post.probabilities() - bayes).max()))
+        worst = max(worst, float(np.abs(post.probabilities() - exact).max()),
+                    float(np.abs(bayes - exact).max()))
     return CheckResult("states", "diagonal_update_matches_bayes", worst <= tol, worst, tol)
 
 

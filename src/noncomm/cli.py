@@ -5,9 +5,11 @@
     noncomm check [--suite NAME] [--tolerance-profile default|strict]
     noncomm list [--json]
 
-Exit codes for `run`: 0 success, 2 unknown scenario, 3 config/schema error,
-4 numerical invariant violation during the run.  `check` exits 1 if any
-invariant fails.  NONCOMM_SEED is used when --seed is absent.
+`run` gathers the parameters, trial count and seed from the command line,
+the config file and NONCOMM_SEED (used when --seed is absent), and hands
+them to `run_scenario`, which validates them.  Exit codes for `run`: 0
+success, 2 unknown scenario, 3 config/schema error, 4 numerical invariant
+violation during the run.  `check` exits 1 if any invariant fails.
 
 Result files are deterministic: two runs with the same scenario, parameters,
 and seed produce byte-identical files.  Timestamps live only in the manifest
@@ -30,13 +32,7 @@ import tempfile
 from . import __version__
 from .algebra import ContextMismatchError
 from .checks import SUITES, run_checks
-from .scenarios import (
-    SCENARIOS,
-    ParameterError,
-    ScenarioResult,
-    UnknownScenarioError,
-    validate_params,
-)
+from .scenarios import SCENARIOS, ParameterError, ScenarioResult, run_scenario
 from .states import NumericalInvariantError
 
 EXIT_OK = 0
@@ -182,28 +178,6 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _check_seed(seed) -> int:
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"seed must be an integer, got {seed!r}") from exc
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
-def _resolve_seed(arg_seed):
-    if arg_seed is not None:
-        return _check_seed(arg_seed)
-    env = os.environ.get("NONCOMM_SEED")
-    if env is not None:
-        try:
-            return _check_seed(int(env))
-        except ValueError as exc:
-            raise ParameterError(f"NONCOMM_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
 def _load_config(path):
     if path is None:
         return {}
@@ -235,24 +209,10 @@ def _cmd_run(args) -> int:
         config = _load_config(args.config)
         overrides = dict(config.get("parameters", {}))
         overrides.update(parse_set_options(args.set))
-        params = validate_params(name, overrides)
-        seed = _resolve_seed(args.seed if args.seed is not None else config.get("seed"))
+        seeds = (args.seed, config.get("seed"), os.environ.get("NONCOMM_SEED"))
+        seed = next((s for s in seeds if s is not None), 0)
         trials = args.trials if args.trials is not None else config.get("trials", _DEFAULT_TRIALS)
-        try:
-            trials = int(trials)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"trials must be an integer, got {trials!r}") from exc
-        if trials < 1:
-            raise ParameterError("trials must be positive")
-    except UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    try:
-        result = SCENARIOS[name].fn(params, trials, seed, args.snapshots)
+        result = run_scenario(name, overrides, trials, seed, args.snapshots)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -277,8 +237,8 @@ def _cmd_run(args) -> int:
         "version": __version__,
         "scenario": name,
         "parameters": result.parameters,
-        "seed": seed,
-        "trials": trials,
+        "seed": result.seed,
+        "trials": result.trials,
         "started": started,
         "finished": _utc_now(),
         "outputs": outputs,

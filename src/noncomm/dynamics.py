@@ -6,8 +6,9 @@ dynamics act on the diagonal function algebra by composition with a flow on
 phase space, tau_t(g) = g o T_t (the Koopman lift).  Finite phase spaces
 admit no faithful continuous flow, so classical time is the group of integers
 generated by one bijection.  `evolve_stack` moves a whole stack of
-observables, each to its own time, in one stacked conjugation or one index
-gather; the one-element evolutions are its one-time case.
+observables, each to its own time, in one stacked conjugation or, on the
+diagonals of a diagonal algebra, one index gather; the one-element
+evolutions are its one-time case.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .algebra import (
     Projection,
     diagonal_context,
 )
-from .states import State
+from .states import State, measure, measure_matrix
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,15 @@ def propagator(h: Hamiltonian, t: float) -> AlgebraElement:
 
 
 def evolve_stack(dynamics, times, stack, hermitian: bool = True) -> np.ndarray:
-    """tau_t(A) for each time and matrix A of an (n, d, d) stack.  A Hamiltonian
+    """tau_t(A) for each time and element A of a stack: (n, d, d) matrices,
+    or the (n, d) diagonals of diagonal-algebra elements.  A Hamiltonian
     conjugates, U(t) A U(t)*, which keeps a `hermitian` A Hermitian (only
     roundoff is stripped); a Flow gathers each diagonal by `at(t)`."""
     if isinstance(dynamics, Flow):
         perms = {t: dynamics.at(t) for t in dict.fromkeys(times)}  # once per distinct t
-        diagonal, out = np.arange(stack.shape[-1]), np.zeros_like(stack)
-        gather = np.array([perms[t] for t in times], dtype=np.intp).reshape(stack.shape[:2])
-        out[:, diagonal, diagonal] = np.take_along_axis(stack[:, diagonal, diagonal], gather, 1)
-        return out
+        return np.take_along_axis(stack, np.array([perms[t] for t in times], dtype=np.intp), 1)
+    if stack.ndim == 2:  # real diagonals under a Hamiltonian: conjugate their matrices
+        return measure(evolve_stack(dynamics, times, measure_matrix(stack), hermitian))
     u = propagators(dynamics, times)
     out = u @ stack @ u.conj().swapaxes(-1, -2)
     return (out + out.conj().swapaxes(-1, -2)) / 2.0 if hermitian else out
@@ -153,9 +154,10 @@ def heisenberg_evolve(a: AlgebraElement, h: Hamiltonian, t: float) -> AlgebraEle
 
 def koopman_evolve(g: AlgebraElement, flow: Flow, t: int) -> AlgebraElement:
     """tau_t(g) = g o T_t on the diagonal algebra: the one-time case of
-    `evolve_stack`, a pure index permutation."""
+    `evolve_stack`, a pure index permutation of g's diagonal."""
     check_dynamics(flow, [g.context])
-    return type(g)._unchecked(g.context, evolve_stack(flow, [t], g.matrix[None])[0])
+    moved = evolve_stack(flow, [t], g.matrix.diagonal()[None])[0]
+    return type(g)._unchecked(g.context, np.diag(moved))
 
 
 def schrodinger_state(state: State, h: Hamiltonian, t: float) -> State:

@@ -12,14 +12,16 @@ composite systems needed for entangled-pair experiments.
 
 Trials run as one (trials, d, d) stack: `born_step` asks one question of
 every trial at once, giving each the bits `perform` gives it alone.  On a
-diagonal algebra the stack holds (trials, n) measures, a question is its
-indicator rows (s, 1 - s) and the update is `condition`'s Bayes rule; final
-states and snapshots are (trials, d, d) density matrices either way.  A trial
-draws one block of uniforms, sized to its run's most draws, and its one
-pointer moves only on unforced outcomes, so in every phase the k-th uniform
-used is the k-th `perform` would draw.  `run_batch` loops the step over a
-fixed schedule; an `active` mask stops trials early.  `perform` remains for
-runs whose next question depends on the state reached.
+diagonal algebra the stack holds (trials, n) measures, a schedule stays the
+(n, d) stack of its indicator rows from evolution to compiled question, and
+the update is `condition`'s Bayes rule; final states and snapshots are
+(trials, d, d) density matrices either way.  A trial draws one block of
+uniforms, sized to its run's most draws, and its one pointer moves only on
+unforced outcomes, so in every phase the k-th uniform used is the k-th
+`perform` would draw.  `run_batch` loops the step over a fixed schedule; an
+`active` mask stops trials early.  `perform` remains for runs whose next
+question depends on the state reached.  `trial_records` lays out every
+scenario's per-trial records.
 
 Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
@@ -154,6 +156,17 @@ def entry_dict(time, label, yes, probability) -> dict:
             "probability": probability}
 
 
+def trial_records(**columns) -> list:
+    """Per-trial records, as result files write them: record i is
+    {"trial": i} followed by each column's i-th value under its name."""
+    first, *_ = columns.values()
+    records = [{"trial": i} for i in range(len(first))]
+    for name, column in columns.items():  # column by column: cheaper than a dict per row
+        for record, value in zip(records, column):
+            record[name] = value
+    return records
+
+
 @dataclass(frozen=True)
 class BatchOutcomes:
     """One fixed schedule run over a batch of trials: row i is trial i,
@@ -166,16 +179,11 @@ class BatchOutcomes:
     final: np.ndarray        # (trials, d, d) density matrices after the last entry
     snapshots: np.ndarray | None = None  # (trials, n, d, d) state after each entry
 
-    def to_dicts(self, schedule) -> list:
-        """Each trial's record in the `MeasurementRecord.to_dict` layout, with
-        seed None because the caller supplied the streams."""
+    def entries(self, schedule) -> list:
+        """Each trial's measurements, as a list of `entry_dict`s."""
         stamps = [(e.time, e.experiment.label) for e in schedule]
-        return [
-            {"seed": None,
-             "entries": [entry_dict(t, label, y, p)
-                         for (t, label), y, p in zip(stamps, ys, ps)]}
-            for ys, ps in zip(self.yes.tolist(), self.probability.tolist())
-        ]
+        return [[entry_dict(t, label, y, p) for (t, label), y, p in zip(stamps, ys, ps)]
+                for ys, ps in zip(self.yes.tolist(), self.probability.tolist())]
 
 
 def perform(state: State, experiment: YesNoExperiment,
@@ -202,15 +210,19 @@ def evolve_schedule(schedule, dynamics) -> list:
     if dynamics is None or not schedule:
         return schedule
     ctx = contexts.pop()
-    moved = _evolved(schedule, dynamics, ctx.dim)
+    moved = _evolved(schedule, dynamics, ctx)
+    if ctx.is_diagonal:
+        moved = measure_matrix(moved)
     return [ScheduleEntry(e.time, YesNoExperiment(e.experiment.label,
                                                   Projection._unchecked(ctx, m)))
             for e, m in zip(schedule, moved)]
 
 
-def _evolved(schedule, dynamics, dim: int) -> np.ndarray:
-    """The (n, d, d) stack of the schedule's projections, each at its time."""
-    stack = np.array([e.experiment.projection.matrix for e in schedule]).reshape(-1, dim, dim)
+def _evolved(schedule, dynamics, ctx: AlgebraContext) -> np.ndarray:
+    """The schedule's projections, each at its time, as one stack: (n, d, d)
+    matrices, or on a diagonal algebra the (n, d) indicator rows."""
+    read, dims = (measure, (ctx.dim,)) if ctx.is_diagonal else (np.asarray, (ctx.dim, ctx.dim))
+    stack = np.array([read(e.experiment.projection.matrix) for e in schedule]).reshape(-1, *dims)
     return stack if dynamics is None else evolve_stack(dynamics, [e.time for e in schedule], stack)
 
 
@@ -218,10 +230,11 @@ def compile_questions(projections, diagonal: bool = False) -> list:
     """Compile projection matrices, a list or an (n, d, d) stack, for
     `born_step`: question k is (P, 1 - P, P^T, (1 - P)^T), views of four
     stacks built once, each transpose flattened to a (d*d, 1) column.  On a
-    diagonal algebra question k is the indicator rows (s, 1 - s) of P."""
+    diagonal algebra `projections` are (n, d) indicator rows and question k
+    is the pair of rows (s, 1 - s)."""
     yes = np.asarray(projections)
     if diagonal:
-        s = np.ascontiguousarray(measure(yes))
+        s = np.ascontiguousarray(yes)
         return list(zip(s, 1.0 - s))
     n, d = len(yes), yes.shape[-1]
     no = np.eye(d, dtype=complex) - yes
@@ -274,7 +287,8 @@ def born_step(rho: np.ndarray, question, uniforms: np.ndarray,
     nothing, keep their state, skip the checks and read "no" with p = 0."""
     diagonal = rho.ndim == 2
     if isinstance(question, YesNoExperiment):
-        question = compile_questions([question.projection.matrix], diagonal)[0]
+        m = question.projection.matrix
+        question = compile_questions((measure(m) if diagonal else m)[None], diagonal)[0]
     if active is not None:
         rows = np.flatnonzero(active)
         ahead, out = used[rows], np.zeros((2, len(rho)))
@@ -321,7 +335,7 @@ def run_batch(state: State, schedule, rngs, dynamics=None, *,
     _check_schedule(state, schedule)
     check_dynamics(dynamics, [state.context])
     diagonal = state.context.is_diagonal
-    questions = compile_questions(_evolved(schedule, dynamics, state.dim), diagonal)
+    questions = compile_questions(_evolved(schedule, dynamics, state.context), diagonal)
     n, d = len(questions), state.dim
     # a diagonal algebra carries measures, expanded to density matrices once per chunk
     start, expand = (measure(state.rho), measure_matrix) if diagonal else (state.rho, np.asarray)

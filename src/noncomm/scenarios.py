@@ -6,13 +6,17 @@ coarse-window Zeno runs, an entangled-pair (EPR) experiment, a two-slit
 which-path comparison, the three-observer P,Q,P sequence, and classical
 control runs of the Zeno and EPR setups on the commutative algebra.
 
-A scenario takes a parameter mapping, a trial count, and a 64-bit seed, and
-returns a ScenarioResult: scalar summary statistics, sequence-valued series,
-and (optionally) per-trial outcome records.  Trial i draws from the Philox
-stream `trial_generator(seed, i)`, identical to the root stream jumped i
-times, so results are reproducible and independent of how trials are
-scheduled.  Polarization, precise Zeno, three observers and both EPR runs
-advance all trials as one stack through `run_batch`, and two-slit asks its
+`run_scenario` is the one entry point, for the library and for
+`noncomm run` alike: it validates the parameters against the scenario's
+schema, and the trial count and the 64-bit seed as integer parameters, then
+runs the scenario.  Every scenario is setup, run, summary: it builds its
+states and questions, runs its trials, and returns a ScenarioResult of
+scalar summary statistics, sequence-valued series and (optionally) per-trial
+records, laid out by `trial_records`.  Trial i draws from the Philox stream
+`trial_generator(seed, i)`, identical to the root stream jumped i times, so
+results are reproducible and independent of how trials are scheduled.
+Polarization, precise Zeno, three observers and both EPR runs advance all
+trials as one stack through `run_batch`, and two-slit asks its
 stop-at-first-yes chains as masked `born_step`s.  `zeno_coarse` and the
 classical Zeno control step trial by trial with `perform`, because what
 they ask next depends on the state the trial reached.  The classical Zeno
@@ -53,6 +57,7 @@ from .measurement import (
     run_chunked,
     tensor,
     trial_generator,
+    trial_records,
     trial_streams,
 )
 from .states import (
@@ -132,7 +137,7 @@ def _coerce(spec: ParamSpec, value):
             out = float(value)
         elif spec.kind == "integer":
             out = int(value)
-            if out != float(value):
+            if not isinstance(value, str) and out != value:  # exact, past 2**53 too
                 raise ParameterError(f"{spec.name} must be an integer, got {value!r}")
         elif spec.kind == "string":
             out = str(value)
@@ -146,7 +151,8 @@ def _coerce(spec: ParamSpec, value):
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad value for {spec.name}: {value!r} ({exc})") from exc
-    numbers = [] if spec.kind == "string" else out if isinstance(out, list) else [out]
+    # ints are finite, and too large for the float an isfinite check would make
+    numbers = [] if spec.kind in ("string", "integer") else out if isinstance(out, list) else [out]
     if not all(map(cmath.isfinite, numbers)):  # a complex entry is finite in both parts
         raise ParameterError(f"{spec.name} must be finite, got {value!r}")
     if spec.choices and out not in spec.choices:
@@ -175,15 +181,6 @@ def _ket_projector(ctx, v) -> Projection:
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
     return Projection(ctx, np.outer(v, v.conj()))
-
-
-def _batch_records(record_trials, key, values, batch, schedule):
-    """Per-trial records of a batched run: the trial index, one verdict
-    under `key`, then the trial's measurement record."""
-    if not record_trials:
-        return None
-    return [{"trial": i, key: value, **doc}
-            for i, (value, doc) in enumerate(zip(values, batch.to_dicts(schedule)))]
 
 
 # ---------------------------------------------------------------- scenarios
@@ -220,7 +217,8 @@ def _run_polarization(params, trials, seed, record_trials):
 
     batch = run_batch(initial, schedule, trial_streams(seed, trials))
     pass_all = batch.yes.all(axis=1).tolist()
-    records = _batch_records(record_trials, "pass_all", pass_all, batch, schedule)
+    records = trial_records(pass_all=pass_all, seed=[None] * trials,
+                            entries=batch.entries(schedule)) if record_trials else None
 
     empirical = sum(pass_all) / trials
     summary = {
@@ -258,7 +256,8 @@ def _run_zeno_precise(params, trials, seed, record_trials):
     batch = run_batch(initial, schedule, trial_streams(seed, trials), ham)
     survived_rows = batch.yes.all(axis=1).tolist()
     survived = sum(survived_rows)
-    records = _batch_records(record_trials, "survived", survived_rows, batch, schedule)
+    records = trial_records(survived=survived_rows, seed=[None] * trials,
+                            entries=batch.entries(schedule)) if record_trials else None
 
     echo = {"omega": omega, "T": t_total, "n": n}
     summary = {
@@ -312,13 +311,12 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     u = propagator(ham, -dt).matrix
     u_adj = u.conj().T
     trajectories = np.zeros((trials, steps + 1))
-    records = [] if record_trials else None
-    for i in range(trials):
+    entries = [[] for _ in range(trials)]
+    for i, log in enumerate(entries):
         rng = trial_generator(seed, i)
         state = pure_state(ctx, np.eye(levels)[start - 1])
         center = start
         levels_seen = [float(expectation(state, level_obs).real)]
-        entries = []
         for step in range(1, steps + 1):
             state = State._renormalized(ctx, u @ state.rho @ u_adj)
             target = int(round(expectation(state, level_obs).real))
@@ -328,13 +326,12 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
             outcome, state = perform(state, experiment, rng)
             a_now = float(expectation(state, level_obs).real)
             levels_seen.append(a_now)
-            if records is not None:
-                entries.append({**entry_dict(step, experiment.label, outcome.yes,
-                                             outcome.probability), "mean_level": a_now})
+            if record_trials:
+                log.append({**entry_dict(step, experiment.label, outcome.yes,
+                                         outcome.probability), "mean_level": a_now})
         trajectories[i] = levels_seen
-        if records is not None:
-            records.append({"trial": i, "entries": entries})
 
+    records = trial_records(entries=entries) if record_trials else None
     mean_traj = trajectories.mean(axis=0)
     summary = {
         **echo,
@@ -352,8 +349,6 @@ def _run_epr(params, trials, seed, record_trials):
     ctx4 = tensor(ctx2, ctx2)
     kets = {"singlet": np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0),
             "product": np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)}
-    if which not in kets:
-        raise ParameterError(f"unknown initial state {which!r}")
     joint = pure_state(ctx4, kets[which])
 
     up = Projection(ctx2, np.diag([1.0, 0.0]).astype(complex))
@@ -388,8 +383,7 @@ def _ask_pair(initial, ask_a, ask_b, trials, seed, record_trials):
     and B, B's yes-probability when asked, the final states and the records."""
     schedule = [ScheduleEntry(0.0, ask_a), ScheduleEntry(0.0, ask_b)]
     batch = run_batch(initial, schedule, trial_streams(seed, trials))
-    records = None if not record_trials else [
-        {"trial": i, "entries": doc["entries"]} for i, doc in enumerate(batch.to_dicts(schedule))]
+    records = trial_records(entries=batch.entries(schedule)) if record_trials else None
     return (*batch.yes.T, batch.p_yes[:, 1], batch.final, records)
 
 
@@ -452,10 +446,9 @@ def _run_two_slit(params, trials, seed, record_trials):
     # pointer walks them across the phases) and m x m plus 2m x 2m states
     pos, left, pos_wp = run_chunked(trial_streams(seed, trials), 2 * m_points + 1,
                                     16 * 5 * m_points * m_points, run)
-    records = None if not record_trials else [
-        {"trial": i, "no_which_path_point": p, "path_answer": "yes" if y else "no",
-         "which_path_point": q}
-        for i, (p, y, q) in enumerate(zip(pos.tolist(), left.tolist(), pos_wp.tolist()))]
+    records = trial_records(
+        no_which_path_point=pos.tolist(), path_answer=["yes" if y else "no" for y in left.tolist()],
+        which_path_point=pos_wp.tolist()) if record_trials else None
 
     flipped = [m for m in range(m_points)
                if analytic_nwp[m] <= 1e-12 and analytic_wp[m] > 1e-12]
@@ -484,8 +477,6 @@ def _run_three_observer(params, trials, seed, record_trials):
     q_exp = YesNoExperiment("spin-up along x", _ket_projector(ctx, [1.0, 1.0]))
     chains = {"plus": ([p_exp, q_exp, p_exp], 0.5), "none": ([p_exp, p_exp], 0.0),
               "repeat": ([p_exp, p_exp, p_exp], 0.0)}
-    if middle not in chains:
-        raise ParameterError(f"unknown middle experiment {middle!r}")
     chain, analytic = chains[middle]
     schedule = [ScheduleEntry(float(k), exp) for k, exp in enumerate(chain)]
     initial = pure_state(ctx, [1.0, 0.0])
@@ -494,7 +485,8 @@ def _run_three_observer(params, trials, seed, record_trials):
     mismatch_rows = (batch.yes[:, 0] != batch.yes[:, -1]).tolist()
     mismatch = sum(mismatch_rows)
     q_yes = int(batch.yes[:, 1].sum()) if middle == "plus" else 0
-    records = _batch_records(record_trials, "mismatch", mismatch_rows, batch, schedule)
+    records = trial_records(mismatch=mismatch_rows, seed=[None] * trials,
+                            entries=batch.entries(schedule)) if record_trials else None
 
     summary = {
         "middle": middle,
@@ -508,9 +500,7 @@ def _run_three_observer(params, trials, seed, record_trials):
 
 
 def _run_classical_control(params, trials, seed, record_trials):
-    run = {"zeno": _classical_zeno, "epr": _classical_epr}.get(params["scenario"])
-    if run is None:
-        raise ParameterError(f"unknown classical control scenario {params['scenario']!r}")
+    run = {"zeno": _classical_zeno, "epr": _classical_epr}[params["scenario"]]
     return run(params, trials, seed, record_trials)
 
 
@@ -535,28 +525,23 @@ def _classical_zeno(params, trials, seed, record_trials):
     # The Koopman lift of a point indicator is a point indicator,
     # 1_{x_j} o T_t = 1_{T_t^-1(x_j)}: at time t question j is the point
     # experiment of at(-t)[j], recorded under the label of x_j.
-    trajectories = []
-    records = [] if record_trials else None
-    for i in range(trials):
+    trajectories = [[0] for _ in range(trials)]
+    entries = [[] for _ in range(trials)]
+    for i, (positions, log) in enumerate(zip(trajectories, entries)):
         rng = trial_generator(seed, i)
         state = initial
-        positions = [0]
-        entries = []
         for t in range(1, steps + 1):
             pos = None
             for j, k in enumerate(cycle.at(-t)):
                 out, state = perform(state, point_exps[k], rng)
-                if records is not None:
-                    entries.append(entry_dict(t, point_exps[j].label, out.yes,
-                                              out.probability))
+                if record_trials:
+                    log.append(entry_dict(t, point_exps[j].label, out.yes, out.probability))
                 if out.yes:
                     pos = j
                     break
             positions.append(pos)
-        trajectories.append(positions)
-        if records is not None:
-            records.append({"trial": i, "trajectory": positions, "entries": entries})
 
+    records = trial_records(trajectory=trajectories, entries=entries) if record_trials else None
     traj = trajectories[0]
     moves = sum(a != b for a, b in zip(traj, traj[1:]))
     echo = {"scenario": "zeno", "num_points": n_points, "steps": steps}
@@ -721,11 +706,18 @@ def validate_params(name: str, overrides: dict | None) -> dict:
     return merged
 
 
+_TRIALS = ParamSpec("trials", "integer", 1000, "trial count")
+_SEED = ParamSpec("seed", "integer", 0, "unsigned 64-bit run seed")
+
+
 def run_scenario(name: str, params: dict | None = None, trials: int = 1000,
                  seed: int = 0, record_trials: bool = False) -> ScenarioResult:
-    """Validate parameters against the scenario's schema and execute it."""
+    """Validate parameters against the scenario's schema, and the trial
+    count and seed like integer parameters, then execute the scenario."""
     merged = validate_params(name, params)
-    trials = int(trials)
+    trials, seed = _coerce(_TRIALS, trials), _coerce(_SEED, seed)
     if trials < 1:
         raise ParameterError("trials must be positive")
-    return SCENARIOS[name].fn(merged, trials, int(seed), record_trials)
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return SCENARIOS[name].fn(merged, trials, seed, record_trials)

@@ -1,6 +1,7 @@
 import pytest
 
 import noncomm.checks as checks
+import noncomm.states as states
 from noncomm.checks import SUITES, run_checks
 
 
@@ -34,6 +35,15 @@ def test_broken_conditioning_is_caught(monkeypatch):
     assert any(not r.passed for r in results)
     names = {r.name for r in results if not r.passed}
     assert "conditioning_idempotence" in names
+
+
+def test_diagonal_bayes_check_compares_with_exact_bayes(monkeypatch):
+    # `condition` and `classical_condition` share `states.bayes`: a fault in
+    # that one helper must show against exact Bayes, not cancel out
+    bayes = states.bayes
+    monkeypatch.setattr(states, "bayes", lambda mu, s: bayes(mu, s) * (1.0 + 1e-6))
+    res = checks._check_diagonal_update_matches_bayes("default")
+    assert not res.passed and res.defect > 1e-8
 
 
 def test_check_result_line_format():

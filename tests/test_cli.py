@@ -6,8 +6,9 @@ import os
 import jsonschema
 import pytest
 
+from noncomm import cli
 from noncomm.cli import main, parse_value, split_assignments
-from noncomm.scenarios import SCENARIOS, Scenario
+from noncomm.scenarios import SCENARIOS, Scenario, run_scenario
 from noncomm.schema import MANIFEST_SCHEMA, RESULT_SCHEMA
 from noncomm.states import NumericalInvariantError, ZeroProbabilityError
 
@@ -64,6 +65,7 @@ def test_run_bad_parameter(capsys):
     assert main(["run", "epr", "--set", "state=w"]) == 3
     assert main(["run", "zeno_precise", "--trials", "0"]) == 3
     assert main(["run", "epr", "--seed", "-4"]) == 3
+    assert main(["run", "epr", "--seed", str(10**400)]) == 3
 
 
 def test_run_semantic_parameter_error(capsys):
@@ -110,6 +112,32 @@ def test_run_non_finite_input_is_a_config_error(tmp_path, capsys, scenario, assi
         args += ["--config", str(path)]
     assert main(args) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config", [{"trials": 2.5}, {"seed": 2.5}, {"trials": None},
+                                    {"seed": [7]}])
+def test_run_non_integral_trials_or_seed_is_a_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "epr", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_hands_its_inputs_to_run_scenario(monkeypatch, tmp_path):
+    # the CLI gathers trials and seed but validates neither itself
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return run_scenario(*args)
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    monkeypatch.setenv("NONCOMM_SEED", "11")
+    out = tmp_path / "r.csv"
+    assert main(["run", "epr", "--trials", "3", "--set", "state=product", "--out", str(out)]) == 0
+    assert calls == [("epr", {"state": "product"}, 3, "11", False)]
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    assert (manifest["seed"], manifest["trials"]) == (11, 3)
 
 
 def test_run_numerical_violation_exit_code(monkeypatch, capsys):

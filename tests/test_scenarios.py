@@ -413,6 +413,32 @@ def test_validate_params_rejects_unknown_and_uncoercible():
         validate_params("zeno_precise", {"n": "not-a-number"})
 
 
+@pytest.mark.parametrize("arg, value", [
+    ("trials", "x"), ("trials", None), ("trials", math.inf), ("trials", math.nan),
+    ("trials", 2.5), ("trials", "2.5"), ("trials", 0),
+    ("seed", "x"), ("seed", None), ("seed", -math.inf), ("seed", 2.5), ("seed", -1),
+    ("seed", 2**64), pytest.param("seed", 10**400, id="seed-10**400"),
+])
+def test_trials_and_seed_are_validated_like_integer_parameters(arg, value):
+    with pytest.raises(ParameterError, match=arg):
+        run_scenario("epr", **{arg: value})
+
+
+def test_integral_trials_and_seed_are_accepted():
+    want = run_scenario("epr", trials=4, seed=7, record_trials=True).to_dict()
+    got = run_scenario("epr", trials=4.0, seed="7", record_trials=True)
+    assert (got.trials, got.seed) == (4, 7) and got.to_dict() == want
+    top = run_scenario("epr", trials=3, seed=2**64 - 1)
+    assert top.seed == 2**64 - 1
+
+
+def test_integer_too_large_for_a_float_is_checked_as_an_integer():
+    # an int is finite however large; the scenario's own bound then rejects it
+    assert validate_params("zeno_precise", {"n": -10**400})["n"] == -10**400
+    with pytest.raises(ParameterError, match="n must be at least 1"):
+        run_scenario("zeno_precise", {"n": -10**400}, trials=1)
+
+
 def test_validate_params_coercion():
     params = validate_params("zeno_precise", {"omega": 2, "n": 7.0})
     assert isinstance(params["omega"], float) and params["omega"] == 2.0
