@@ -13,7 +13,12 @@ violation during the run.  `check` exits 1 if any invariant fails.
 
 Result files are deterministic: two runs with the same scenario, parameters,
 and seed produce byte-identical files.  Timestamps live only in the manifest
-written next to each result file.
+written next to each result file, with the OpenBLAS kernel that computed
+the result (`blas_core`).
+
+`main` parses with one parser per process: `build_parser()` depends on
+nothing an invocation passes, so a process that calls `main` many times
+builds it once, and a one-shot process builds it once as before.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import ctypes
 import datetime
+import functools
+import glob
 import json
 import math
 import operator
@@ -174,6 +182,24 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+@functools.cache
+def blas_core() -> str:
+    """The kernel ("SkylakeX", "Haswell", ...) that numpy's bundled OpenBLAS
+    picked for this CPU, as `scipy_openblas_get_corename64_` names it, or
+    "unknown" without that library or symbol.  Result bytes hold one
+    kernel's floating-point bits, so manifests record it."""
+    import numpy
+
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
@@ -239,6 +265,7 @@ def _cmd_run(args) -> int:
         "parameters": result.parameters,
         "seed": result.seed,
         "trials": result.trials,
+        "blas_core": blas_core(),
         "started": started,
         "finished": _utc_now(),
         "outputs": outputs,
@@ -309,8 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser; parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -27,14 +27,18 @@ Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
 stream whose counter starts at i * 2**128, which is the stream
 Philox(key=seed).jumped(i) addressed directly (the counter-based design of
-Random123, Salmon et al., SC'11).  Trials are therefore independent, and
-results do not depend on how trials are batched or chunked.
+Random123, Salmon et al., SC'11).  A stream is an address, not an object:
+`run_chunked` fills each chunk's uniform block from one Philox keyed by the
+seed, setting its counter to i * 2**128 with an empty buffer before trial
+i's row, so no trial builds a generator of its own.  Trials are therefore
+independent, and results do not depend on how trials are batched or
+chunked.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +87,49 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed), counter=int(trial) << 128))
 
 
-def trial_streams(seed: int, trials: int):
-    """The streams of trials 0 .. trials-1, made as they are consumed."""
-    return (trial_generator(seed, i) for i in range(trials))
+@dataclass(frozen=True)
+class TrialStreams:
+    """The streams of one seed's trials, in order.  Iterating yields each
+    trial's own generator, `trial_generator(seed, i)`; `run_chunked` reads
+    the same streams from one Philox re-pointed at each trial."""
+
+    seed: int
+    trials: range
+
+    def __iter__(self):
+        return (trial_generator(self.seed, i) for i in self.trials)
+
+
+def trial_streams(seed: int, trials) -> TrialStreams:
+    """The streams of trials 0 .. trials-1, or of the trials in a range."""
+    return TrialStreams(int(seed), trials if isinstance(trials, range) else range(trials))
+
+
+def _stream_starts(streams) -> tuple:
+    """The generator `run_chunked` fills rows from, a function giving the
+    bit-generator state it is set to before row k, and the number of rows.
+    For `trial_streams` that is one Philox
+    keyed by the seed, its counter at i * 2**128 (i the row's trial) with an
+    empty buffer: the state `trial_generator(seed, i)` starts in.  For a
+    sequence (or iterable) of generators of one kind it is a copy of the
+    first, set to each one's state on entry, so the generators do not move."""
+    if isinstance(streams, TrialStreams):
+        gen = make_generator(streams.seed)
+        state = gen.bit_generator.state  # counter 0, empty buffer
+        # as lists: the state setter reads them in half the time of arrays
+        state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
+        state["buffer"] = state["buffer"].tolist()
+        counter = state["state"]["counter"]  # four 64-bit words, lowest first
+
+        def start(k):
+            i = streams.trials[k]
+            counter[2], counter[3] = i & 0xFFFFFFFFFFFFFFFF, i >> 64
+            return state
+
+        return gen, start, len(streams.trials)
+    gens = list(streams)
+    states = [g.bit_generator.state for g in gens]
+    return (copy.deepcopy(gens[0]) if gens else None), states.__getitem__, len(gens)
 
 
 @dataclass(frozen=True)
@@ -253,22 +297,24 @@ def _check_schedule(state: State, schedule):
             )
 
 
-def run_chunked(rngs, draws: int, state_bytes: int, run) -> tuple:
+def run_chunked(streams, draws: int, state_bytes: int, run) -> tuple:
     """Run trials in chunks of at most about CHUNK_BYTES of uniforms plus
     `state_bytes` per trial.  `run(uniforms, used)` gets each trial's next
     `draws` uniforms as a row and its pointer, the flat index of that row's
-    start; the per-trial arrays (or None) it returns are joined on axis 0."""
+    start; the per-trial arrays (or None) it returns are joined on axis 0.
+    `streams` is `trial_streams(...)` or a sequence of generators; each row
+    is drawn from one generator set to that trial's start (`_stream_starts`)."""
+    gen, start, trials = _stream_starts(streams)
     size = max(1, CHUNK_BYTES // (8 * draws + state_bytes))
 
-    def blocks(chunk):
-        uniforms = np.empty((len(chunk), draws))
-        for row, rng in zip(uniforms, chunk):
-            rng.random(out=row)
-        return run(uniforms, np.arange(len(chunk), dtype=np.intp) * draws)
+    def block(first):
+        uniforms = np.empty((min(size, trials - first), draws))
+        for k, row in enumerate(uniforms, first):
+            gen.bit_generator.state = start(k)
+            gen.random(out=row)
+        return run(uniforms, np.arange(len(uniforms), dtype=np.intp) * draws)
 
-    rngs = iter(rngs)
-    chunks = iter(lambda: list(itertools.islice(rngs, size)), [])
-    parts = [blocks(c) for c in chunks] or [blocks([])]
+    parts = [block(first) for first in range(0, trials, size)] or [block(0)]
     return tuple(None if f[0] is None else np.concatenate(f) for f in zip(*parts))
 
 
@@ -321,16 +367,17 @@ def born_step(rho: np.ndarray, question, uniforms: np.ndarray,
     return post, yes, p_yes
 
 
-def run_batch(state: State, schedule, rngs, dynamics=None, *,
+def run_batch(state: State, schedule, streams, dynamics=None, *,
               keep_snapshots: bool = False) -> BatchOutcomes:
     """Run one schedule, fixed in advance, over a batch of trials at once.
 
     The schedule is evolved and compiled once, as one stack of questions.
-    `rngs` yields one generator per trial, all starting from `state`.  Trial
-    i draws a block of len(schedule) uniforms and `born_step` uses them in
+    `streams` is `trial_streams(seed, trials)` or a sequence of generators,
+    one per trial, all starting from `state`.  Trial i draws a block of
+    len(schedule) uniforms from its stream and `born_step` uses them in
     order, one per unforced outcome, so its answers, probabilities, states
     and errors are bit for bit those of `perform` applied entry by entry
-    with that generator.  Each generator is left past its whole block.
+    with that stream's generator.  Supplied generators are not advanced.
     """
     _check_schedule(state, schedule)
     check_dynamics(dynamics, [state.context])
@@ -353,7 +400,7 @@ def run_batch(state: State, schedule, rngs, dynamics=None, *,
         return (yes, prob, p_yes, used - np.arange(t) * n, expand(rho),
                 None if snapshots is None else expand(snapshots))
 
-    return BatchOutcomes(*run_chunked(rngs, n, 16 * d * d, run))
+    return BatchOutcomes(*run_chunked(streams, n, 16 * d * d, run))
 
 
 def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = None,
@@ -371,11 +418,8 @@ def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = No
         raise ValueError("pass exactly one of seed or rng")
     if rng is None:
         rng = make_generator(seed)
-    start = rng.bit_generator.state
     batch = run_batch(state, schedule, [rng], dynamics, keep_snapshots=keep_snapshots)
-    # rewind past the block, then consume only the draws the trial used
-    rng.bit_generator.state = start
-    rng.random(int(batch.draws[0]))
+    rng.random(int(batch.draws[0]))  # consume only the draws the trial used
 
     ctx = state.context
     record = MeasurementRecord(seed=seed)

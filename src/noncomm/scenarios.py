@@ -8,13 +8,15 @@ control runs of the Zeno and EPR setups on the commutative algebra.
 
 `run_scenario` is the one entry point, for the library and for
 `noncomm run` alike: it validates the parameters against the scenario's
-schema, and the trial count and the 64-bit seed as integer parameters, then
-runs the scenario.  Every scenario is setup, run, summary: it builds its
-states and questions, runs its trials, and returns a ScenarioResult of
-scalar summary statistics, sequence-valued series and (optionally) per-trial
-records, laid out by `trial_records`.  Trial i draws from the Philox stream
-`trial_generator(seed, i)`, identical to the root stream jumped i times, so
-results are reproducible and independent of how trials are scheduled.
+schema, and the trial count and the 64-bit seed as integer parameters,
+rejects a run whose estimated peak memory (`peak_bytes`) exceeds what the
+process may use (`memory_limit`), then runs the scenario.  Every scenario is
+setup, run, summary: it builds its states and questions, runs its trials,
+and returns a ScenarioResult of scalar summary statistics, sequence-valued
+series and (optionally) per-trial records, laid out by `trial_records`.
+Trial i draws from the Philox stream of `trial_streams(seed, trials)` whose
+counter starts at i * 2**128, identical to the root stream jumped i times,
+so results are reproducible and independent of how trials are scheduled.
 Polarization, precise Zeno, three observers and both EPR runs advance all
 trials as one stack through `run_batch`, and two-slit asks its
 stop-at-first-yes chains as masked `born_step`s.  `zeno_coarse` and the
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +49,7 @@ from .algebra import (
 )
 from .dynamics import Flow, Hamiltonian, propagator
 from .measurement import (
+    CHUNK_BYTES,
     ScheduleEntry,
     YesNoExperiment,
     born_step,
@@ -56,7 +61,6 @@ from .measurement import (
     run_batch,
     run_chunked,
     tensor,
-    trial_generator,
     trial_records,
     trial_streams,
 )
@@ -312,8 +316,7 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     u_adj = u.conj().T
     trajectories = np.zeros((trials, steps + 1))
     entries = [[] for _ in range(trials)]
-    for i, log in enumerate(entries):
-        rng = trial_generator(seed, i)
+    for i, (log, rng) in enumerate(zip(entries, trial_streams(seed, trials))):
         state = pure_state(ctx, np.eye(levels)[start - 1])
         center = start
         levels_seen = [float(expectation(state, level_obs).real)]
@@ -527,8 +530,7 @@ def _classical_zeno(params, trials, seed, record_trials):
     # experiment of at(-t)[j], recorded under the label of x_j.
     trajectories = [[0] for _ in range(trials)]
     entries = [[] for _ in range(trials)]
-    for i, (positions, log) in enumerate(zip(trajectories, entries)):
-        rng = trial_generator(seed, i)
+    for positions, log, rng in zip(trajectories, entries, trial_streams(seed, trials)):
         state = initial
         for t in range(1, steps + 1):
             pos = None
@@ -580,6 +582,87 @@ def _classical_epr(params, trials, seed, record_trials):
     }
     echo = {"scenario": "epr"}
     return ScenarioResult("classical_control", echo, seed, trials, summary, {}, records)
+
+
+# -------------------------------------------------------------- footprints
+
+# Bytes, measured on CPython 3.11 with numpy 2.4 and rounded up: a schedule
+# entry's Python objects besides its matrices (the entry and its compiled
+# views), one measurement of a kept record and one trial's record, each with
+# its share of the JSON text the CLI writes.
+_QUESTION_BYTES = 640
+_ENTRY_BYTES = 1536
+_RECORD_BYTES = 1024
+
+
+def _chunk_bytes(draws, state_bytes):
+    """One chunk of `run_chunked`: uniforms, state stacks and the step's
+    temporaries."""
+    return 4 * max(CHUNK_BYTES, 8 * draws + state_bytes)
+
+
+def _schedule_footprint(n, d):
+    """A fixed n-entry schedule on d x d matrices through `run_batch`: the
+    evolved and compiled stacks with a chunk, per trial its result rows and
+    final state, per record n measurements."""
+    n = max(n, 0)
+    return (n * (_QUESTION_BYTES + 192 * d * d) + _chunk_bytes(n, 16 * d * d),
+            40 * n + 32 * d * d + 16, _RECORD_BYTES + n * _ENTRY_BYTES)
+
+
+def _zeno_coarse_footprint(params):
+    levels, steps = max(params["num_levels"], 0), max(params["steps"], 0)
+    # the window center moves at most drift_rate a step, so at most this many
+    # windows are built, each P and 1 - P plus their construction
+    windows = max(min(levels - params["window_width"] + 1,
+                      2 * steps * max(params["drift_rate"], 0) + 1), 1)
+    return (16 * levels * levels * (10 + 5 * windows), 16 * (steps + 1),
+            _RECORD_BYTES + steps * _ENTRY_BYTES)
+
+
+def _two_slit_footprint(params):
+    m = max(len(params["amp_l"]), len(params["amp_r"]))
+    # m screen-point questions of m x m and 2m x 2m, compiled: four stacks each
+    return 768 * m ** 3 + _chunk_bytes(2 * m + 1, 80 * m * m), 48, _RECORD_BYTES
+
+
+def _classical_control_footprint(params):
+    if params["scenario"] == "epr":
+        return _schedule_footprint(2, 4)
+    n, steps = max(params["num_points"], 0), max(params["steps"], 0)
+    # n dense point projections and the 1 - P each builds when asked; a step
+    # asks at most n questions
+    return (32 * n ** 3 + 160 * n * n, 40 * (steps + 1),
+            _RECORD_BYTES + steps * n * _ENTRY_BYTES)
+
+
+# (bytes built once, per trial, per kept trial record) of each scenario
+_FOOTPRINTS = {
+    "polarization_sequence": lambda params: _schedule_footprint(len(params["angles"]) - 1, 2),
+    "zeno_precise": lambda params: _schedule_footprint(params["n"], 2),
+    "zeno_coarse": _zeno_coarse_footprint,
+    "epr": lambda params: _schedule_footprint(2, 4),
+    "two_slit": _two_slit_footprint,
+    "three_observer": lambda params: _schedule_footprint(3, 2),
+    "classical_control": _classical_control_footprint,
+}
+
+
+def peak_bytes(name: str, params: dict, trials: int, record_trials: bool) -> int:
+    """Estimated peak bytes of a run, from its validated parameters alone:
+    what it builds once (schedule and question stacks, windows, a chunk's
+    step stacks), plus per trial its results and trajectory and, when kept,
+    its records.  Nothing is allocated."""
+    once, per_trial, per_record = _FOOTPRINTS[name](params)
+    return once + trials * (per_trial + (per_record if record_trials else 0))
+
+
+def memory_limit() -> int:
+    """Bytes this process may use: the smaller of physical memory and the
+    soft address-space limit (RLIMIT_AS)."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return physical if soft == resource.RLIM_INFINITY else min(physical, soft)
 
 
 # ---------------------------------------------------------------- registry
@@ -713,11 +796,18 @@ _SEED = ParamSpec("seed", "integer", 0, "unsigned 64-bit run seed")
 def run_scenario(name: str, params: dict | None = None, trials: int = 1000,
                  seed: int = 0, record_trials: bool = False) -> ScenarioResult:
     """Validate parameters against the scenario's schema, and the trial
-    count and seed like integer parameters, then execute the scenario."""
+    count and seed like integer parameters, reject a run whose estimated
+    peak memory (`peak_bytes`) exceeds `memory_limit()`, then execute the
+    scenario."""
     merged = validate_params(name, params)
     trials, seed = _coerce(_TRIALS, trials), _coerce(_SEED, seed)
     if trials < 1:
         raise ParameterError("trials must be positive")
     if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    need, limit = peak_bytes(name, merged, trials, record_trials), memory_limit()
+    if need > limit:
+        raise ParameterError(f"{name} with these parameters and trials={trials} needs about "
+                             f"{need >> 20} MiB, more than the {limit >> 20} MiB "
+                             "this process may use")
     return SCENARIOS[name].fn(merged, trials, seed, record_trials)

@@ -33,7 +33,7 @@ MANIFEST_SCHEMA = {
     "title": "noncomm run manifest",
     "type": "object",
     "required": ["tool", "version", "scenario", "parameters", "seed", "trials",
-                 "started", "finished", "outputs"],
+                 "blas_core", "started", "finished", "outputs"],
     "additionalProperties": False,
     "properties": {
         "tool": {"type": "string"},
@@ -42,6 +42,7 @@ MANIFEST_SCHEMA = {
         "parameters": {"type": "object"},
         "seed": {"type": "integer"},
         "trials": {"type": "integer"},
+        "blas_core": {"type": "string"},
         "started": {"type": "string"},
         "finished": {"type": "string"},
         "outputs": {"type": "array", "items": {"type": "string"}},

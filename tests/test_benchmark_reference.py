@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-from noncomm.cli import main
+from noncomm.cli import main, parse_set_options
+from noncomm.scenarios import memory_limit, peak_bytes, validate_params
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 SEEDS_PER_CONFIG = 4
@@ -44,3 +45,11 @@ def test_result_bytes_match_benchmark_reference(tmp_path, case):
     out = tmp_path / f"result.{case.config.fmt}"
     assert main(case.argv(str(out))) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE[case.key]
+
+
+def test_benchmark_configs_fit_in_memory():
+    for workload in WORKLOADS.WORKLOADS.values():
+        for c in workload.configs:
+            params = validate_params(c.scenario, parse_set_options(c.settings and [c.settings]))
+            need = peak_bytes(c.scenario, params, c.trials, c.snapshots)
+            assert need < min(64 << 20, memory_limit()), (c.label, need)

@@ -1,7 +1,10 @@
+import ctypes.util
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -195,6 +198,7 @@ def test_run_writes_result_and_manifest(tmp_path):
     assert manifest["scenario"] == "epr"
     assert manifest["seed"] == 1
     assert str(out) in manifest["outputs"]
+    assert manifest["blas_core"] == cli.blas_core() != ""
 
 
 def test_run_keeps_foreign_tmp_file_and_leaves_no_temp(tmp_path):
@@ -329,9 +333,6 @@ def test_check_failure_exit_code(monkeypatch, capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run([sys.executable, "-m", "noncomm", "list"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
@@ -354,3 +355,85 @@ def test_zeno_coarse_snapshot_bytes_pinned(tmp_path, settings, seed, trials, dig
     assert main(["run", "zeno_coarse", *settings, "--trials", str(trials), "--seed", str(seed),
                  "--format", "json", "--snapshots", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ------------------------------------------------------------ one process
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["list"], ["list", "--json"], ["list"]):
+            assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_main_twice_leaks_nothing_into_the_second_run(tmp_path):
+    argv = ["run", "epr", "--trials", "6", "--seed", "4", "--format", "json"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main([*argv, "--set", "state=product", "--snapshots", "--out", str(first)]) == 0
+    assert main([*argv, "--out", str(second)]) == 0
+    fresh = subprocess.run([sys.executable, "-m", "noncomm", *argv],
+                           capture_output=True, check=True).stdout
+    assert second.read_bytes() == fresh
+    assert first.read_bytes() != fresh and b"trial_records" in first.read_bytes()
+
+
+# ------------------------------------------------------------------ limits
+
+# Each would allocate far past memory; it must exit 3 before allocating.
+# The child caps its own address space, so a broken estimate fails fast.
+OVERSIZED = {
+    "zeno_precise-n": ["zeno_precise", "--set", "n=10**8", "--trials", "1"],
+    "zeno_coarse-levels": ["zeno_coarse", "--set", "num_levels=10**6", "--trials", "1"],
+    "classical-points": ["classical_control", "--set", "num_points=10**5", "--trials", "1"],
+    "epr-trials": ["epr", "--trials", str(10**10), "--snapshots"],
+}
+_UNDER_CAP = """
+import resource, sys, tracemalloc
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1536 << 20 if hard == resource.RLIM_INFINITY else min(1536 << 20, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from noncomm.cli import main
+tracemalloc.start()
+code = main(["run", *sys.argv[1:]])
+print(code, tracemalloc.get_traced_memory()[1], cap)
+"""
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_run_exits_3_before_allocating(argv):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _UNDER_CAP, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    code, peak, cap = map(int, proc.stdout.split())
+    assert code == 3 and peak < 1 << 20
+    # the limit is the soft address-space cap, measured in the child
+    assert f"more than the {cap >> 20} MiB this process may use" in proc.stderr
+
+
+# -------------------------------------------------------------- BLAS core
+
+
+def test_blas_core_names_the_kernel_openblas_picked():
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    proc = subprocess.run([sys.executable, "-c",
+                           "from noncomm.cli import blas_core; print(blas_core())"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "Haswell"
+
+
+def test_blas_core_is_unknown_without_the_library_or_symbol(monkeypatch):
+    # no bundled OpenBLAS, then a library (the C library) without the symbol
+    try:
+        for libs in ([], [ctypes.util.find_library("c")]):
+            monkeypatch.setattr(cli.glob, "glob", lambda pattern: libs)
+            cli.blas_core.cache_clear()
+            assert cli.blas_core() == "unknown"
+    finally:
+        monkeypatch.undo()
+        cli.blas_core.cache_clear()

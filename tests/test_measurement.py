@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -730,6 +731,54 @@ def test_trial_generator_is_the_jumped_root_stream(seed):
     for trial in (0, 1, 2, 1000, 2**32 + 3, 2**62, 2**63 - 1, 2**63, 2**64 - 1):
         jumped = np.random.Generator(np.random.Philox(key=seed).jumped(trial))
         assert trial_generator(seed, trial).random(9).tolist() == jumped.random(9).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_filled_rows_are_the_trial_streams(seed, monkeypatch):
+    # rows are filled from one re-pointed Philox; each must be the stream
+    # trial_generator(seed, i) starts, across the counter's high word (trial
+    # 2**64 - 1 is the last whose counter fits word 2) and across chunks
+    draws, blocks = 7, []
+
+    def rows(uniforms, used):
+        blocks.append(len(uniforms))
+        return (uniforms.copy(),)
+
+    for chunk_bytes in (measurement.CHUNK_BYTES, 3 * 8 * draws):
+        monkeypatch.setattr(measurement, "CHUNK_BYTES", chunk_bytes)
+        for trials in (range(5), range(2**64 - 3, 2**64 + 4)):
+            filled, = run_chunked(trial_streams(seed, trials), draws, 0, rows)
+            assert len(filled) == len(trials)
+            for row, i in zip(filled, trials):
+                assert row.tolist() == trial_generator(seed, i).random(draws).tolist()
+    # whole runs, then three rows a chunk: 5 = 3 + 2 and 7 = 3 + 3 + 1
+    assert blocks == [5, 7, 3, 2, 3, 3, 1]
+
+
+def test_run_chunked_builds_one_philox_per_run(monkeypatch):
+    psi0 = pure_state(QUBIT, [1, 0])
+    schedule = zeno_schedule(n=3, omega=2.0)
+    whole = run_batch(psi0, schedule, trial_streams(9, 10))
+    built, philox = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(k) or philox(*a, **k))
+    monkeypatch.setattr(measurement, "CHUNK_BYTES", 4 * (8 * 3 + 16 * 4))  # four trials a chunk
+    part = run_batch(psi0, schedule, trial_streams(9, 10))
+    assert built == [{"key": 9}]
+    for name in ("yes", "probability", "draws", "final"):
+        assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
+
+
+def test_supplied_generators_are_read_not_advanced():
+    # a generator part-way through Philox's four-draw buffer is one more
+    # stream: its row is what it would draw next, and it does not move
+    gens = [trial_generator(3, i) for i in range(3)]
+    gens[1].random(5)
+    before = [g.bit_generator.state for g in gens]
+    expected = [copy.deepcopy(g).random(6).tolist() for g in gens]
+    filled, = run_chunked(gens, 6, 0, lambda uniforms, used: (uniforms.copy(),))
+    assert filled.tolist() == expected
+    for g, state in zip(gens, before):
+        assert str(g.bit_generator.state) == str(state)
 
 
 def test_trial_generators_are_reproducible_and_distinct():

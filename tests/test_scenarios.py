@@ -14,7 +14,7 @@ from noncomm.algebra import (
     diagonal_context,
     full_context,
 )
-from noncomm.cli import main
+from noncomm.cli import main, result_json
 from noncomm.dynamics import Flow, propagator
 from noncomm.measurement import (
     ScheduleEntry,
@@ -30,6 +30,8 @@ from noncomm.scenarios import (
     SCENARIOS,
     ParameterError,
     UnknownScenarioError,
+    memory_limit,
+    peak_bytes,
     run_scenario,
     validate_params,
 )
@@ -460,6 +462,38 @@ def test_scenario_determinism_and_seed_sensitivity():
 def test_trials_must_be_positive():
     with pytest.raises(ParameterError):
         run_scenario("epr", trials=0, seed=0)
+
+
+def test_scenario_defaults_fit_in_memory():
+    for name in SCENARIOS:
+        for scenario in ("zeno", "epr") if name == "classical_control" else (None,):
+            params = validate_params(name, scenario and {"scenario": scenario})
+            need = peak_bytes(name, params, trials=1000, record_trials=True)
+            assert need < min(256 << 20, memory_limit()), (name, scenario, need)
+
+
+# each scenario with one dimension grown, as far as the suite's time allows
+@pytest.mark.parametrize("name, params, trials, record", [
+    ("zeno_precise", {"n": 4000}, 1, False),
+    ("polarization_sequence", {"angles": list(range(0, 200))}, 60, True),
+    ("three_observer", {}, 3000, True),
+    ("two_slit", {"amp_l": [1.0] * 32, "amp_r": [0.5, -0.5] * 16}, 8, True),
+    ("zeno_coarse", {"num_levels": 96, "steps": 40}, 2, True),
+    ("classical_control", {"num_points": 120, "steps": 3}, 2, True),
+])
+def test_peak_estimate_bounds_measured_peak(monkeypatch, name, params, trials, record):
+    # small chunks, so that the sizes grown here, not the chunk, set the peak
+    for module in (measurement, scenarios):
+        monkeypatch.setattr(module, "CHUNK_BYTES", 1 << 16)
+    # the run plus the JSON text the CLI writes, whose share the estimate carries
+    tracemalloc.start()
+    try:
+        result_json(run_scenario(name, params, trials=trials, seed=1, record_trials=record))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = peak_bytes(name, validate_params(name, params), trials, record)
+    assert peak <= estimate <= 4 * peak + (1 << 20)
 
 
 # ------------------------------------------- batched vs scalar reference runs

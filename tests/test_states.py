@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noncomm.algebra import (
     SIGMA_X,
@@ -14,6 +16,7 @@ from noncomm.algebra import (
     unit,
 )
 from noncomm.states import (
+    P_FLOOR,
     State,
     ZeroProbabilityError,
     classical_condition,
@@ -196,6 +199,65 @@ def test_condition_idempotent_and_certain():
         once = condition(s, p)
         assert state_distance(condition(once, p), once) <= 1e-10
         assert abs(yes_probability(once, p) - 1.0) <= 1e-10
+
+
+# the mass of the answer conditioned on: down to 4 * P_FLOOR, up to 1 - 4 * P_FLOOR
+MASSES = st.floats(4 * P_FLOOR, 1e-6) | st.floats(1e-6, 1.0 - 4 * P_FLOOR)
+
+
+@st.composite
+def states_with_mass_on(draw):
+    """A full-algebra density matrix at d = 2..6 and a projection of random
+    rank whose yes-probability is a drawn mass, with coherences between P
+    and 1 - P: each mixed vector is sqrt(m) a + sqrt(1 - m) b, a and b unit
+    vectors in the ranges of P and 1 - P."""
+    d = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, d - 1))
+    mass = draw(MASSES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ctx = full_context(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rho = np.zeros((d, d), dtype=complex)
+    for w in rng.dirichlet(np.ones(draw(st.integers(1, d)))):
+        a, b = (basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
+                for basis in (q[:, :rank], q[:, rank:]))
+        v = np.sqrt(mass) * a / np.linalg.norm(a) + np.sqrt(1.0 - mass) * b / np.linalg.norm(b)
+        rho += w * np.outer(v, v.conj())
+    return State(ctx, rho), Projection(ctx, q[:, :rank] @ q[:, :rank].conj().T)
+
+
+@st.composite
+def measures_with_mass_on(draw):
+    """A Dirichlet measure on n points and the indicator of a proper subset
+    carrying a drawn mass."""
+    n = draw(st.integers(2, 33))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = rng.dirichlet(np.full(n, draw(st.sampled_from((0.1, 1.0, 10.0)))))
+    members = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    inside = np.isin(np.arange(n), members)
+    assume(mu[inside].sum() > 0 and mu[~inside].sum() > 0)
+    mass = draw(MASSES)
+    mu = np.where(inside, mu * mass / mu[inside].sum(), mu * (1.0 - mass) / mu[~inside].sum())
+    space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
+    ctx = diagonal_context(space)
+    return classical_state(ctx, mu), characteristic_projection(ctx, space.subset(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(states_with_mass_on() | measures_with_mass_on())
+def test_conditioning_is_idempotent(case):
+    state, p = case
+    tol = 1e-12
+    if not state.context.is_diagonal:
+        # P rho P carries the rounding of rho's whole matrix, about eps, and
+        # dividing by the mass scales it by 1 / mass: the conditioned state
+        # leaves the range of P by up to about eps / mass (6.5e-6 at 4e-12).
+        # Bayes on a measure multiplies by 0 or 1 and has no such term.
+        tol += 16 * np.finfo(float).eps / yes_probability(state, p)
+    once = condition(state, p)
+    assert np.abs(condition(once, p).rho - once.rho).max() <= tol
+    # after a "yes" the answer is certain
+    assert abs(yes_probability(once, p) - 1.0) <= tol
 
 
 def test_condition_functional_identity_on_matrix_units():
