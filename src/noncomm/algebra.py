@@ -423,11 +423,13 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
 def eigendecompose(a: AlgebraElement, cluster_tol: float = CLUSTER_TOL) -> SpectralData:
     """Spectral decomposition of a Hermitian element.
 
-    Eigenvalues within cluster_tol of each other are merged into a single
-    degenerate cluster; each projector is the symmetrized sum of outer
-    products of an orthonormal eigenbasis for its cluster.  Diagonal-kind
-    elements are decomposed exactly from their diagonal, with no
-    floating-point eigensolver involved.
+    Ascending eigenvalues merge into one degenerate cluster wherever a
+    consecutive gap is at most cluster_tol, so merging chains: k eigenvalues
+    spaced just under cluster_tol form one cluster up to (k - 1) *
+    cluster_tol wide, reported at its mean.  Each projector is the
+    symmetrized sum of outer products of an orthonormal eigenbasis for its
+    cluster.  Diagonal-kind elements are decomposed exactly from their
+    diagonal, with no floating-point eigensolver involved.
     """
     if not a.is_hermitian():
         raise ValueError("eigendecomposition requires a Hermitian element")

@@ -36,6 +36,7 @@ from .measurement import (
     ScheduleEntry,
     YesNoExperiment,
     born_step,
+    compile_questions,
     embed_local,
     make_generator,
     partial_trace,
@@ -489,14 +490,14 @@ def _check_born_rule_sampling(profile):
     ctx = full_context(2)
     draws = 100_000
     worst_ratio = 0.0
+    ground, = compile_questions(np.diag([1.0, 0.0]).astype(complex)[None])
     for k, p in enumerate((0.1, 0.5, 0.9)):
         psi = [math.sqrt(p), math.sqrt(1.0 - p)]
         state = pure_state(ctx, psi)
-        exp = YesNoExperiment("ground", Projection(ctx, np.diag([1.0, 0.0]).astype(complex)))
         # one stacked step: copy i reads the draw the i-th scalar `perform` makes
         uniforms = make_generator(400 + k).random((draws, 1))
         rho = np.repeat(state.rho[None], draws, axis=0)
-        hits = int(born_step(rho, exp, uniforms, np.arange(draws))[1].sum())
+        hits = int(born_step(rho, ground, uniforms, np.arange(draws))[1].sum())
         band = 4.0 * math.sqrt(p * (1.0 - p) / draws)
         worst_ratio = max(worst_ratio, abs(hits / draws - p) / band)
     return CheckResult("measurement", "born_rule_sampling", worst_ratio <= 1.0,

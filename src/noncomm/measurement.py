@@ -18,10 +18,10 @@ the update is `condition`'s Bayes rule; final states and snapshots are
 (trials, d, d) density matrices either way.  A trial draws one block of
 uniforms, sized to its run's most draws, and its one pointer moves only on
 unforced outcomes, so in every phase the k-th uniform used is the k-th
-`perform` would draw.  `run_batch` loops the step over a fixed schedule; an
-`active` mask stops trials early.  `perform` remains for runs whose next
-question depends on the state reached.  `trial_records` lays out every
-scenario's per-trial records.
+`perform` would draw.  `run_batch` loops the step over a fixed schedule; a
+caller that stops trials early passes only the rows still running.
+`perform` remains for runs whose next question depends on the state
+reached.  `trial_records` lays out every scenario's per-trial records.
 
 Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
@@ -270,14 +270,13 @@ def _evolved(schedule, dynamics, ctx: AlgebraContext) -> np.ndarray:
     return stack if dynamics is None else evolve_stack(dynamics, [e.time for e in schedule], stack)
 
 
-def compile_questions(projections, diagonal: bool = False) -> list:
-    """Compile projection matrices, a list or an (n, d, d) stack, for
-    `born_step`: question k is (P, 1 - P, P^T, (1 - P)^T), views of four
-    stacks built once, each transpose flattened to a (d*d, 1) column.  On a
-    diagonal algebra `projections` are (n, d) indicator rows and question k
-    is the pair of rows (s, 1 - s)."""
+def compile_questions(projections) -> list:
+    """Compile projections for `born_step`: an (n, d, d) stack (or list) of
+    matrices gives question k = (P, 1 - P, P^T, (1 - P)^T), views of four
+    stacks built once, each transpose a (d*d, 1) column; an (n, d) stack of
+    a diagonal algebra's indicator rows gives the rows (s, 1 - s)."""
     yes = np.asarray(projections)
-    if diagonal:
+    if yes.ndim == 2:
         s = np.ascontiguousarray(yes)
         return list(zip(s, 1.0 - s))
     n, d = len(yes), yes.shape[-1]
@@ -318,29 +317,17 @@ def run_chunked(streams, draws: int, state_bytes: int, run) -> tuple:
     return tuple(None if f[0] is None else np.concatenate(f) for f in zip(*parts))
 
 
-def born_step(rho: np.ndarray, question, uniforms: np.ndarray,
-              used: np.ndarray, active: np.ndarray | None = None) -> tuple:
-    """Ask one yes/no question of every trial of a C-ordered (trials, d, d)
-    stack (as `np.repeat` makes it, so BLAS sees the strides of the
-    one-matrix path), or of a (trials, n) stack of measures on a diagonal
-    algebra, with the bits and errors `perform` gives each trial alone.
-    Questions come from `compile_questions`, or are experiments.  Trial i's
-    answer is forced when its clamped yes-probability p is within P_FLOOR of
-    0 or 1, else it is uniforms.ravel()[used[i]] < p and the flat pointer
-    used[i] advances in place.  Returns the conditioned stack, the answers
-    and p; a "no" has probability 1 - p.  With a bool `active` mask, `rho`
-    is updated in place and only active trials are asked: the others draw
-    nothing, keep their state, skip the checks and read "no" with p = 0."""
+def born_step(rho: np.ndarray, question, uniforms: np.ndarray, used: np.ndarray) -> tuple:
+    """Ask one compiled question (`compile_questions`) of every trial of a
+    C-ordered (trials, d, d) stack (as `np.repeat` makes it, so BLAS sees
+    the strides of the one-matrix path), or of a (trials, n) stack of
+    measures on a diagonal algebra, with the bits and errors `perform` gives
+    each trial alone.  Trial i's answer is forced when its clamped
+    yes-probability p is within P_FLOOR of 0 or 1, else it is
+    uniforms.ravel()[used[i]] < p and the flat pointer used[i] advances in
+    place.  Returns a new conditioned stack, the answers and p; a "no" has
+    probability 1 - p."""
     diagonal = rho.ndim == 2
-    if isinstance(question, YesNoExperiment):
-        m = question.projection.matrix
-        question = compile_questions((measure(m) if diagonal else m)[None], diagonal)[0]
-    if active is not None:
-        rows = np.flatnonzero(active)
-        ahead, out = used[rows], np.zeros((2, len(rho)))
-        rho[rows], *answers = born_step(rho[rows], question, uniforms, ahead)
-        used[rows], out[:, rows] = ahead, answers
-        return rho, out[0].astype(bool), out[1]
     if diagonal:
         s, s_no = question
         raw_yes = np.add.reduce(rho * s, -1)  # the sum `yes_probability` takes
@@ -381,11 +368,11 @@ def run_batch(state: State, schedule, streams, dynamics=None, *,
     """
     _check_schedule(state, schedule)
     check_dynamics(dynamics, [state.context])
-    diagonal = state.context.is_diagonal
-    questions = compile_questions(_evolved(schedule, dynamics, state.context), diagonal)
+    questions = compile_questions(_evolved(schedule, dynamics, state.context))
     n, d = len(questions), state.dim
     # a diagonal algebra carries measures, expanded to density matrices once per chunk
-    start, expand = (measure(state.rho), measure_matrix) if diagonal else (state.rho, np.asarray)
+    start, expand = ((measure(state.rho), measure_matrix) if state.context.is_diagonal
+                     else (state.rho, np.asarray))
 
     def run(uniforms, used):
         t = len(used)

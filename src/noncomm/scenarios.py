@@ -18,10 +18,10 @@ Trial i draws from the Philox stream of `trial_streams(seed, trials)` whose
 counter starts at i * 2**128, identical to the root stream jumped i times,
 so results are reproducible and independent of how trials are scheduled.
 Polarization, precise Zeno, three observers and both EPR runs advance all
-trials as one stack through `run_batch`, and two-slit asks its
-stop-at-first-yes chains as masked `born_step`s.  `zeno_coarse` and the
-classical Zeno control step trial by trial with `perform`, because what
-they ask next depends on the state the trial reached.  The classical Zeno
+trials as one stack through `run_batch`; two-slit asks each question of its
+stop-at-first-yes chains only of the trials still without a yes.
+`zeno_coarse` and the classical Zeno control step trial by trial with
+`perform`, because what they ask next depends on the state reached.  The classical Zeno
 run builds its point questions once and asks the evolved ones as these
 points relabelled by the flow, never as evolved matrices.
 """
@@ -314,12 +314,12 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     # `schrodinger_state`'s step rho -> U(-dt) rho U(-dt)*, with U built once
     u = propagator(ham, -dt).matrix
     u_adj = u.conj().T
+    initial = pure_state(ctx, np.eye(levels)[start - 1])
+    initial_level = float(expectation(initial, level_obs).real)
     trajectories = np.zeros((trials, steps + 1))
     entries = [[] for _ in range(trials)]
     for i, (log, rng) in enumerate(zip(entries, trial_streams(seed, trials))):
-        state = pure_state(ctx, np.eye(levels)[start - 1])
-        center = start
-        levels_seen = [float(expectation(state, level_obs).real)]
+        state, center, levels_seen = initial, start, [initial_level]
         for step in range(1, steps + 1):
             state = State._renormalized(ctx, u @ state.rho @ u_adj)
             target = int(round(expectation(state, level_obs).real))
@@ -397,13 +397,19 @@ def _mean_or_none(xs):
 def _first_yes(rho, questions, uniforms, used):
     """Each trial's position, sampled by asking "is it at point m?" in order
     until its first yes, conditioning on each answer: the chain reproduces
-    the Born distribution, and the last question is forced if reached."""
-    point = np.full(len(rho), -1)
+    the Born distribution, and the last question is forced if reached.  A
+    question is asked only of the trials still without a yes; `used` ends at
+    each trial's next draw."""
+    point, rows, ahead = np.full(len(rho), len(questions) - 1), np.arange(len(rho)), used.copy()
     for m, question in enumerate(questions):
-        if (point >= 0).all():
+        if not len(rows):
             break
-        point[born_step(rho, question, uniforms, used, point < 0)[1]] = m
-    return np.where(point < 0, len(questions) - 1, point)
+        rho, yes, _ = born_step(rho, question, uniforms, ahead)
+        if yes.any():
+            point[rows[yes]], used[rows[yes]] = m, ahead[yes]
+            rho, rows, ahead = rho[~yes], rows[~yes], ahead[~yes]
+    used[rows] = ahead
+    return point
 
 
 def _run_two_slit(params, trials, seed, record_trials):

@@ -308,6 +308,47 @@ def test_eigendecompose_clusters_near_degenerate_pairs():
     assert np.allclose(spec.projectors[0].matrix, np.eye(2))
 
 
+def test_eigendecompose_chains_close_eigenvalues_into_one_cluster():
+    # five eigenvalues 0.9 * CLUSTER_TOL apart: every consecutive gap merges,
+    # so the cluster is 3.6 * CLUSTER_TOL wide and reported at its mean
+    rng = np.random.default_rng(41)
+    chain = 0.5 + 0.9 * CLUSTER_TOL * np.arange(5)
+    eig = np.concatenate([[-1.0], chain, [2.0, 3.0]])
+    n = len(eig)
+    ctx = full_context(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = Observable(ctx, (q * eig) @ q.conj().T)
+    spec = eigendecompose(a)
+    assert len(spec.eigenvalues) == 4
+    assert abs(spec.eigenvalues[1] - chain.mean()) <= 1e-14
+    ranks = [round(np.trace(p.matrix).real) for p in spec.projectors]
+    assert ranks == [1, 5, 1, 1]
+    total = sum(p.matrix for p in spec.projectors)
+    assert operator_norm(total - np.eye(n)) <= 1e-10
+    for i, pi in enumerate(spec.projectors):
+        for pj in spec.projectors[i + 1:]:
+            assert operator_norm((pi @ pj).matrix) <= 1e-10
+    # A is block diagonal in the clusters, so the blocks rebuild it; the
+    # eigenvalues rebuild it up to the chain's half-width, at its mean
+    blocks = sum(p.matrix @ a.matrix @ p.matrix for p in spec.projectors)
+    assert operator_norm(blocks - a.matrix) <= 1e-10
+    recon = sum(v * p.matrix for v, p in zip(spec.eigenvalues, spec.projectors))
+    assert operator_norm(recon - a.matrix) <= 2 * 0.9 * CLUSTER_TOL + 1e-10
+    # membership is the mean's, widened by CLUSTER_TOL: the whole chain or
+    # none of it, so its lowest eigenvalue alone (1.8 tolerances off) misses
+    value_sets = (ValueSet(points=(chain.mean(),)), ValueSet(points=(chain[0],)),
+                  ValueSet(intervals=((chain[0], chain[1]),)),
+                  ValueSet(intervals=((chain[0], chain[-1]),)), ValueSet(intervals=((0.0, 2.5),)))
+    picked = [spec.projection(v) for v in value_sets]
+    assert [round(np.trace(p.matrix).real) for p in picked] == [5, 0, 5, 5, 6]
+    for v, p in zip(value_sets, picked):
+        assert np.array_equal(p.matrix, spectral_projection(a, v).matrix)
+    # the diagonal kind chains the same way, with no eigensolver
+    space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
+    diag = eigendecompose(Observable(diagonal_context(space), np.diag(eig).astype(complex)))
+    assert len(diag.eigenvalues) == 4 and diag.eigenvalues[1] == chain.mean()
+
+
 # ------------------------------------------------------- spectral projection
 
 

@@ -23,6 +23,7 @@ from noncomm.measurement import (
     ScheduleEntry,
     YesNoExperiment,
     born_step,
+    compile_questions,
     evolve_schedule,
     perform,
     run_batch,
@@ -106,8 +107,10 @@ def test_condition_classical_condition_and_kernel_agree_bitwise(case, u, v):
         out, post = perform(state, exp, FixedDraw(u))
         return measure(post.rho)[None], [out.yes], [p_yes]
 
+    question, = compile_questions(measure(exp.projection.matrix)[None])
+
     def kernel(rows, uniforms):
-        return born_step(rows, exp, uniforms, np.arange(len(rows)))
+        return born_step(rows, question, uniforms, np.arange(len(rows)))
 
     alone = outcome(lambda: kernel(mu[None].copy(), np.array([[u]])))
     assert alone == outcome(lambda: scalar(state, u))
@@ -160,32 +163,12 @@ def test_zero_mass_outcome_raises_the_same_error_from_condition_and_the_kernel()
         perform(broken, exp, FixedDraw(0.9))
     rows = np.repeat(measure(broken.rho)[None], 3, axis=0)
     with pytest.raises(ZeroProbabilityError) as kernel:
-        born_step(rows, exp, np.array([[0.1], [0.9], [0.7]]), np.arange(3))
+        born_step(rows, compile_questions(measure(exp.projection.matrix)[None])[0],
+                  np.array([[0.1], [0.9], [0.7]]), np.arange(3))
     with pytest.raises(ZeroProbabilityError) as bayes:
         classical_condition([0.5, 0.5, 0.0], space.subset([2]))
     message = "cannot condition on an outcome of probability 0.000e+00"
     assert {str(e.value) for e in (scalar, performed, kernel, bayes)} == {message}
-
-
-def test_masked_diagonal_step_matches_a_stack_of_the_active_trials():
-    space, ctx = points(5)
-    exp = YesNoExperiment("in S", characteristic_projection(ctx, space.subset([1, 3])))
-    mus = np.random.default_rng(4).dirichlet(np.ones(5), size=6)
-    uniforms = np.linspace(0.05, 0.95, 6 * 3).reshape(6, 3)
-    used = np.arange(6) * 3 + [0, 1, 2, 0, 1, 2]
-    mus[1] = 0.0  # an inactive trial that asking would break
-    before, active = mus.copy(), np.array([True, False, True, True, False, True])
-    out, yes, p_yes = born_step(mus, exp, uniforms, used, active)
-    assert out is mus
-    assert mus[~active].tobytes() == before[~active].tobytes()
-    assert used[~active].tolist() == [4, 13]
-    assert not yes[~active].any() and (p_yes[~active] == 0).all()
-    alone_used = np.array([0, 8, 9, 17])
-    alone = born_step(before[active], exp, uniforms, alone_used)
-    assert mus[active].tobytes() == alone[0].tobytes()
-    for got, want in zip((yes, p_yes), alone[1:]):
-        assert got[active].tolist() == want.tolist()
-    assert used[active].tolist() == alone_used.tolist() == [1, 9, 10, 18]
 
 
 def test_diagonal_batch_keeps_dense_final_and_snapshot_layout():

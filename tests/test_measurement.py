@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noncomm import measurement
+from noncomm import measurement, scenarios
 from noncomm.algebra import (
     SIGMA_X,
     SIGMA_Z,
@@ -32,6 +34,7 @@ from noncomm.measurement import (
     ScheduleEntry,
     YesNoExperiment,
     born_step,
+    compile_questions,
     embed_local,
     evolve_schedule,
     make_generator,
@@ -512,61 +515,137 @@ def screen_chain(dim=3):
     return pure_state(ctx, psi), exps
 
 
-def test_run_batch_and_masked_steps_take_empty_stacks():
+def compiled(exps):
+    return compile_questions(np.array([e.projection.matrix for e in exps]))
+
+
+def test_run_batch_and_first_yes_take_empty_stacks():
     state, exps = screen_chain()
     none = run_batch(state, [ScheduleEntry(0.0, e) for e in exps], [])
     assert none.yes.shape == none.p_yes.shape == (0, 3) and none.final.shape == (0, 3, 3)
-    rho, used = np.repeat(state.rho[None], 2, axis=0), np.zeros(2, dtype=np.intp)
-    out, yes, _ = born_step(rho, exps[0], np.zeros((2, 1)), used, np.zeros(2, dtype=bool))
-    assert out.tobytes() == np.repeat(state.rho[None], 2, axis=0).tobytes()
-    assert not yes.any() and used.tolist() == [0, 0]
+    empty, used = np.empty((0, 3, 3), dtype=complex), np.zeros(0, dtype=np.intp)
+    out, yes, p_yes = born_step(empty, compiled(exps)[0], np.zeros((0, 7)), used)
+    assert out.shape == (0, 3, 3) and yes.shape == p_yes.shape == (0,)
+    point = scenarios._first_yes(empty, compiled(exps), np.zeros((0, 7)), used)
+    assert point.shape == used.shape == (0,)
+
+
+def scalar_first_yes(state, exps, rng):
+    """The stop-at-first-yes chain trial by trial with `perform`: the point
+    of the first yes (the last point if none) and the draws it took."""
+    current, draws = state, 0
+    for m, exp in enumerate(exps):
+        p = yes_probability(current, exp.projection)
+        draws += P_FLOOR < p < 1.0 - P_FLOOR
+        outcome, current = perform(current, exp, rng)
+        if outcome.yes:
+            return m, draws
+    return len(exps) - 1, draws
 
 
 def test_draw_pointer_carries_across_phases():
-    # phase 1 is a stop-at-first-yes chain of masked steps; the uniform each
-    # trial's pointer then points at is the draw the scalar run makes next
+    # phase 1 is a stop-at-first-yes chain; the uniform each trial's pointer
+    # then points at is the draw the scalar run makes next
     state, exps = screen_chain()
     seed, trials = 17, 40
 
     def run(uniforms, used):
         rho = np.repeat(state.rho[None], len(used), axis=0)
-        active = np.ones(len(used), dtype=bool)
-        for exp in exps:
-            active &= ~born_step(rho, exp, uniforms, used, active)[1]
-        return uniforms.ravel()[used], used - np.arange(len(used)) * uniforms.shape[1]
+        point = scenarios._first_yes(rho, compiled(exps), uniforms, used)
+        return point, uniforms.ravel()[used], used - np.arange(len(used)) * uniforms.shape[1]
 
-    following, used = run_chunked(trial_streams(seed, trials), 2 * len(exps) + 1, 0, run)
+    point, following, used = run_chunked(trial_streams(seed, trials), 2 * len(exps) + 1, 0, run)
     for i, rng in enumerate(trial_streams(seed, trials)):
-        current, draws = state, 0
-        for exp in exps:
-            p = yes_probability(current, exp.projection)
-            draws += P_FLOOR < p < 1.0 - P_FLOOR
-            outcome, current = perform(current, exp, rng)
-            if outcome.yes:
-                break
-        assert used[i] == draws
+        assert (point[i], used[i]) == scalar_first_yes(state, exps, rng)
         assert following[i] == rng.random()
 
 
-def test_masked_step_leaves_inactive_trials_alone():
+def test_first_yes_asks_each_question_only_of_undecided_trials(monkeypatch):
     state, exps = screen_chain(4)
-    uniforms = np.linspace(0.05, 0.95, 6 * 9).reshape(6, 9)
-    used = np.arange(6) * 9 + [0, 1, 2, 3, 4, 5]
-    rho = np.repeat(state.rho[None], 6, axis=0)
-    rho[1] = 0.0  # an inactive trial that asking would break
-    before, active = rho.copy(), np.array([True, False, True, False, True, False])
-    out, yes, p_yes = born_step(rho, exps[0], uniforms, used, active)
-    assert out is rho
-    assert rho[~active].tobytes() == before[~active].tobytes()
-    assert used[~active].tolist() == [10, 30, 50]
-    assert not yes[~active].any() and (p_yes[~active] == 0).all()
-    # the active trials step exactly as a stack of only them would
-    alone_used = np.array([0, 20, 40])
-    alone = born_step(before[active], exps[0], uniforms, alone_used)
-    assert rho[active].tobytes() == alone[0].tobytes()
-    for got, want in zip((yes, p_yes), alone[1:]):
-        assert got[active].tolist() == want.tolist()
-    assert used[active].tolist() == alone_used.tolist() == [1, 21, 41]
+    seed, trials, draws = 23, 60, 4
+    asked = []
+
+    def spy(rho, question, uniforms, used):
+        trial = used // draws  # each trial's pointer stays in its own row
+        out = born_step(rho, question, uniforms, used)
+        asked.append((trial.tolist(), out[1].tolist()))
+        return out
+
+    monkeypatch.setattr(scenarios, "born_step", spy)
+    rho = np.repeat(state.rho[None], trials, axis=0)
+    uniforms = np.array([rng.random(draws) for rng in trial_streams(seed, trials)])
+    scenarios._first_yes(rho, compiled(exps), uniforms, np.arange(trials) * draws)
+    first = [scalar_first_yes(state, exps, rng)[0] for rng in trial_streams(seed, trials)]
+    assert 1 < len(asked) <= len(exps) and len(set(first)) > 1
+    undecided = list(range(trials))
+    for m, (trial, yes) in enumerate(asked):
+        assert trial == undecided == [i for i in range(trials) if first[i] >= m]
+        undecided = [i for i, y in zip(trial, yes) if not y]
+    assert not undecided or len(asked) == len(exps)
+
+
+class CountingDraw:
+    """A stream whose every draw is u, counting the draws taken."""
+
+    def __init__(self, u):
+        self.u, self.taken = u, 0
+
+    def random(self):
+        self.taken += 1
+        return self.u
+
+
+def outcome_bytes(fn):
+    """The bytes of what fn returns, or the type and message of what it raises."""
+    try:
+        out = fn()
+    except NumericalInvariantError as err:
+        return type(err), str(err)
+    return tuple(np.asarray(x).tobytes() for x in out)
+
+
+@st.composite
+def pure_states_straddling_the_floor(draw):
+    """A pure state at d = 2..6 and a projection of random rank whose
+    yes-probability is drawn in [P_FLOOR / 4, 4 P_FLOOR], or mirrored near 1:
+    psi = sqrt(t) a + sqrt(1 - t) b, a and b unit vectors in the ranges of
+    P and 1 - P."""
+    d = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, d - 1))
+    t = draw(st.floats(P_FLOOR / 4, 4 * P_FLOOR))
+    t = 1.0 - t if draw(st.booleans()) else t
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ctx = full_context(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    a, b = (basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
+            for basis in (q[:, :rank], q[:, rank:]))
+    psi = np.sqrt(t) * a / np.linalg.norm(a) + np.sqrt(1.0 - t) * b / np.linalg.norm(b)
+    return pure_state(ctx, psi), Projection(ctx, q[:, :rank] @ q[:, :rank].conj().T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pure_states_straddling_the_floor(),
+       st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 8 * P_FLOOR)
+       | st.floats(1.0 - 8 * P_FLOOR, 1.0, exclude_max=True))
+def test_one_trial_step_is_perform_across_the_floor(case, u):
+    state, p = case
+    p_yes = yes_probability(state, p)
+    assert P_FLOOR / 8 <= min(p_yes, 1.0 - p_yes) <= 8 * P_FLOOR
+    exp = YesNoExperiment("near the floor", p)
+
+    def scalar():
+        draw = CountingDraw(u)
+        out, post = perform(state, exp, draw)
+        return out.yes, draw.taken, out.probability, post.rho
+
+    def kernel():
+        used = np.zeros(1, dtype=np.intp)
+        rho = np.repeat(state.rho[None], 1, axis=0)
+        post, yes, p_yes = born_step(rho, compile_questions(p.matrix[None])[0],
+                                     np.array([[u]]), used)
+        return yes[0], used[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], post[0]
+
+    assert outcome_bytes(kernel) == outcome_bytes(scalar)
 
 
 def test_no_projection_is_built_once_per_experiment(monkeypatch):
