@@ -14,7 +14,9 @@ violation during the run.  `check` exits 1 if any invariant fails.
 Result files are deterministic: two runs with the same scenario, parameters,
 and seed produce byte-identical files.  Timestamps live only in the manifest
 written next to each result file, with the OpenBLAS kernel that computed
-the result (`blas_core`).
+the result (`blas_core`).  JSON result files, manifests and `list --json`
+go through one writer, `json_text`: exactly `json.dumps(doc, indent=2)`
+plus a newline, written with json's C encoder.
 
 `main` parses with one parser per process: `build_parser()` depends on
 nothing an invocation passes, so a process that calls `main` many times
@@ -159,8 +161,55 @@ def trials_csv(result: ScenarioResult) -> str:
                      ([rec.get("trial"), json.dumps(rec)] for rec in result.trial_records or ()))
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _level(depth: int):
+    """What `indent=2` writes for a container at nesting `depth`: json's C
+    encoder with its item separator, the newline and indent before the
+    closing bracket, and the separator between items."""
+    sep = ",\n" + "  " * (depth + 1)
+    encoder = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", sep, False, False, True)
+    return encoder, "\n" + "  " * depth, sep
+
+
+def _indented(obj, depth: int = 0, end: str = "") -> str:
+    """`json.dumps(obj, indent=2) + end` for `obj` at nesting `depth`, with
+    str keys.  A container of scalars is one call of the C encoder, whose
+    outer brackets are re-wrapped with the newlines and indents `indent=2`
+    puts there; any other container joins its children's text."""
+    encoder, pad, sep = _level(depth)
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return "".join(encoder(obj, 0)) + end
+    if not obj:
+        return brackets + end
+    for v in values:
+        if isinstance(v, _CONTAINERS):
+            break
+    else:
+        body = "".join(encoder(obj, 0))
+        return f"{body[0]}{pad}  {body[1:-1]}{pad}{body[-1]}{end}"
+    items = [_indented(v, depth + 1) for v in values]
+    if brackets == "{}":
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {item}" for k, item in zip(obj, items)]
+    return f"{brackets[0]}{pad}  {sep.join(items)}{pad}{brackets[1]}{end}"
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, at C-encoder speed:
+    ASCII-escaped, NaN and infinities as `NaN`/`Infinity`, keys in order."""
+    return _indented(doc, end="\n")
+
+
 def result_json(result: ScenarioResult) -> str:
-    return json.dumps(result.to_dict(), indent=2) + "\n"
+    return json_text(result.to_dict())
 
 
 def _atomic_write(path: str, text: str):
@@ -270,7 +319,7 @@ def _cmd_run(args) -> int:
         "finished": _utc_now(),
         "outputs": outputs,
     }
-    _atomic_write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(args.out + ".manifest.json", json_text(manifest))
     return EXIT_OK
 
 
@@ -291,7 +340,7 @@ def _cmd_check(args) -> int:
 def _cmd_list(args) -> int:
     if args.json:
         doc = {name: scen.schema() for name, scen in SCENARIOS.items()}
-        print(json.dumps(doc, indent=2))
+        sys.stdout.write(json_text(doc))
         return EXIT_OK
     for name, scen in SCENARIOS.items():
         print(f"{name}: {scen.description}")

@@ -595,10 +595,13 @@ def _classical_epr(params, trials, seed, record_trials):
 # Bytes, measured on CPython 3.11 with numpy 2.4 and rounded up: a schedule
 # entry's Python objects besides its matrices (the entry and its compiled
 # views), one measurement of a kept record and one trial's record, each with
-# its share of the JSON text the CLI writes.
+# its share of the JSON text the CLI writes.  The tracemalloc peak of a run
+# plus `cli.result_json` with records, less the peak without, grows by
+# 644-701 bytes a measurement (polarization_sequence, zeno_precise and
+# zeno_coarse at 20 and 80 measurements a record) and 346-372 bytes a record.
 _QUESTION_BYTES = 640
-_ENTRY_BYTES = 1536
-_RECORD_BYTES = 1024
+_ENTRY_BYTES = 1024
+_RECORD_BYTES = 640
 
 
 def _chunk_bytes(draws, state_bytes):

@@ -8,6 +8,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncomm import cli
 from noncomm.cli import main, parse_value, split_assignments
@@ -51,9 +53,12 @@ def test_list_text(capsys):
 
 def test_list_json(capsys):
     assert main(["list", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert set(doc) == set(SCENARIOS)
     assert doc["zeno_precise"]["parameters"][0]["name"] == "omega"
+    # what `print(json.dumps(doc, indent=2))` wrote
+    assert out == json.dumps({name: s.schema() for name, s in SCENARIOS.items()}, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------- run
@@ -193,7 +198,9 @@ def test_run_writes_result_and_manifest(tmp_path):
     assert code == 0
     text = out.read_text()
     assert "anticorrelation_rate,1" in text
-    manifest = json.loads((tmp_path / "epr.csv.manifest.json").read_text())
+    manifest_text = (tmp_path / "epr.csv.manifest.json").read_text()
+    manifest = json.loads(manifest_text)
+    assert manifest_text == json.dumps(manifest, indent=2) + "\n"
     jsonschema.validate(manifest, MANIFEST_SCHEMA)
     assert manifest["scenario"] == "epr"
     assert manifest["seed"] == 1
@@ -240,6 +247,32 @@ def test_every_scenario_result_validates_against_schema():
         res = run_scenario(name, trials=20, seed=8, record_trials=True)
         doc = json.loads(result_json(res))
         jsonschema.validate(doc, RESULT_SCHEMA)
+
+
+# ------------------------------------------------------------- JSON writer
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\{}[],: \n\t\x00\x1f\x7f\xe9\u2603\ud800\U0001f600'),
+                          st.characters()), max_size=8)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _TEXT, st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2 ** 64, -(2 ** 64) - 1, 10 ** 30]))
+_TREES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, children, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TREES)
+def test_json_text_is_json_dumps_indent_2(tree):
+    assert cli.json_text(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_result_json_is_json_dumps_indent_2(name, record):
+    res = run_scenario(name, trials=12, seed=5, record_trials=record)
+    assert cli.result_json(res) == json.dumps(res.to_dict(), indent=2) + "\n"
 
 
 def test_run_snapshots_outputs(tmp_path):
