@@ -56,27 +56,29 @@ class PhaseSpace:
         return len(self.points)
 
     def index(self, label: str) -> int:
+        if label not in self.points:
+            raise ValueError(f"unknown point label {label!r}")
         return self.points.index(label)
 
     def subset(self, members) -> "PhaseSubset":
-        """Subset from point indices (ints) or labels (strs)."""
-        idx = {m if isinstance(m, int) else self.index(m) for m in members}
+        """Subset from point indices (integers, not bools) or labels (strs)."""
+        idx = {m if isinstance(m, (int, np.integer)) else self.index(m) for m in members}
         return PhaseSubset(self, frozenset(idx))
 
 
 @dataclass(frozen=True)
 class PhaseSubset:
-    """A set of phase-space points, identified by index."""
+    """A set of phase-space points, identified by index (an int)."""
 
     space: PhaseSpace
     members: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
         n = len(self.space)
         for i in self.members:
-            if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
                 raise ValueError(f"invalid point index {i!r} for space of size {n}")
+        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
 
     def indicator(self) -> np.ndarray:
         """0/1 vector over the space, 1 exactly on the members."""

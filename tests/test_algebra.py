@@ -82,6 +82,16 @@ def test_phase_subset_validation():
     assert sub.members == frozenset({0, 2})
     with pytest.raises(ValueError):
         space.subset([5])
+    # a numpy integer is an index, normalised to int
+    sub = space.subset([np.int64(1), "c"])
+    assert sub.members == frozenset({1, 2})
+    assert all(type(i) is int for i in sub.members)
+    assert sub.indicator().tolist() == [0.0, 1.0, 1.0]
+    # a bool is neither an index nor a label
+    with pytest.raises(ValueError, match="True"):
+        space.subset([True])
+    with pytest.raises(ValueError, match="unknown point label 'z'"):
+        space.subset(["z"])
 
 
 def test_value_set():
