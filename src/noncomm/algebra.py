@@ -41,7 +41,7 @@ class ContextMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseSpace:
-    """Finite phase space: an ordered tuple of distinct point labels."""
+    """Finite phase space: an ordered tuple of distinct str point labels."""
 
     points: tuple[str, ...]
 
@@ -49,6 +49,8 @@ class PhaseSpace:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValueError("phase space must contain at least one point")
+        if not all(isinstance(x, str) for x in self.points):  # an int would read as an index
+            raise ValueError(f"phase space labels must be str, got {self.points!r}")
         if len(set(self.points)) != len(self.points):
             raise ValueError("phase space labels must be unique")
 
@@ -164,20 +166,14 @@ def diagonal_context(phase_space: PhaseSpace) -> AlgebraContext:
 
 def make_context(kind: str, dim: int | None = None,
                  phase_space: PhaseSpace | None = None) -> AlgebraContext:
-    """Factory accepting either a dimension (full) or a phase space (diagonal)."""
-    if kind == FULL:
-        if dim is None:
-            raise ValueError("full context requires dim")
-        return full_context(dim)
-    if kind == DIAGONAL:
-        if phase_space is None:
-            raise ValueError("diagonal context requires a phase space")
-        if dim is not None and dim != len(phase_space):
-            raise ValueError(
-                f"dim {dim} does not match phase space of {len(phase_space)} points"
-            )
-        return diagonal_context(phase_space)
-    raise ValueError(f"unknown algebra kind {kind!r}")
+    """Factory accepting either a dimension (full) or a phase space
+    (diagonal); `AlgebraContext` rejects what does not fit the kind."""
+    if kind == DIAGONAL and phase_space is not None and dim is None:
+        dim = len(phase_space)
+    if dim is None:
+        raise ValueError(f"{kind} context requires "
+                         f"{'a phase space' if kind == DIAGONAL else 'dim'}")
+    return AlgebraContext(dim, kind, phase_space if kind == DIAGONAL else None)
 
 
 def require_same_context(a, b):

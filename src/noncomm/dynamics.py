@@ -62,6 +62,7 @@ class Flow:
 
     space: PhaseSpace
     step: tuple = field(default=None)
+    cycles: tuple = field(init=False, compare=False, repr=False)  # of step, for `at`
 
     def __post_init__(self):
         step = tuple(int(i) for i in (self.step if self.step is not None
@@ -69,25 +70,29 @@ class Flow:
         object.__setattr__(self, "step", step)
         if sorted(step) != list(range(len(self.space))):
             raise ValueError(f"step {step} is not a bijection of {len(self.space)} points")
+        cycles, seen = [], set()
+        for start in (i for i in range(len(step)) if i not in seen):
+            cycle = [start]
+            while step[cycle[-1]] != start:
+                cycle.append(step[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+        object.__setattr__(self, "cycles", tuple(cycles))
 
     @classmethod
     def identity(cls, space: PhaseSpace) -> "Flow":
         return cls(space, tuple(range(len(space))))
 
     def at(self, t: int) -> tuple:
-        """The permutation realizing time t (exact integer composition)."""
+        """The permutation realizing time t: each cycle of `step` rotated t places."""
         if t != int(t):
             raise ValueError("classical time must be an integer")
         t = int(t)
-        # time t moves each point t places along its cycle (% wraps t < 0)
-        perm = [None] * len(self.step)
-        for start in range(len(perm)):
-            if perm[start] is None:
-                cycle = [start]
-                while self.step[cycle[-1]] != start:
-                    cycle.append(self.step[cycle[-1]])
-                for pos, i in enumerate(cycle):
-                    perm[i] = cycle[(pos + t) % len(cycle)]
+        perm = [0] * len(self.step)
+        for cycle in self.cycles:
+            r = t % len(cycle)
+            for i, j in zip(cycle, cycle[r:] + cycle[:r]):
+                perm[i] = j
         return tuple(perm)
 
 

@@ -371,7 +371,7 @@ def run_batch(state: State, schedule, streams, dynamics=None, *,
     questions = compile_questions(_evolved(schedule, dynamics, state.context))
     n, d = len(questions), state.dim
     # a diagonal algebra carries measures, expanded to density matrices once per chunk
-    start, expand = ((measure(state.rho), measure_matrix) if state.context.is_diagonal
+    start, expand = ((state.mu, measure_matrix) if state.context.is_diagonal
                      else (state.rho, np.asarray))
 
     def run(uniforms, used):

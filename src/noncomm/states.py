@@ -4,10 +4,10 @@ A state is a density matrix rho (positive, unit trace); expectations are
 Tr(rho A).  Conditioning on a "yes" for the experiment with projection P is
 the projection postulate rho' = P rho P / Tr(rho P) -- the noncommutative
 conditional probability.  On the diagonal (classical) algebra that update
-*is* the Bayes rule mu'(U) = mu(U & S) / mu(S), so a diagonal state is read
-as its measure mu = diag(rho) and `expectation`, `yes_probability` and
-`condition` work on mu alone, through `bayes`, the one helper that
-`classical_condition` and the measurement kernel share.
+*is* the Bayes rule mu'(U) = mu(U & S) / mu(S), so a diagonal state *is* its
+measure mu, builds rho = diag(mu) only when `rho` is first read, and
+`expectation`, `yes_probability` and `condition` work on mu alone, through
+`bayes`, the one helper that `classical_condition` and the kernel share.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ class State:
 
     Construction validates the invariants within tolerance, then repairs the
     sub-tolerance defects by symmetrizing and renormalizing the trace, so
-    long conditioning chains stay machine-checkable.  Immutable.
+    long conditioning chains stay machine-checkable.  Immutable.  A state of a
+    diagonal algebra keeps only its measure `mu`, and builds `rho` on first read.
     """
 
-    __slots__ = ("context", "rho")
+    __slots__ = ("context", "rho", "mu")
 
     def __init__(self, context: AlgebraContext, rho):
         arr = np.array(rho, dtype=complex)
@@ -74,13 +75,25 @@ class State:
         tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-        arr = arr / tr
+        self._set(context, arr / tr)
+
+    def _set(self, context, arr):
+        arr = measure(arr).copy() if context.is_diagonal and arr.ndim == 2 else arr
         arr.setflags(write=False)
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "rho", arr)
+        object.__setattr__(self, "rho" if arr.ndim == 2 else "mu", arr)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("states are immutable")
+
+    def __getattr__(self, name):  # reached only for the unset `rho` of a diagonal state
+        if name != "rho":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rho = measure_matrix(self.mu)
+        rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+        return rho
 
     @classmethod
     def _renormalized(cls, context, rho):
@@ -91,13 +104,10 @@ class State:
 
     @classmethod
     def _trusted(cls, context, arr):
-        """Internal: wrap a density matrix that is already symmetric with
-        unit trace, without copying it."""
-        obj = object.__new__(cls)
-        arr.setflags(write=False)
-        object.__setattr__(obj, "context", context)
-        object.__setattr__(obj, "rho", arr)
-        return obj
+        """Internal: wrap, unvalidated, a density matrix that is already
+        symmetric with unit trace, or a diagonal-algebra state's (n,) measure
+        that is already non-negative with unit sum, which is kept uncopied."""
+        return object.__new__(cls)._set(context, arr)
 
     @property
     def dim(self) -> int:
@@ -105,8 +115,8 @@ class State:
 
     def probabilities(self) -> np.ndarray:
         """The diagonal of rho as a real vector; for diagonal contexts this
-        is the probability measure on phase space."""
-        return np.real(np.diag(self.rho)).copy()
+        is the probability measure on phase space, a copy of `mu`."""
+        return (self.mu if self.context.is_diagonal else measure(self.rho)).copy()
 
     def __repr__(self):
         return f"State(dim={self.dim}, kind={self.context.kind})"
@@ -187,7 +197,7 @@ def expectation(state: State, a: AlgebraElement) -> complex:
     algebra this is the integral sum_x mu(x) a(x)."""
     require_same_context(state, a)
     if state.context.is_diagonal:
-        mu, values = measure(state.rho), a.matrix.diagonal()
+        mu, values = state.mu, a.matrix.diagonal()
         return complex(np.add.reduce(mu * values.real), np.add.reduce(mu * values.imag))
     # Tr(rho A) = sum_ij rho[i,j] A[j,i]
     return complex(state.rho.ravel().dot(a.matrix.T.ravel()))
@@ -197,7 +207,7 @@ def yes_probability(state: State, p: Projection) -> float:
     """Probability of "yes" for the experiment with projection P, clamped to [0, 1]."""
     if state.context.is_diagonal:  # the real part of `expectation`, without its imaginary sum
         require_same_context(state, p)
-        val = float(np.add.reduce(measure(state.rho) * measure(p.matrix)))
+        val = float(np.add.reduce(state.mu * measure(p.matrix)))
     else:
         val = expectation(state, p).real
     return min(max(val, 0.0), 1.0)
@@ -212,8 +222,7 @@ def condition(state: State, p: Projection) -> State:
     """
     require_same_context(state, p)
     if state.context.is_diagonal:
-        posterior = bayes(measure(state.rho), measure(p.matrix))
-        return State._trusted(state.context, measure_matrix(posterior))
+        return State._trusted(state.context, bayes(state.mu, measure(p.matrix)))
     require_probability(state.rho.ravel().dot(p.matrix.T.ravel()).real)
     return State._renormalized(state.context, p.matrix @ state.rho @ p.matrix)
 

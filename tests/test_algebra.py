@@ -92,6 +92,9 @@ def test_phase_subset_validation():
         space.subset([True])
     with pytest.raises(ValueError, match="unknown point label 'z'"):
         space.subset(["z"])
+    # labels are str, so an int member of `subset` is always an index
+    with pytest.raises(ValueError, match="labels must be str"):
+        PhaseSpace(("b", 0, "a"))
 
 
 def test_value_set():

@@ -10,15 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noncomm.dynamics
+import noncomm.measurement
+import noncomm.states
 from noncomm.algebra import (
     ContextMismatchError,
     Observable,
     PhaseSpace,
     characteristic_projection,
     diagonal_context,
+    full_context,
     require_same_context,
 )
 from noncomm.dynamics import Flow, Hamiltonian
+from noncomm.scenarios import run_scenario
 from noncomm.measurement import (
     ScheduleEntry,
     YesNoExperiment,
@@ -37,6 +42,8 @@ from noncomm.states import (
     classical_state,
     condition,
     measure,
+    measure_matrix,
+    pure_state,
     renormalize,
     yes_probability,
 )
@@ -185,6 +192,50 @@ def test_diagonal_batch_keeps_dense_final_and_snapshot_layout():
             current = perform(current, entry.experiment, rng)[1]
             assert batch.snapshots[i, k].tobytes() == current.rho.tobytes()
         assert batch.final[i].tobytes() == current.rho.tobytes()
+
+
+def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
+    # every conditioning of the run is Bayes on the measure: no diag(mu) is
+    # built, not even for a state's `rho`
+    calls = []
+
+    def spy(mu):
+        calls.append(mu.shape)
+        return measure_matrix(mu)
+
+    for module in (noncomm.states, noncomm.measurement, noncomm.dynamics):
+        monkeypatch.setattr(module, "measure_matrix", spy)
+    run_scenario("classical_control", {"num_points": 16, "steps": 64}, 3, 17)
+    assert calls == []
+
+
+def test_a_conditioned_diagonal_state_is_its_measure():
+    # dyadic masses: every sum and quotient below is exact, so the dense
+    # state `State(ctx, diag(mu))`, renormalized by its trace 1.0, is bit for
+    # bit the measure-built one
+    space, ctx = points(8)
+    prior = classical_state(ctx, [1 / 4, 1 / 8, 1 / 8, 1 / 16, 1 / 16, 1 / 8, 1 / 8, 1 / 8])
+    state = condition(prior, characteristic_projection(ctx, space.subset([0, 1, 3, 4])))
+    assert state.mu.tolist() == [1 / 2, 1 / 4, 0, 1 / 8, 1 / 8, 0, 0, 0]
+    assert not state.mu.flags.writeable
+    rho = state.rho  # built on this first read, then kept
+    assert rho is state.rho and not rho.flags.writeable
+    assert rho.tobytes() == measure_matrix(state.mu).tobytes()
+    assert state.probabilities().tobytes() == state.mu.tobytes()
+    for name in ("rho", "mu", "context"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(state, name, None)
+    with pytest.raises(AttributeError, match="'mu'"):
+        pure_state(full_context(2), [1, 0]).mu
+
+    dense = State(ctx, np.diag(state.mu))
+    for members in ([0, 1], [2, 5], [0, 3, 4, 6]):
+        exp = YesNoExperiment("in S", characteristic_projection(ctx, space.subset(members)))
+        for u in (0.1, 0.6, 0.99):
+            (got, post), (want, ref) = (perform(s, exp, FixedDraw(u)) for s in (state, dense))
+            assert got == want
+            assert post.mu.tobytes() == ref.mu.tobytes()
+            assert post.rho.tobytes() == ref.rho.tobytes()
 
 
 def test_context_check_accepts_equal_contexts_and_names_different_ones():

@@ -4,12 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noncomm.algebra import (
+    EPS_ALG,
     SIGMA_X,
     SIGMA_Z,
     ContextMismatchError,
     PhaseSpace,
     Projection,
     characteristic_projection,
+    complement,
     diagonal_context,
     element,
     full_context,
@@ -258,6 +260,56 @@ def test_conditioning_is_idempotent(case):
     assert np.abs(condition(once, p).rho - once.rho).max() <= tol
     # after a "yes" the answer is certain
     assert abs(yes_probability(once, p) - 1.0) <= tol
+
+
+CHAIN = 10**4  # conditionings per long chain
+P_CHAIN = 1e-3  # below this the other answer is taken; see ROADMAP item 2 for small p
+
+
+def _long_chain(state, projections, rng, check):
+    """Condition `state` CHAIN times, cycling through `projections`; each
+    step takes the answer rng picks unless its probability is below
+    P_CHAIN, then the other (max(p, 1 - p) >= 1/2).  `check` sees every
+    conditioned state."""
+    nos = [complement(p) for p in projections]
+    yes_first = rng.random(CHAIN) < 0.5
+    for k in range(CHAIN):
+        p, q = projections[k % len(projections)], nos[k % len(projections)]
+        p_yes = yes_probability(state, p)
+        yes = p_yes >= P_CHAIN if yes_first[k] else 1.0 - p_yes < P_CHAIN
+        state = condition(state, p if yes else q)
+        check(state)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2**32 - 1))
+def test_long_diagonal_chain_keeps_a_probability_measure(n, seed):
+    rng = np.random.default_rng(seed)
+    space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
+    ctx = diagonal_context(space)
+    subsets = [np.flatnonzero(rng.random(n) < 0.5).tolist() for _ in range(3)]
+    projections = [characteristic_projection(ctx, space.subset(m)) for m in subsets]
+
+    def check(state):
+        assert state.mu.min() >= 0.0
+        assert abs(state.mu.sum() - 1.0) <= 1e-12
+
+    _long_chain(classical_state(ctx, rng.dirichlet(np.ones(n))), projections, rng, check)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_long_full_chain_keeps_a_density_matrix(d, seed):
+    rng = np.random.default_rng(seed)
+    ctx = full_context(d)
+    projections = [rand_projection(ctx, rng, rank) for rank in rng.integers(1, d, 3)]
+
+    def check(state):
+        assert abs(np.trace(state.rho).real - 1.0) <= 1e-12
+        assert np.array_equal(state.rho, state.rho.conj().T)
+        assert np.linalg.eigvalsh(state.rho).min() >= -EPS_ALG
+
+    _long_chain(rand_density(ctx, rng), projections, rng, check)
 
 
 def test_condition_functional_identity_on_matrix_units():
