@@ -279,6 +279,9 @@ def _cmd_run(args) -> int:
     if name not in SCENARIOS:
         print(f"error: unknown scenario {name!r}; see `noncomm list`", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"error: --out {args.out!r} is not in an existing directory", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     started = _utc_now()
     try:
         config = _load_config(args.config)

@@ -10,18 +10,18 @@ compiles it into the stacks of P, 1 - P and their rows that `born_step`
 reads.  Kronecker products, local embeddings, and partial traces cover the
 composite systems needed for entangled-pair experiments.
 
-Trials run as one (trials, d, d) stack: `born_step` asks one question of
-every trial at once, giving each the bits `perform` gives it alone.  On a
-diagonal algebra the stack holds (trials, n) measures, a schedule stays the
-(n, d) stack of its indicator rows from evolution to compiled question, and
-the update is `condition`'s Bayes rule; final states and snapshots are
-(trials, d, d) density matrices either way.  A trial draws one block of
-uniforms, sized to its run's most draws, and its one pointer moves only on
-unforced outcomes, so in every phase the k-th uniform used is the k-th
-`perform` would draw.  `run_batch` loops the step over a fixed schedule; a
-caller that stops trials early passes only the rows still running.
-`perform` remains for runs whose next question depends on the state
-reached.  `trial_records` lays out every scenario's per-trial records.
+One trial is `perform`: `run_sequence` loops it over the evolved schedule.
+A batch of trials runs as one (trials, d, d) stack: `born_step` asks one
+question of every trial at once, giving each the bits `perform` gives it
+alone.  On a diagonal algebra the stack holds (trials, n) measures, a
+schedule stays the (n, d) stack of its indicator rows from evolution to
+compiled question, the update is `condition`'s Bayes rule, and the final
+states are those measures.  A trial draws one block of uniforms, sized to
+its run's most draws, and its one pointer moves only on unforced outcomes,
+so in every phase the k-th uniform used is the k-th `perform` would draw.
+`run_batch` loops the step over a fixed schedule; a caller that stops
+trials early passes only the rows still running.  `trial_records` lays out
+every scenario's per-trial records.
 
 Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
@@ -37,7 +37,6 @@ chunked.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -105,31 +104,24 @@ def trial_streams(seed: int, trials) -> TrialStreams:
     return TrialStreams(int(seed), trials if isinstance(trials, range) else range(trials))
 
 
-def _stream_starts(streams) -> tuple:
-    """The generator `run_chunked` fills rows from, a function giving the
-    bit-generator state it is set to before row k, and the number of rows.
-    For `trial_streams` that is one Philox
-    keyed by the seed, its counter at i * 2**128 (i the row's trial) with an
-    empty buffer: the state `trial_generator(seed, i)` starts in.  For a
-    sequence (or iterable) of generators of one kind it is a copy of the
-    first, set to each one's state on entry, so the generators do not move."""
-    if isinstance(streams, TrialStreams):
-        gen = make_generator(streams.seed)
-        state = gen.bit_generator.state  # counter 0, empty buffer
-        # as lists: the state setter reads them in half the time of arrays
-        state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
-        state["buffer"] = state["buffer"].tolist()
-        counter = state["state"]["counter"]  # four 64-bit words, lowest first
+def _stream_starts(streams: TrialStreams) -> tuple:
+    """The generator `run_chunked` fills rows from, and a function giving the
+    bit-generator state it is set to before row k: one Philox keyed by the
+    seed, its counter at i * 2**128 (i the row's trial) with an empty buffer,
+    the state `trial_generator(seed, i)` starts in."""
+    gen = make_generator(streams.seed)
+    state = gen.bit_generator.state  # counter 0, empty buffer
+    # as lists: the state setter reads them in half the time of arrays
+    state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
+    state["buffer"] = state["buffer"].tolist()
+    counter = state["state"]["counter"]  # four 64-bit words, lowest first
 
-        def start(k):
-            i = streams.trials[k]
-            counter[2], counter[3] = i & 0xFFFFFFFFFFFFFFFF, i >> 64
-            return state
+    def start(k):
+        i = streams.trials[k]
+        counter[2], counter[3] = i & 0xFFFFFFFFFFFFFFFF, i >> 64
+        return state
 
-        return gen, start, len(streams.trials)
-    gens = list(streams)
-    states = [g.bit_generator.state for g in gens]
-    return (copy.deepcopy(gens[0]) if gens else None), states.__getitem__, len(gens)
+    return gen, start
 
 
 @dataclass(frozen=True)
@@ -220,8 +212,8 @@ class BatchOutcomes:
     probability: np.ndarray  # (trials, n) pre-measurement probability of each answer
     p_yes: np.ndarray        # (trials, n) clamped probability of "yes" before each entry
     draws: np.ndarray        # (trials,) uniforms consumed, one per unforced outcome
-    final: np.ndarray        # (trials, d, d) density matrices after the last entry
-    snapshots: np.ndarray | None = None  # (trials, n, d, d) state after each entry
+    final: np.ndarray        # (trials, d, d) density matrices after the last entry,
+                             # or on a diagonal algebra the (trials, d) measures
 
     def entries(self, schedule) -> list:
         """Each trial's measurements, as a list of `entry_dict`s."""
@@ -296,14 +288,14 @@ def _check_schedule(state: State, schedule):
             )
 
 
-def run_chunked(streams, draws: int, state_bytes: int, run) -> tuple:
+def run_chunked(streams: TrialStreams, draws: int, state_bytes: int, run) -> tuple:
     """Run trials in chunks of at most about CHUNK_BYTES of uniforms plus
     `state_bytes` per trial.  `run(uniforms, used)` gets each trial's next
     `draws` uniforms as a row and its pointer, the flat index of that row's
-    start; the per-trial arrays (or None) it returns are joined on axis 0.
-    `streams` is `trial_streams(...)` or a sequence of generators; each row
-    is drawn from one generator set to that trial's start (`_stream_starts`)."""
-    gen, start, trials = _stream_starts(streams)
+    start; the per-trial arrays it returns are joined on axis 0.  Each row is
+    drawn from one generator set to that trial's start (`_stream_starts`)."""
+    gen, start = _stream_starts(streams)
+    trials = len(streams.trials)
     size = max(1, CHUNK_BYTES // (8 * draws + state_bytes))
 
     def block(first):
@@ -314,7 +306,7 @@ def run_chunked(streams, draws: int, state_bytes: int, run) -> tuple:
         return run(uniforms, np.arange(len(uniforms), dtype=np.intp) * draws)
 
     parts = [block(first) for first in range(0, trials, size)] or [block(0)]
-    return tuple(None if f[0] is None else np.concatenate(f) for f in zip(*parts))
+    return tuple(np.concatenate(f) for f in zip(*parts))
 
 
 def born_step(rho: np.ndarray, question, uniforms: np.ndarray, used: np.ndarray) -> tuple:
@@ -354,38 +346,31 @@ def born_step(rho: np.ndarray, question, uniforms: np.ndarray, used: np.ndarray)
     return post, yes, p_yes
 
 
-def run_batch(state: State, schedule, streams, dynamics=None, *,
-              keep_snapshots: bool = False) -> BatchOutcomes:
+def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> BatchOutcomes:
     """Run one schedule, fixed in advance, over a batch of trials at once.
 
     The schedule is evolved and compiled once, as one stack of questions.
-    `streams` is `trial_streams(seed, trials)` or a sequence of generators,
-    one per trial, all starting from `state`.  Trial i draws a block of
-    len(schedule) uniforms from its stream and `born_step` uses them in
-    order, one per unforced outcome, so its answers, probabilities, states
-    and errors are bit for bit those of `perform` applied entry by entry
-    with that stream's generator.  Supplied generators are not advanced.
+    `streams` is `trial_streams(seed, trials)`, all trials starting from
+    `state`.  Trial i draws a block of len(schedule) uniforms from its stream
+    and `born_step` uses them in order, one per unforced outcome, so its
+    answers, probabilities, final state and errors are bit for bit those of
+    `run_sequence` with `trial_generator(seed, i)`.  Final states stay as the
+    kernel carries them: measures on a diagonal algebra, else density matrices.
     """
     _check_schedule(state, schedule)
     check_dynamics(dynamics, [state.context])
     questions = compile_questions(_evolved(schedule, dynamics, state.context))
     n, d = len(questions), state.dim
-    # a diagonal algebra carries measures, expanded to density matrices once per chunk
-    start, expand = ((state.mu, measure_matrix) if state.context.is_diagonal
-                     else (state.rho, np.asarray))
+    start = state.mu if state.context.is_diagonal else state.rho
 
     def run(uniforms, used):
         t = len(used)
         yes, p_yes = np.empty((t, n), dtype=bool), np.empty((t, n))
         rho = np.repeat(start[None], t, axis=0)
-        snapshots = np.empty((t, n, *rho.shape[1:]), rho.dtype) if keep_snapshots else None
         for k, question in enumerate(questions):
             rho, yes[:, k], p_yes[:, k] = born_step(rho, question, uniforms, used)
-            if snapshots is not None:
-                snapshots[:, k] = rho
         prob = np.where(yes, p_yes, 1.0 - p_yes)
-        return (yes, prob, p_yes, used - np.arange(t) * n, expand(rho),
-                None if snapshots is None else expand(snapshots))
+        return yes, prob, p_yes, used - np.arange(t) * n, rho
 
     return BatchOutcomes(*run_chunked(streams, n, 16 * d * d, run))
 
@@ -393,8 +378,9 @@ def run_batch(state: State, schedule, streams, dynamics=None, *,
 def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = None,
                  rng: np.random.Generator | None = None,
                  keep_snapshots: bool = False) -> MeasurementRecord:
-    """Run a schedule of yes/no experiments, conditioning after each: the
-    one-trial case of `run_batch`.
+    """Run a schedule of yes/no experiments, conditioning after each:
+    `perform` entry by entry over the evolved schedule (`evolve_schedule`),
+    with the bits row i of `run_batch` gives the trial of the same stream.
 
     Exactly one of `seed` (fresh Philox stream, recorded) or `rng` (caller
     supplies the stream, e.g. a per-trial one) drives the draws; a supplied
@@ -405,17 +391,14 @@ def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = No
         raise ValueError("pass exactly one of seed or rng")
     if rng is None:
         rng = make_generator(seed)
-    batch = run_batch(state, schedule, [rng], dynamics, keep_snapshots=keep_snapshots)
-    rng.random(int(batch.draws[0]))  # consume only the draws the trial used
-
-    ctx = state.context
-    record = MeasurementRecord(seed=seed)
-    for k, entry in enumerate(schedule):
-        yes = bool(batch.yes[0, k])
-        post = State._trusted(ctx, batch.snapshots[0, k]) if keep_snapshots else None
-        record.entries.append(RecordEntry(entry.time, entry.experiment.label,
-                                          Outcome(yes, float(batch.probability[0, k])), post))
-    record.final_state = State._trusted(ctx, batch.final[0])
+    _check_schedule(state, schedule)
+    check_dynamics(dynamics, [state.context])
+    record, current = MeasurementRecord(seed=seed), state
+    for entry in evolve_schedule(schedule, dynamics):
+        outcome, current = perform(current, entry.experiment, rng)
+        record.entries.append(RecordEntry(entry.time, entry.experiment.label, outcome,
+                                          current if keep_snapshots else None))
+    record.final_state = current
     return record
 
 

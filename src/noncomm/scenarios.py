@@ -138,15 +138,15 @@ def _echo(value):
 def _coerce(spec: ParamSpec, value):
     try:
         if spec.kind == "number":
-            out = float(value)
+            out = _number(value, float)
         elif spec.kind == "integer":
-            out = int(value)
+            out = _number(value, int)
             if not isinstance(value, str) and out != value:  # exact, past 2**53 too
                 raise ParameterError(f"{spec.name} must be an integer, got {value!r}")
         elif spec.kind == "string":
             out = str(value)
         elif spec.kind == "number_list":
-            out = [float(v) for v in value]
+            out = [_number(v, float) for v in value]
         elif spec.kind == "complex_list":
             out = [_as_complex(v) for v in value]
         else:
@@ -164,12 +164,19 @@ def _coerce(spec: ParamSpec, value):
     return out
 
 
+def _number(v, kind):
+    """`kind(v)`, refusing a bool: true and false are not the numbers 1 and 0."""
+    if isinstance(v, bool):
+        raise ValueError("a boolean is not a number")
+    return kind(v)
+
+
 def _as_complex(v):
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise ValueError(f"complex entries are numbers or [re, im] pairs, got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+        return complex(_number(v[0], float), _number(v[1], float))
+    return _number(v, complex)
 
 
 def _ci4(p: float, n: int) -> float:
@@ -582,7 +589,7 @@ def _classical_epr(params, trials, seed, record_trials):
         "a_up_rate": int(a.sum()) / trials,
         "anticorrelation_rate": anti / trials,
         "anticorrelated_every_trial": anti == trials,
-        "zero_probabilities_preserved": not np.any(final[:, zero_idx, zero_idx].real > 1e-15),
+        "zero_probabilities_preserved": not np.any(final[:, zero_idx] > 1e-15),
         "b_up_prob_given_a_up": _mean_or_none(b_pre[a]),
         "b_up_prob_given_a_down": _mean_or_none(b_pre[~a]),
     }

@@ -74,6 +74,8 @@ def test_run_bad_parameter(capsys):
     assert main(["run", "zeno_precise", "--trials", "0"]) == 3
     assert main(["run", "epr", "--seed", "-4"]) == 3
     assert main(["run", "epr", "--seed", str(10**400)]) == 3
+    assert main(["run", "zeno_precise", "--set", "n=true"]) == 3
+    assert main(["run", "zeno_precise", "--set", "T=false"]) == 3
 
 
 def test_run_semantic_parameter_error(capsys):
@@ -226,6 +228,18 @@ def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         main(["run", "epr", "--trials", "5", "--out", str(tmp_path / "res.csv")])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_in_a_missing_directory_exits_3_before_running(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "res.csv", tmp_path / "file" / "res.csv"):
+        assert main(["run", "epr", "--trials", "5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_run_json_result_validates_against_schema(tmp_path):

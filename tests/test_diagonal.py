@@ -178,20 +178,18 @@ def test_zero_mass_outcome_raises_the_same_error_from_condition_and_the_kernel()
     assert {str(e.value) for e in (scalar, performed, kernel, bayes)} == {message}
 
 
-def test_diagonal_batch_keeps_dense_final_and_snapshot_layout():
+def test_diagonal_batch_keeps_final_measures():
     space, ctx = points(4)
     state = classical_state(ctx, np.random.default_rng(8).dirichlet(np.ones(4)))
     schedule = [ScheduleEntry(float(k), YesNoExperiment(f"in {m}", characteristic_projection(
         ctx, space.subset(m)))) for k, m in enumerate([[0, 1], [1, 2, 3], [1], [2, 3]])]
-    batch = run_batch(state, schedule, trial_streams(6, 7), keep_snapshots=True)
-    assert batch.final.shape == (7, 4, 4) and batch.final.dtype == complex
-    assert batch.snapshots.shape == (7, 4, 4, 4) and batch.snapshots.dtype == complex
+    batch = run_batch(state, schedule, trial_streams(6, 7))
+    assert batch.final.shape == (7, 4) and batch.final.dtype == float
     for i, rng in enumerate(trial_streams(6, 7)):
         current = state
-        for k, entry in enumerate(schedule):
+        for entry in schedule:
             current = perform(current, entry.experiment, rng)[1]
-            assert batch.snapshots[i, k].tobytes() == current.rho.tobytes()
-        assert batch.final[i].tobytes() == current.rho.tobytes()
+        assert batch.final[i].tobytes() == current.mu.tobytes()
 
 
 def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
@@ -264,14 +262,14 @@ def test_flow_schedule_stays_indicator_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 2 * 2**20
     # the gathered rows ask what the evolved matrices ask
     moved = run_batch(state, evolve_schedule(schedule[:16], flow), trial_streams(5, 4))
     again = run_batch(state, schedule[:16], trial_streams(5, 4), flow)
     assert again.yes.tolist() == moved.yes.tolist()
     assert again.probability.tobytes() == moved.probability.tobytes()
     assert again.final.tobytes() == moved.final.tobytes()
-    assert batch.final.shape == (4, 128, 128)
+    assert batch.final.shape == (4, 128)
 
 
 def test_diagonal_schedule_under_a_hamiltonian_asks_its_evolved_copy():

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -337,7 +336,8 @@ def test_dynamics_are_checked_before_any_entry():
 
 def scalar_reference(state, schedule, rngs):
     """The per-trial loop that run_batch replaces: `perform` entry by entry.
-    Returns, per trial, the answers, the probabilities and the final rho."""
+    Returns, per trial, the answers, the probabilities and the final state as
+    the kernel carries it: mu on a diagonal algebra, else rho."""
     out = []
     for rng in rngs:
         current, yes, prob = state, [], []
@@ -345,7 +345,7 @@ def scalar_reference(state, schedule, rngs):
             outcome, current = perform(current, entry.experiment, rng)
             yes.append(outcome.yes)
             prob.append(outcome.probability)
-        out.append((yes, prob, current.rho))
+        out.append((yes, prob, current.mu if state.context.is_diagonal else current.rho))
     return out
 
 
@@ -353,10 +353,11 @@ def assert_batch_matches_scalar(state, schedule, seed, trials):
     batch = run_batch(state, schedule, trial_streams(seed, trials))
     reference = scalar_reference(state, schedule, trial_streams(seed, trials))
     assert batch.yes.shape == batch.probability.shape == (trials, len(schedule))
-    for i, (yes, prob, rho) in enumerate(reference):
+    for i, (yes, prob, final) in enumerate(reference):
         assert batch.yes[i].tolist() == yes
         assert batch.probability[i].tolist() == prob
-        assert batch.final[i].tobytes() == rho.tobytes()
+        assert batch.final[i].shape == final.shape
+        assert batch.final[i].tobytes() == final.tobytes()
     return batch
 
 
@@ -408,7 +409,8 @@ def test_run_batch_matches_scalar_diagonal_context():
             f"in {sorted(members)}", characteristic_projection(ctx, space.subset(members))))
         for k, members in enumerate([{0, 1, 2}, {1, 2, 3}, {2}, {2, 4}, {0, 2}])
     ]
-    assert_batch_matches_scalar(classical_state(ctx, mu), schedule, seed=11, trials=30)
+    batch = assert_batch_matches_scalar(classical_state(ctx, mu), schedule, seed=11, trials=30)
+    assert batch.final.shape == (30, 5) and batch.final.dtype == float
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -446,17 +448,6 @@ def test_run_batch_does_not_depend_on_chunking(monkeypatch):
             assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
         assert run_scenario("zeno_precise", {"n": 20}, trials=23, seed=8,
                             record_trials=True).to_dict() == doc
-
-
-def test_run_batch_snapshots_match_perform():
-    psi0 = pure_state(QUBIT, [1, 0])
-    schedule = zeno_schedule(n=6, omega=2.0)
-    batch = run_batch(psi0, schedule, trial_streams(4, 5), keep_snapshots=True)
-    for i, rng in enumerate(trial_streams(4, 5)):
-        current = psi0
-        for k, entry in enumerate(schedule):
-            current = perform(current, entry.experiment, rng)[1]
-            assert batch.snapshots[i, k].tobytes() == current.rho.tobytes()
 
 
 def test_run_batch_checks_like_run_sequence():
@@ -506,6 +497,41 @@ def test_run_sequence_advances_supplied_rng_like_perform():
         assert after == scalar.random(4).tolist() == counted.random(4).tolist()
 
 
+def one_trial_cases():
+    """A full algebra under a Hamiltonian and a diagonal one under a Flow:
+    (state, schedule, dynamics)."""
+    ham = Hamiltonian(Observable(QUBIT, 0.7 * SIGMA_X + 0.2 * SIGMA_Z))
+    angles = [0.0, 30.0, 30.0, 75.0, 120.0, 0.0]
+    quantum = [ScheduleEntry(0.3 * k, YesNoExperiment(f"{a:g}", polarizer(a)))
+               for k, a in enumerate(angles)]
+    space = PhaseSpace(tuple("abcdef"))
+    ctx = diagonal_context(space)
+    flow = Flow(space, (2, 0, 1, 4, 5, 3))
+    classical = [ScheduleEntry(k, YesNoExperiment(f"in {sorted(m)}", characteristic_projection(
+        ctx, space.subset(m)))) for k, m in enumerate([{0, 1, 3}, {1, 4}, {0, 2, 5}, {3}, {2, 4}])]
+    mu = np.random.default_rng(41).dirichlet(np.ones(6))
+    return [(rand_density(QUBIT, np.random.default_rng(40)), quantum, ham),
+            (classical_state(ctx, mu), classical, flow)]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["hamiltonian", "flow"])
+def test_one_trial_run_is_row_i_of_the_batch(case):
+    state, schedule, dynamics = one_trial_cases()[case]
+    seed, trials = 29, 24
+    batch = run_batch(state, schedule, trial_streams(seed, trials), dynamics)
+    assert 0 < batch.draws.sum() and len({tuple(row) for row in batch.yes.tolist()}) > 1
+    for i in range(trials):
+        rng = trial_generator(seed, i)
+        rec = run_sequence(state, schedule, dynamics, rng=rng)
+        assert rec.outcomes() == batch.yes[i].tolist()
+        assert [e.outcome.probability for e in rec.entries] == batch.probability[i].tolist()
+        final = rec.final_state.mu if state.context.is_diagonal else rec.final_state.rho
+        assert final.tobytes() == batch.final[i].tobytes()
+        counted = trial_generator(seed, i)
+        counted.random(int(batch.draws[i]))
+        assert rng.random(3).tolist() == counted.random(3).tolist()
+
+
 def screen_chain(dim=3):
     """A stop-at-first-yes chain "is it at point m?" on a complex pure state."""
     ctx = full_context(dim)
@@ -521,7 +547,7 @@ def compiled(exps):
 
 def test_run_batch_and_first_yes_take_empty_stacks():
     state, exps = screen_chain()
-    none = run_batch(state, [ScheduleEntry(0.0, e) for e in exps], [])
+    none = run_batch(state, [ScheduleEntry(0.0, e) for e in exps], trial_streams(0, 0))
     assert none.yes.shape == none.p_yes.shape == (0, 3) and none.final.shape == (0, 3, 3)
     empty, used = np.empty((0, 3, 3), dtype=complex), np.zeros(0, dtype=np.intp)
     out, yes, p_yes = born_step(empty, compiled(exps)[0], np.zeros((0, 7)), used)
@@ -845,19 +871,6 @@ def test_run_chunked_builds_one_philox_per_run(monkeypatch):
     assert built == [{"key": 9}]
     for name in ("yes", "probability", "draws", "final"):
         assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
-
-
-def test_supplied_generators_are_read_not_advanced():
-    # a generator part-way through Philox's four-draw buffer is one more
-    # stream: its row is what it would draw next, and it does not move
-    gens = [trial_generator(3, i) for i in range(3)]
-    gens[1].random(5)
-    before = [g.bit_generator.state for g in gens]
-    expected = [copy.deepcopy(g).random(6).tolist() for g in gens]
-    filled, = run_chunked(gens, 6, 0, lambda uniforms, used: (uniforms.copy(),))
-    assert filled.tolist() == expected
-    for g, state in zip(gens, before):
-        assert str(g.bit_generator.state) == str(state)
 
 
 def test_trial_generators_are_reproducible_and_distinct():

@@ -426,6 +426,20 @@ def test_trials_and_seed_are_validated_like_integer_parameters(arg, value):
         run_scenario("epr", **{arg: value})
 
 
+@pytest.mark.parametrize("name, params, trials, seed", [
+    ("zeno_precise", {"n": True}, 4, 0),
+    ("zeno_precise", {"T": False}, 4, 0),
+    ("polarization_sequence", {"angles": [0.0, True]}, 4, 0),
+    ("two_slit", {"amp_l": [1.0, False]}, 4, 0),
+    ("two_slit", {"amp_r": [[0.0, 1.0], [True, 0.0]]}, 4, 0),
+    ("epr", None, True, 0),
+    ("epr", None, 4, False),
+])
+def test_booleans_are_not_numbers(name, params, trials, seed):
+    with pytest.raises(ParameterError, match="boolean"):
+        run_scenario(name, params, trials=trials, seed=seed)
+
+
 def test_integral_trials_and_seed_are_accepted():
     want = run_scenario("epr", trials=4, seed=7, record_trials=True).to_dict()
     got = run_scenario("epr", trials=4.0, seed="7", record_trials=True)
