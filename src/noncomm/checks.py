@@ -506,10 +506,10 @@ def _check_born_rule_sampling():
     for k, p in enumerate((0.1, 0.5, 0.9)):
         psi = [math.sqrt(p), math.sqrt(1.0 - p)]
         state = pure_state(ctx, psi)
-        # one stacked step: copy i reads the draw the i-th scalar `perform` makes
+        # one step from one row: trial i reads the draw the i-th `perform` makes
         uniforms = make_generator(400 + k).random((draws, 1))
-        rho = np.repeat(state.rho[None], draws, axis=0)
-        hits = int(born_step(rho, ground, uniforms, np.arange(draws))[1].sum())
+        one = np.zeros(draws, dtype=np.intp)
+        hits = int(born_step(state.rho[None], one, ground, uniforms, np.arange(draws))[2].sum())
         band = 4.0 * math.sqrt(p * (1.0 - p) / draws)
         worst_ratio = max(worst_ratio, abs(hits / draws - p) / band)
     return worst_ratio

@@ -282,6 +282,9 @@ def _cmd_run(args) -> int:
     if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
         print(f"error: --out {args.out!r} is not in an existing directory", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    if args.out is not None and os.path.isdir(args.out):
+        print(f"error: --out {args.out!r} is a directory", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     started = _utc_now()
     try:
         config = _load_config(args.config)

@@ -11,17 +11,18 @@ reads.  Kronecker products, local embeddings, and partial traces cover the
 composite systems needed for entangled-pair experiments.
 
 One trial is `perform`: `run_sequence` loops it over the evolved schedule.
-A batch of trials runs as one (trials, d, d) stack: `born_step` asks one
-question of every trial at once, giving each the bits `perform` gives it
-alone.  On a diagonal algebra the stack holds (trials, n) measures, a
-schedule stays the (n, d) stack of its indicator rows from evolution to
-compiled question, the update is `condition`'s Bayes rule, and the final
-states are those measures.  A trial draws one block of uniforms, sized to
-its run's most draws, and its one pointer moves only on unforced outcomes,
-so in every phase the k-th uniform used is the k-th `perform` would draw.
-`run_batch` loops the step over a fixed schedule; a caller that stops
-trials early passes only the rows still running.  `trial_records` lays out
-every scenario's per-trial records.
+A batch runs as one stack of distinct states, trials that share an answer
+history sharing one conditioned state: `born_step` asks one question of
+every trial at once, conditions each state once per answer given, and gives
+each trial the bits `perform` gives it alone.  On a diagonal algebra the
+stack holds measures, a schedule stays the (n, d) stack of its indicator
+rows from evolution to compiled question, the update is `condition`'s Bayes
+rule, and the final states are those measures.  A trial draws one block of
+uniforms, sized to its run's most draws, and its one pointer moves only on
+unforced outcomes, so in every phase the k-th uniform used is the k-th
+`perform` would draw.  `run_batch` loops the step over a fixed schedule; a
+caller that stops trials early passes only their rows' indices.
+`trial_records` lays out every scenario's per-trial records.
 
 Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
@@ -309,53 +310,62 @@ def run_chunked(streams: TrialStreams, draws: int, state_bytes: int, run) -> tup
     return tuple(np.concatenate(f) for f in zip(*parts))
 
 
-def born_step(rho: np.ndarray, question, uniforms: np.ndarray, used: np.ndarray) -> tuple:
-    """Ask one compiled question (`compile_questions`) of every trial of a
-    C-ordered (trials, d, d) stack (as `np.repeat` makes it, so BLAS sees
-    the strides of the one-matrix path), or of a (trials, n) stack of
-    measures on a diagonal algebra, with the bits and errors `perform` gives
-    each trial alone.  Trial i's answer is forced when its clamped
-    yes-probability p is within P_FLOOR of 0 or 1, else it is
-    uniforms.ravel()[used[i]] < p and the flat pointer used[i] advances in
-    place.  Returns a new conditioned stack, the answers and p; a "no" has
-    probability 1 - p."""
+def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
+              used: np.ndarray) -> tuple:
+    """Ask one compiled question (`compile_questions`) of every trial, with
+    the bits and errors `perform` gives each trial alone.  Trials that share
+    an answer history share one state: trial i is on row cls[i] of `rho`, a
+    C-ordered (m, d, d) stack, or (m, n) measures on a diagonal algebra.  Its
+    answer is forced when its clamped yes-probability p is within P_FLOOR of
+    0 or 1, else it is uniforms.ravel()[used[i]] < p and used[i] advances in
+    place.  Each (row, answer) some trial gave is conditioned once, and rows
+    no trial is on are dropped.  Returns the new stack, each trial's row in
+    it, the answers and p ("no": 1 - p)."""
     diagonal = rho.ndim == 2
-    if diagonal:
+    if diagonal:  # the sums `yes_probability` and `bayes` take
         s, s_no = question
-        raw_yes = np.add.reduce(rho * s, -1)  # the sum `yes_probability` takes
+        raw_yes, raw_no = np.add.reduce(rho * s, -1), np.add.reduce(rho * s_no, -1)
     else:
         p, q, p_col, q_col = question
         flat = rho.reshape(len(rho), 1, rho.shape[-1] ** 2)
         # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
-        raw_yes = (flat @ p_col)[:, 0, 0].real
-        raw_no = (flat @ q_col)[:, 0, 0].real
-    p_yes = raw_yes.clip(0.0, 1.0)  # keeps -0.0, as yes_probability does
+        raw_yes, raw_no = (flat @ p_col)[:, 0, 0].real, (flat @ q_col)[:, 0, 0].real
+    p_yes = raw_yes.clip(0.0, 1.0)[cls]  # keeps -0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
     free = ~(forced_yes | (p_yes <= P_FLOOR))
     yes = forced_yes | (free & (uniforms.ravel()[used] < p_yes))
     used += free
+    child = 2 * cls + yes  # each trial's (row, answer) as one index
+    taken = np.bincount(child, minlength=2 * len(rho)).reshape(-1, 2) > 0
+    answer = taken[:, 1]
+    if np.count_nonzero(taken[:, 0] == answer):  # a row splits, or no trial is on it
+        row, answer = np.nonzero(taken)
+        rho, raw_yes, raw_no = rho[row], raw_yes[row], raw_no[row]
+        cls = (taken.cumsum() - 1)[child]
+    prob = np.where(answer, raw_yes, raw_no)
+    if np.count_nonzero(prob <= P_FLOOR):  # name the first trial to fail, as a loop would
+        require_probability(prob[cls])
     if diagonal:
-        # each trial's answer picks its indicator row: one Bayes update, as `condition` makes it
-        post = bayes(rho, np.where(yes[:, None], s, s_no))
+        post = bayes(rho, np.where(answer[:, None], s, s_no))
     else:
-        require_probability(np.where(yes, raw_yes, raw_no))
-        proj = np.where(yes[:, None, None], p, q)
+        proj = np.where(answer[:, None, None], p, q)
         post = renormalize(proj @ rho @ proj)
     if np.isnan(p_yes).any():  # p is clamped, so only nan leaves [0, 1]
         raise NumericalInvariantError("outcome probability nan outside [0, 1]")
-    return post, yes, p_yes
+    return post, cls, yes, p_yes
 
 
 def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> BatchOutcomes:
     """Run one schedule, fixed in advance, over a batch of trials at once.
 
     The schedule is evolved and compiled once, as one stack of questions.
-    `streams` is `trial_streams(seed, trials)`, all trials starting from
-    `state`.  Trial i draws a block of len(schedule) uniforms from its stream
-    and `born_step` uses them in order, one per unforced outcome, so its
-    answers, probabilities, final state and errors are bit for bit those of
-    `run_sequence` with `trial_generator(seed, i)`.  Final states stay as the
-    kernel carries them: measures on a diagonal algebra, else density matrices.
+    `streams` is `trial_streams(seed, trials)`; all trials start on one row,
+    `state`, and the stack keeps one state per answer history.  Trial i
+    draws a block of len(schedule) uniforms from its stream and `born_step`
+    uses them in order, one per unforced outcome, so its answers,
+    probabilities, final state and errors are bit for bit those of
+    `run_sequence` with `trial_generator(seed, i)`.  Each trial's final
+    state is its row: a measure on a diagonal algebra, else a density matrix.
     """
     _check_schedule(state, schedule)
     check_dynamics(dynamics, [state.context])
@@ -366,11 +376,11 @@ def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> B
     def run(uniforms, used):
         t = len(used)
         yes, p_yes = np.empty((t, n), dtype=bool), np.empty((t, n))
-        rho = np.repeat(start[None], t, axis=0)
+        rho, cls = start[None], np.zeros(t, dtype=np.intp)
         for k, question in enumerate(questions):
-            rho, yes[:, k], p_yes[:, k] = born_step(rho, question, uniforms, used)
+            rho, cls, yes[:, k], p_yes[:, k] = born_step(rho, cls, question, uniforms, used)
         prob = np.where(yes, p_yes, 1.0 - p_yes)
-        return yes, prob, p_yes, used - np.arange(t) * n, rho
+        return yes, prob, p_yes, used - np.arange(t) * n, rho[cls]
 
     return BatchOutcomes(*run_chunked(streams, n, 16 * d * d, run))
 

@@ -401,20 +401,20 @@ def _mean_or_none(xs):
     return float(np.mean(xs)) if len(xs) else None
 
 
-def _first_yes(rho, questions, uniforms, used):
+def _first_yes(rho, cls, questions, uniforms, used):
     """Each trial's position, sampled by asking "is it at point m?" in order
     until its first yes, conditioning on each answer: the chain reproduces
-    the Born distribution, and the last question is forced if reached.  A
-    question is asked only of the trials still without a yes; `used` ends at
-    each trial's next draw."""
-    point, rows, ahead = np.full(len(rho), len(questions) - 1), np.arange(len(rho)), used.copy()
+    the Born distribution, and the last question is forced if reached.  Trial
+    i is on row cls[i] of `rho`, one row per answer history (`born_step`), and
+    is asked only until its yes; `used` ends at each trial's next draw."""
+    point, rows, ahead = np.full(len(cls), len(questions) - 1), np.arange(len(cls)), used.copy()
     for m, question in enumerate(questions):
         if not len(rows):
             break
-        rho, yes, _ = born_step(rho, question, uniforms, ahead)
+        rho, cls, yes, _ = born_step(rho, cls, question, uniforms, ahead)
         if yes.any():
             point[rows[yes]], used[rows[yes]] = m, ahead[yes]
-            rho, rows, ahead = rho[~yes], rows[~yes], ahead[~yes]
+            cls, rows, ahead = cls[~yes], rows[~yes], ahead[~yes]
     used[rows] = ahead
     return point
 
@@ -452,14 +452,13 @@ def _run_two_slit(params, trials, seed, record_trials):
     joint_state = pure_state(ctx_joint, psi_joint)
 
     def run(uniforms, used):
-        screen, joint = (np.repeat(s.rho[None], len(used), axis=0)
-                         for s in (screen_state, joint_state))
-        pos = _first_yes(screen, at_screen, uniforms, used)
-        joint, left, _ = born_step(joint, path_left, uniforms, used)
-        return pos, left, _first_yes(joint, at_joint, uniforms, used)
+        start = np.zeros(len(used), dtype=np.intp)
+        pos = _first_yes(screen_state.rho[None], start, at_screen, uniforms, used)
+        joint, cls, left, _ = born_step(joint_state.rho[None], start, path_left, uniforms, used)
+        return pos, left, _first_yes(joint, cls, at_joint, uniforms, used)
 
     # per trial: 2m + 1 uniforms (m per screen chain, 1 for the path; one
-    # pointer walks them across the phases) and m x m plus 2m x 2m states
+    # pointer walks them across the phases) and at most m x m plus 2m x 2m states
     pos, left, pos_wp = run_chunked(trial_streams(seed, trials), 2 * m_points + 1,
                                     16 * 5 * m_points * m_points, run)
     records = trial_records(

@@ -242,6 +242,19 @@ def test_out_in_a_missing_directory_exits_3_before_running(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+def test_out_naming_a_directory_exits_3_before_running(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    (tmp_path / "results").mkdir()
+    for out in (tmp_path / "results", tmp_path):
+        assert main(["run", "epr", "--trials", "5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: --out {str(out)!r} is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results"]
+    assert not any((tmp_path / "results").iterdir())
+
+
 def test_run_json_result_validates_against_schema(tmp_path):
     out = tmp_path / "res.json"
     code = main(["run", "two_slit", "--trials", "100", "--seed", "3",

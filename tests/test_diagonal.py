@@ -117,7 +117,10 @@ def test_condition_classical_condition_and_kernel_agree_bitwise(case, u, v):
     question, = compile_questions(measure(exp.projection.matrix)[None])
 
     def kernel(rows, uniforms):
-        return born_step(rows, question, uniforms, np.arange(len(rows)))
+        # one trial per row; the post-state is returned in trial order
+        trials = np.arange(len(rows))
+        post, cls, yes, p_yes = born_step(rows, trials, question, uniforms, trials.copy())
+        return post[cls], yes, p_yes
 
     alone = outcome(lambda: kernel(mu[None].copy(), np.array([[u]])))
     assert alone == outcome(lambda: scalar(state, u))
@@ -168,9 +171,9 @@ def test_zero_mass_outcome_raises_the_same_error_from_condition_and_the_kernel()
         condition(broken, exp.no_projection)
     with pytest.raises(ZeroProbabilityError) as performed:
         perform(broken, exp, FixedDraw(0.9))
-    rows = np.repeat(measure(broken.rho)[None], 3, axis=0)
     with pytest.raises(ZeroProbabilityError) as kernel:
-        born_step(rows, compile_questions(measure(exp.projection.matrix)[None])[0],
+        born_step(broken.mu[None], np.zeros(3, dtype=np.intp),
+                  compile_questions(measure(exp.projection.matrix)[None])[0],
                   np.array([[0.1], [0.9], [0.7]]), np.arange(3))
     with pytest.raises(ZeroProbabilityError) as bayes:
         classical_condition([0.5, 0.5, 0.0], space.subset([2]))

@@ -54,6 +54,7 @@ from noncomm.states import (
     ZeroProbabilityError,
     classical_state,
     expectation,
+    measure,
     pure_state,
     state_distance,
     yes_probability,
@@ -550,10 +551,14 @@ def test_run_batch_and_first_yes_take_empty_stacks():
     none = run_batch(state, [ScheduleEntry(0.0, e) for e in exps], trial_streams(0, 0))
     assert none.yes.shape == none.p_yes.shape == (0, 3) and none.final.shape == (0, 3, 3)
     empty, used = np.empty((0, 3, 3), dtype=complex), np.zeros(0, dtype=np.intp)
-    out, yes, p_yes = born_step(empty, compiled(exps)[0], np.zeros((0, 7)), used)
-    assert out.shape == (0, 3, 3) and yes.shape == p_yes.shape == (0,)
-    point = scenarios._first_yes(empty, compiled(exps), np.zeros((0, 7)), used)
+    out, cls, yes, p_yes = born_step(empty, used, compiled(exps)[0], np.zeros((0, 7)), used)
+    assert out.shape == (0, 3, 3) and cls.shape == yes.shape == p_yes.shape == (0,)
+    point = scenarios._first_yes(empty, used, compiled(exps), np.zeros((0, 7)), used)
     assert point.shape == used.shape == (0,)
+    # a one-row stack with no trial on it drops its row
+    out, cls, yes, p_yes = born_step(state.rho[None], used, compiled(exps)[0],
+                                     np.zeros((0, 7)), used)
+    assert out.shape == (0, 3, 3) and cls.shape == yes.shape == p_yes.shape == (0,)
 
 
 def scalar_first_yes(state, exps, rng):
@@ -576,8 +581,8 @@ def test_draw_pointer_carries_across_phases():
     seed, trials = 17, 40
 
     def run(uniforms, used):
-        rho = np.repeat(state.rho[None], len(used), axis=0)
-        point = scenarios._first_yes(rho, compiled(exps), uniforms, used)
+        cls = np.zeros(len(used), dtype=np.intp)
+        point = scenarios._first_yes(state.rho[None], cls, compiled(exps), uniforms, used)
         return point, uniforms.ravel()[used], used - np.arange(len(used)) * uniforms.shape[1]
 
     point, following, used = run_chunked(trial_streams(seed, trials), 2 * len(exps) + 1, 0, run)
@@ -591,23 +596,125 @@ def test_first_yes_asks_each_question_only_of_undecided_trials(monkeypatch):
     seed, trials, draws = 23, 60, 4
     asked = []
 
-    def spy(rho, question, uniforms, used):
+    def spy(rho, cls, question, uniforms, used):
         trial = used // draws  # each trial's pointer stays in its own row
-        out = born_step(rho, question, uniforms, used)
-        asked.append((trial.tolist(), out[1].tolist()))
+        out = born_step(rho, cls, question, uniforms, used)
+        asked.append((trial.tolist(), len(cls), out[2].tolist()))
         return out
 
     monkeypatch.setattr(scenarios, "born_step", spy)
-    rho = np.repeat(state.rho[None], trials, axis=0)
     uniforms = np.array([rng.random(draws) for rng in trial_streams(seed, trials)])
-    scenarios._first_yes(rho, compiled(exps), uniforms, np.arange(trials) * draws)
+    scenarios._first_yes(state.rho[None], np.zeros(trials, dtype=np.intp), compiled(exps),
+                         uniforms, np.arange(trials) * draws)
     first = [scalar_first_yes(state, exps, rng)[0] for rng in trial_streams(seed, trials)]
     assert 1 < len(asked) <= len(exps) and len(set(first)) > 1
     undecided = list(range(trials))
-    for m, (trial, yes) in enumerate(asked):
+    for m, (trial, asked_of, yes) in enumerate(asked):
         assert trial == undecided == [i for i in range(trials) if first[i] >= m]
+        assert asked_of == len(undecided)
         undecided = [i for i, y in zip(trial, yes) if not y]
     assert not undecided or len(asked) == len(exps)
+
+
+def histories(answers):
+    """The number of distinct answer histories among rows of a (trials, k) array."""
+    return len({row.tobytes() for row in np.ascontiguousarray(answers)})
+
+
+def test_batch_stack_holds_one_state_per_answer_history(monkeypatch):
+    steps = []
+
+    def spy(rho, cls, question, uniforms, used):
+        out = born_step(rho, cls, question, uniforms, used)
+        steps.append((len(rho), len(out[0]), out[1]))
+        return out
+
+    monkeypatch.setattr(measurement, "born_step", spy)
+    trials = 4096  # one chunk, so one step per schedule entry
+    batch = run_batch(pure_state(QUBIT, [1, 0]), zeno_schedule(), trial_streams(42, trials))
+    assert len(steps) == 100 and histories(batch.yes) > 20
+    for k, (before, after, cls) in enumerate(steps):
+        assert before == histories(batch.yes[:, :k])
+        assert after == histories(batch.yes[:, :k + 1]) == len(set(cls.tolist()))
+
+
+def test_two_slit_stacks_hold_one_state_per_answer_history(monkeypatch):
+    calls = []
+
+    def spy(rho, cls, question, uniforms, used):
+        out = born_step(rho, cls, question, uniforms, used)
+        calls.append((rho.shape[-1], len(set(cls.tolist())), len(cls), len(out[0]), out[2]))
+        return out
+
+    monkeypatch.setattr(scenarios, "born_step", spy)
+    points = 8
+    params = {"amp_l": [1] * points, "amp_r": [1, -1] * (points // 2)}
+    records = run_scenario("two_slit", params, 300, 5, record_trials=True).trial_records
+    pos = np.array([r["no_which_path_point"] for r in records])
+    left = np.array([r["path_answer"] == "yes" for r in records])
+    pos_wp = np.array([r["which_path_point"] for r in records])
+    screen = [c for c in calls if c[0] == points]
+    path, *joint = [c for c in calls if c[0] == 2 * points]
+    # each step: the rows live trials are on are their histories before it,
+    # and the new stack holds their histories after it
+    assert path[1:4] == (1, 300, len(set(left.tolist()))) and path[4].tolist() == left.tolist()
+    assert 1 < len(screen) <= points and 1 < len(joint) <= points
+    for m, (_, live, asked, after, yes) in enumerate(screen):
+        at = pos >= m
+        assert (live, asked, after) == (1, at.sum(), histories((pos[at] == m)[:, None]))
+        assert yes.tolist() == (pos[at] == m).tolist()
+    for m, (_, live, asked, after, yes) in enumerate(joint):
+        at = pos_wp >= m
+        assert (live, asked) == (histories(left[at][:, None]), at.sum())
+        assert after == histories(np.stack([left[at], pos_wp[at] == m], axis=1))
+        assert yes.tolist() == (pos_wp[at] == m).tolist()
+
+
+def test_first_yes_drops_rows_no_trial_is_on(monkeypatch):
+    # after a yes its row has no trial left; when the live row then splits
+    # in two, the children are as many as the stack's rows but are not it
+    state, exps = screen_chain(4)
+    seed, trials, draws = 31, 200, 4
+    steps = []
+
+    def spy(rho, cls, question, uniforms, used):
+        out = born_step(rho, cls, question, uniforms, used)
+        steps.append((len(rho), len(set(cls.tolist())), len(out[0])))
+        return out
+
+    monkeypatch.setattr(scenarios, "born_step", spy)
+    uniforms = np.array([rng.random(draws) for rng in trial_streams(seed, trials)])
+    used = np.arange(trials) * draws
+    point = scenarios._first_yes(state.rho[None], np.zeros(trials, dtype=np.intp),
+                                 compiled(exps), uniforms, used)
+    assert any(rows == children > live for rows, live, children in steps[1:])
+    for i, rng in enumerate(trial_streams(seed, trials)):
+        assert (point[i], used[i] - i * draws) == scalar_first_yes(state, exps, rng)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@pytest.mark.parametrize("rows, cls, draws, error", [
+    # "no" has mass 0 on row 0 and 4e-13 on row 1; trial 1 fails first, on row 1
+    ([[0.5, 0.0], [0.3, 4e-13]], [0, 1, 0], [0.1, 0.9, 0.9], ZeroProbabilityError),
+    # row 1 is nan: no probability fails the floor, the nan check does
+    ([[0.5, 0.5], [np.nan, np.nan]], [0, 1, 0], [0.9, 0.9, 0.2], NumericalInvariantError),
+])
+def test_kernel_raises_the_first_failing_trial_of_any_row(diagonal, rows, cls, draws, error):
+    ctx = diagonal_context(PhaseSpace(("u", "v"))) if diagonal else QUBIT
+    measures = np.array(rows)
+    states = [State._trusted(ctx, mu if diagonal else np.diag(mu).astype(complex))
+              for mu in measures]
+    exp = YesNoExperiment("at u", Projection(ctx, np.diag([1.0, 0.0]).astype(complex)))
+    with pytest.raises(error) as scalar:
+        for row, u in zip(cls, draws):  # the trials in order, as a loop would run them
+            perform(states[row], exp, CountingDraw(u))
+    stack = measures if diagonal else np.array([s.rho for s in states])
+    question, = compile_questions((measure(exp.projection.matrix) if diagonal
+                                   else exp.projection.matrix)[None])
+    with pytest.raises(error) as kernel:
+        born_step(stack, np.array(cls), question, np.array(draws)[:, None], np.arange(len(cls)))
+    assert type(kernel.value) is type(scalar.value) and str(kernel.value) == str(scalar.value)
 
 
 class CountingDraw:
@@ -666,10 +773,10 @@ def test_one_trial_step_is_perform_across_the_floor(case, u):
 
     def kernel():
         used = np.zeros(1, dtype=np.intp)
-        rho = np.repeat(state.rho[None], 1, axis=0)
-        post, yes, p_yes = born_step(rho, compile_questions(p.matrix[None])[0],
-                                     np.array([[u]]), used)
-        return yes[0], used[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], post[0]
+        post, cls, yes, p_yes = born_step(state.rho[None], np.zeros(1, dtype=np.intp),
+                                          compile_questions(p.matrix[None])[0],
+                                          np.array([[u]]), used)
+        return yes[0], used[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], post[cls[0]]
 
     assert outcome_bytes(kernel) == outcome_bytes(scalar)
 
