@@ -202,6 +202,8 @@ class AlgebraElement:
             raise ValueError(
                 f"matrix shape {arr.shape} does not match algebra dimension {context.dim}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has a non-finite entry")
         if context.is_diagonal:
             off = arr - np.diag(np.diag(arr))
             if off.size and np.abs(off).max() > EPS_ALG:

@@ -42,7 +42,7 @@ import tempfile
 from . import __version__
 from .algebra import ContextMismatchError
 from .checks import SUITES, run_checks
-from .scenarios import SCENARIOS, ParameterError, ScenarioResult, run_scenario
+from .scenarios import SCENARIOS, SEED, TRIALS, ParameterError, ScenarioResult, run_scenario
 from .states import NumericalInvariantError
 
 EXIT_OK = 0
@@ -50,8 +50,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_UNKNOWN_SCENARIO = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
-
-_DEFAULT_TRIALS = 1000
 
 _NAMES = {"pi": math.pi, "e": math.e, "tau": math.tau, "true": True, "false": False}
 _BINOPS = {
@@ -291,8 +289,8 @@ def _cmd_run(args) -> int:
         overrides = dict(config.get("parameters", {}))
         overrides.update(parse_set_options(args.set))
         seeds = (args.seed, config.get("seed"), os.environ.get("NONCOMM_SEED"))
-        seed = next((s for s in seeds if s is not None), 0)
-        trials = args.trials if args.trials is not None else config.get("trials", _DEFAULT_TRIALS)
+        seed = next((s for s in seeds if s is not None), SEED.default)
+        trials = args.trials if args.trials is not None else config.get("trials", TRIALS.default)
         result = run_scenario(name, overrides, trials, seed, args.snapshots)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -371,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="JSON config file with seed/trials/parameters")
     run_p.add_argument("--set", action="append", metavar="k=v,...",
                        help="parameter overrides; repeatable, comma-separable")
-    run_p.add_argument("--seed", type=int, help="64-bit seed (default: $NONCOMM_SEED or 0)")
-    run_p.add_argument("--trials", type=int, help=f"trial count (default {_DEFAULT_TRIALS})")
+    run_p.add_argument("--seed", type=int,
+                       help=f"64-bit seed (default: $NONCOMM_SEED or {SEED.default})")
+    run_p.add_argument("--trials", type=int, help=f"trial count (default {TRIALS.default})")
     run_p.add_argument("--out", help="output path (default: stdout, no manifest)")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
     run_p.add_argument("--snapshots", action="store_true",

@@ -310,6 +310,12 @@ def run_chunked(streams: TrialStreams, draws: int, state_bytes: int, run) -> tup
     return tuple(np.concatenate(f) for f in zip(*parts))
 
 
+def chunk_peak_bytes(draws: int, state_bytes: int) -> int:
+    """Estimated peak bytes of one `run_chunked` chunk: its uniforms and state
+    stacks (CHUNK_BYTES, or one trial's if more), thrice more for temporaries."""
+    return 4 * max(CHUNK_BYTES, 8 * draws + state_bytes)
+
+
 def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
               used: np.ndarray) -> tuple:
     """Ask one compiled question (`compile_questions`) of every trial, with

@@ -6,11 +6,14 @@ coarse-window Zeno runs, an entangled-pair (EPR) experiment, a two-slit
 which-path comparison, the three-observer P,Q,P sequence, and classical
 control runs of the Zeno and EPR setups on the commutative algebra.
 
-`run_scenario` is the one entry point, for the library and for
-`noncomm run` alike: it validates the parameters against the scenario's
-schema, and the trial count and the 64-bit seed as integer parameters,
-rejects a run whose estimated peak memory (`peak_bytes`) exceeds what the
-process may use (`memory_limit`), then runs the scenario.  Every scenario is
+A scenario is declared once, by its entry in `SCENARIOS`: parameters with
+their lower bounds, runner, and memory footprint.  `run_scenario` is the one
+entry point, for the library and for `noncomm run` alike: it validates the
+parameters against the schema and bounds, and the trial count and 64-bit
+seed as integer parameters, before it estimates anything; rejects a run
+whose estimated peak memory (`peak_bytes`) exceeds what the process may use
+(`memory_limit`); then runs the scenario, whose runner rejects what bounds
+cannot state, such as a derived value that would overflow.  Every scenario is
 setup, run, summary: it builds its states and questions, runs its trials,
 and returns a ScenarioResult of scalar summary statistics, sequence-valued
 series and (optionally) per-trial records, laid out by `trial_records`.
@@ -32,7 +35,7 @@ import cmath
 import math
 import os
 import resource
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,10 +52,10 @@ from .algebra import (
 )
 from .dynamics import Flow, Hamiltonian, propagator
 from .measurement import (
-    CHUNK_BYTES,
     ScheduleEntry,
     YesNoExperiment,
     born_step,
+    chunk_peak_bytes,
     compile_questions,
     embed_local,
     entry_dict,
@@ -91,6 +94,7 @@ class ParamSpec:
     default: object
     description: str
     choices: tuple = None
+    minimum: object = None  # least value of a number or integer, checked by `_coerce`
 
     def schema(self) -> dict:
         out = {"name": self.name, "type": self.kind,
@@ -110,17 +114,10 @@ class ScenarioResult:
     series: dict = field(default_factory=dict)
     trial_records: list | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "trials": self.trials,
-            "summary": self.summary,
-            "series": self.series,
-        }
-        if self.trial_records is not None:
-            out["trial_records"] = self.trial_records
+    def to_dict(self) -> dict:  # the fields in order, the records only when kept
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.trial_records is None:
+            del out["trial_records"]
         return out
 
 
@@ -161,6 +158,9 @@ def _coerce(spec: ParamSpec, value):
         raise ParameterError(f"{spec.name} must be finite, got {value!r}")
     if spec.choices and out not in spec.choices:
         raise ParameterError(f"{spec.name} must be one of {spec.choices}, got {out!r}")
+    if spec.minimum is not None and out < spec.minimum:  # an int past 4300 digits has no repr
+        shown = repr(out) if out > -10**4000 else "a number below -10**4000"
+        raise ParameterError(f"{spec.name} must be at least {spec.minimum}, got {shown}")
     return out
 
 
@@ -252,8 +252,9 @@ def _run_polarization(params, trials, seed, record_trials):
 
 def _run_zeno_precise(params, trials, seed, record_trials):
     omega, t_total, n = params["omega"], params["T"], params["n"]
-    if n < 1:
-        raise ParameterError("n must be at least 1")
+    # the evolution turns by omega*T/2 in all, and the last measurement is at T*n/n
+    if not (math.isfinite(omega * t_total) and math.isfinite(t_total * n)):
+        raise ParameterError(f"omega*T or T*n overflows: omega={omega!r}, T={t_total!r}, n={n}")
     ctx = _qubit()
     ham = Hamiltonian(Observable(ctx, (omega / 2.0) * SIGMA_X))
     survive = Projection(ctx, np.diag([1.0, 0.0]).astype(complex))
@@ -285,16 +286,13 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     echo = {k: params[k] for k in ("num_levels", "window_width", "drift_rate", "steps",
                                    "coupling", "dt", "initial_level")}
     levels, width, drift, steps, coupling, dt, start = echo.values()
-    if levels < 2:
-        raise ParameterError("need at least two levels")
     if not 1 <= width <= levels:
         raise ParameterError("window width must be between 1 and the number of levels")
     if not 1 <= start <= levels:
         raise ParameterError("initial level out of range")
-    if drift < 0:
-        raise ParameterError("drift rate must be non-negative")
-    if steps < 0:
-        raise ParameterError("steps must be non-negative")
+    # the Hamiltonian's symmetrization doubles coupling; its eigenphases are below 2*coupling*dt
+    if not math.isfinite(2.0 * coupling * dt):
+        raise ParameterError(f"2*coupling*dt overflows: coupling={coupling!r}, dt={dt!r}")
 
     ctx = full_context(levels)
     level_obs = Observable(ctx, np.diag(np.arange(1, levels + 1)).astype(complex))
@@ -427,11 +425,16 @@ def _run_two_slit(params, trials, seed, record_trials):
     m_points = amp_l.shape[0]
     if m_points < 1:
         raise ParameterError("need at least one screen point")
-    joint_norm2 = float(np.vdot(amp_l, amp_l).real + np.vdot(amp_r, amp_r).real)
+    # squared norms as Python floats, which overflow to inf without a warning
+    joint_norm2 = float(np.vdot(amp_l, amp_l).real) + float(np.vdot(amp_r, amp_r).real)
+    if not math.isfinite(joint_norm2):
+        raise ParameterError("amp_l and amp_r overflow: their squared norm is not finite")
     if joint_norm2 <= 0.0:
         raise ParameterError("slit amplitudes have zero total norm")
     combined = amp_l + amp_r
     combined_norm2 = float(np.vdot(combined, combined).real)
+    if not math.isfinite(combined_norm2):
+        raise ParameterError("amp_l + amp_r overflows: its squared norm is not finite")
     if combined_norm2 <= 0.0:
         raise ParameterError("slit amplitudes cancel everywhere; screen state has zero norm")
 
@@ -522,10 +525,6 @@ def _run_classical_control(params, trials, seed, record_trials):
 def _classical_zeno(params, trials, seed, record_trials):
     n_points = params["num_points"]
     steps = params["steps"]
-    if n_points < 2:
-        raise ParameterError("need at least two phase-space points")
-    if steps < 0:
-        raise ParameterError("steps must be non-negative")
     space = PhaseSpace(tuple(f"x{i + 1}" for i in range(n_points)))
     ctx = diagonal_context(space)
     cycle = Flow(space, tuple((i + 1) % n_points for i in range(n_points)))
@@ -610,27 +609,20 @@ _ENTRY_BYTES = 1024
 _RECORD_BYTES = 640
 
 
-def _chunk_bytes(draws, state_bytes):
-    """One chunk of `run_chunked`: uniforms, state stacks and the step's
-    temporaries."""
-    return 4 * max(CHUNK_BYTES, 8 * draws + state_bytes)
-
-
 def _schedule_footprint(n, d):
     """A fixed n-entry schedule on d x d matrices through `run_batch`: the
     evolved and compiled stacks with a chunk, per trial its result rows and
     final state, per record n measurements."""
-    n = max(n, 0)
-    return (n * (_QUESTION_BYTES + 192 * d * d) + _chunk_bytes(n, 16 * d * d),
+    n = max(n, 0)  # polarization_sequence checks for two angles later
+    return (n * (_QUESTION_BYTES + 192 * d * d) + chunk_peak_bytes(n, 16 * d * d),
             40 * n + 32 * d * d + 16, _RECORD_BYTES + n * _ENTRY_BYTES)
 
 
 def _zeno_coarse_footprint(params):
-    levels, steps = max(params["num_levels"], 0), max(params["steps"], 0)
+    levels, steps = params["num_levels"], params["steps"]
     # the window center moves at most drift_rate a step, so at most this many
     # windows are built, each P and 1 - P plus their construction
-    windows = max(min(levels - params["window_width"] + 1,
-                      2 * steps * max(params["drift_rate"], 0) + 1), 1)
+    windows = max(min(levels - params["window_width"] + 1, 2 * steps * params["drift_rate"] + 1), 1)
     return (16 * levels * levels * (10 + 5 * windows), 16 * (steps + 1),
             _RECORD_BYTES + steps * _ENTRY_BYTES)
 
@@ -638,37 +630,25 @@ def _zeno_coarse_footprint(params):
 def _two_slit_footprint(params):
     m = max(len(params["amp_l"]), len(params["amp_r"]))
     # m screen-point questions of m x m and 2m x 2m, compiled: four stacks each
-    return 768 * m ** 3 + _chunk_bytes(2 * m + 1, 80 * m * m), 48, _RECORD_BYTES
+    return 768 * m ** 3 + chunk_peak_bytes(2 * m + 1, 80 * m * m), 48, _RECORD_BYTES
 
 
 def _classical_control_footprint(params):
     if params["scenario"] == "epr":
         return _schedule_footprint(2, 4)
-    n, steps = max(params["num_points"], 0), max(params["steps"], 0)
+    n, steps = params["num_points"], params["steps"]
     # n dense point projections and the 1 - P each builds when asked; a step
     # asks at most n questions
     return (32 * n ** 3 + 160 * n * n, 40 * (steps + 1),
             _RECORD_BYTES + steps * n * _ENTRY_BYTES)
 
 
-# (bytes built once, per trial, per kept trial record) of each scenario
-_FOOTPRINTS = {
-    "polarization_sequence": lambda params: _schedule_footprint(len(params["angles"]) - 1, 2),
-    "zeno_precise": lambda params: _schedule_footprint(params["n"], 2),
-    "zeno_coarse": _zeno_coarse_footprint,
-    "epr": lambda params: _schedule_footprint(2, 4),
-    "two_slit": _two_slit_footprint,
-    "three_observer": lambda params: _schedule_footprint(3, 2),
-    "classical_control": _classical_control_footprint,
-}
-
-
 def peak_bytes(name: str, params: dict, trials: int, record_trials: bool) -> int:
-    """Estimated peak bytes of a run, from its validated parameters alone:
-    what it builds once (schedule and question stacks, windows, a chunk's
-    step stacks), plus per trial its results and trajectory and, when kept,
-    its records.  Nothing is allocated."""
-    once, per_trial, per_record = _FOOTPRINTS[name](params)
+    """Estimated peak bytes of a run, from its parameters alone, already
+    within their declared bounds: what it builds once (schedule and question
+    stacks, windows, a chunk's step stacks), plus per trial its results and
+    trajectory and, when kept, its records.  Nothing is allocated."""
+    once, per_trial, per_record = SCENARIOS[name].footprint(params)
     return once + trials * (per_trial + (per_record if record_trials else 0))
 
 
@@ -688,10 +668,8 @@ class Scenario:
     name: str
     description: str
     params: tuple
-    fn: object
-
-    def defaults(self) -> dict:
-        return {p.name: p.default for p in self.params}
+    fn: object  # fn(params, trials, seed, record_trials) -> ScenarioResult
+    footprint: object  # params -> bytes (built once, per trial, per kept trial record)
 
     def schema(self) -> dict:
         return {
@@ -711,6 +689,7 @@ SCENARIOS = {
             (ParamSpec("angles", "number_list", [0.0, 45.0, 90.0],
                        "polarizer angles in degrees; the photon starts aligned with the first"),),
             _run_polarization,
+            lambda params: _schedule_footprint(len(params["angles"]) - 1, 2),
         ),
         Scenario(
             "zeno_precise",
@@ -718,25 +697,28 @@ SCENARIOS = {
             "frequent measurement freezes the evolution.",
             (
                 ParamSpec("omega", "number", math.pi, "drive angular frequency (rad/s)"),
-                ParamSpec("T", "number", 1.0, "total duration (s)"),
-                ParamSpec("n", "integer", 100, "number of equally spaced measurements"),
+                ParamSpec("T", "number", 1.0, "total duration (s)", minimum=0),
+                ParamSpec("n", "integer", 100, "number of equally spaced measurements", minimum=1),
             ),
             _run_zeno_precise,
+            lambda params: _schedule_footprint(params["n"], 2),
         ),
         Scenario(
             "zeno_coarse",
             "Ladder of levels watched through a coarse window that drifts toward "
             "the current mean level; imprecise observation does not freeze.",
             (
-                ParamSpec("num_levels", "integer", 8, "number of levels"),
+                ParamSpec("num_levels", "integer", 8, "number of levels", minimum=2),
                 ParamSpec("window_width", "integer", 3, "eigenvalues per measurement window"),
-                ParamSpec("drift_rate", "integer", 1, "max window-center move per step (levels)"),
-                ParamSpec("steps", "integer", 24, "number of measurement steps"),
+                ParamSpec("drift_rate", "integer", 1, "max window-center move per step (levels)",
+                          minimum=0),
+                ParamSpec("steps", "integer", 24, "number of measurement steps", minimum=0),
                 ParamSpec("coupling", "number", 0.3, "nearest-neighbor coupling strength"),
                 ParamSpec("dt", "number", 1.0, "evolution time between measurements"),
                 ParamSpec("initial_level", "integer", 1, "starting level (1-based)"),
             ),
             _run_zeno_coarse,
+            _zeno_coarse_footprint,
         ),
         Scenario(
             "epr",
@@ -745,6 +727,7 @@ SCENARIOS = {
             (ParamSpec("state", "string", "singlet", "initial pair state",
                        choices=("singlet", "product")),),
             _run_epr,
+            lambda params: _schedule_footprint(2, 4),
         ),
         Scenario(
             "two_slit",
@@ -759,6 +742,7 @@ SCENARIOS = {
                           "right-slit amplitude at each screen point"),
             ),
             _run_two_slit,
+            _two_slit_footprint,
         ),
         Scenario(
             "three_observer",
@@ -767,6 +751,7 @@ SCENARIOS = {
             (ParamSpec("middle", "string", "plus", "middle experiment",
                        choices=("plus", "none", "repeat")),),
             _run_three_observer,
+            lambda params: _schedule_footprint(3, 2),
         ),
         Scenario(
             "classical_control",
@@ -776,25 +761,22 @@ SCENARIOS = {
             (
                 ParamSpec("scenario", "string", "zeno", "which control run",
                           choices=("zeno", "epr")),
-                ParamSpec("num_points", "integer", 4, "cycle length (zeno only)"),
-                ParamSpec("steps", "integer", 8, "observation steps (zeno only)"),
+                ParamSpec("num_points", "integer", 4, "cycle length (zeno only)", minimum=2),
+                ParamSpec("steps", "integer", 8, "observation steps (zeno only)", minimum=0),
             ),
             _run_classical_control,
+            _classical_control_footprint,
         ),
     )
 }
 
 
-def scenario_names() -> list:
-    return list(SCENARIOS)
-
-
 def validate_params(name: str, overrides: dict | None) -> dict:
     if name not in SCENARIOS:
-        raise UnknownScenarioError(f"unknown scenario {name!r}; try one of {scenario_names()}")
+        raise UnknownScenarioError(f"unknown scenario {name!r}; try one of {list(SCENARIOS)}")
     scen = SCENARIOS[name]
     known = {p.name: p for p in scen.params}
-    merged = scen.defaults()
+    merged = {p.name: p.default for p in scen.params}
     for key, value in (overrides or {}).items():
         if key not in known:
             raise ParameterError(
@@ -804,21 +786,21 @@ def validate_params(name: str, overrides: dict | None) -> dict:
     return merged
 
 
-_TRIALS = ParamSpec("trials", "integer", 1000, "trial count")
-_SEED = ParamSpec("seed", "integer", 0, "unsigned 64-bit run seed")
+# the run's own two integers, declared like a scenario's parameters
+TRIALS = ParamSpec("trials", "integer", 1000, "trial count", minimum=1)
+SEED = ParamSpec("seed", "integer", 0, "unsigned 64-bit run seed", minimum=0)
 
 
-def run_scenario(name: str, params: dict | None = None, trials: int = 1000,
-                 seed: int = 0, record_trials: bool = False) -> ScenarioResult:
-    """Validate parameters against the scenario's schema, and the trial
-    count and seed like integer parameters, reject a run whose estimated
-    peak memory (`peak_bytes`) exceeds `memory_limit()`, then execute the
-    scenario."""
+def run_scenario(name: str, params: dict | None = None, trials: int = TRIALS.default,
+                 seed: int = SEED.default, record_trials: bool = False) -> ScenarioResult:
+    """Validate parameters against the scenario's schema and bounds, and the
+    trial count and seed like integer parameters; then reject a run whose
+    estimated peak memory (`peak_bytes`) exceeds `memory_limit()`; then
+    execute the scenario, whose runner rejects a finite parameter whose
+    derived value overflows before the arithmetic that would overflow."""
     merged = validate_params(name, params)
-    trials, seed = _coerce(_TRIALS, trials), _coerce(_SEED, seed)
-    if trials < 1:
-        raise ParameterError("trials must be positive")
-    if not 0 <= seed < 2**64:
+    trials, seed = _coerce(TRIALS, trials), _coerce(SEED, seed)
+    if seed >= 2**64:
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
     need, limit = peak_bytes(name, merged, trials, record_trials), memory_limit()
     if need > limit:

@@ -60,6 +60,8 @@ class State:
             raise ValueError(
                 f"density matrix shape {arr.shape} does not match dimension {context.dim}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("density matrix has a non-finite entry")
         herm = arr - arr.conj().T
         if not within(herm, EPS_ALG):
             raise ValueError(f"density matrix is not Hermitian (defect {operator_norm(herm):.3e})")
@@ -140,6 +142,8 @@ def pure_state(context: AlgebraContext, psi) -> State:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape != (context.dim,):
         raise ValueError(f"state vector length {v.shape[0]} does not match dimension {context.dim}")
+    if not np.isfinite(v).all():
+        raise ValueError("state vector has a non-finite entry")
     nrm2 = float(np.vdot(v, v).real)
     if nrm2 <= 0.0:
         raise ValueError("state vector must be nonzero")
@@ -147,18 +151,23 @@ def pure_state(context: AlgebraContext, psi) -> State:
 
 
 def classical_state(context: AlgebraContext, mu) -> State:
-    """State of a diagonal algebra from a probability vector mu."""
+    """State of a diagonal algebra from a probability vector mu: the bits of
+    `State(context, diag(mu) / sum(mu))`, whose complex division by a real
+    multiplies by its reciprocal and whose trace is a complex sum."""
     if not context.is_diagonal:
         raise ValueError("classical states require a diagonal algebra")
     m = np.asarray(mu, dtype=float)
     if m.shape != (context.dim,):
         raise ValueError(f"measure length {m.shape} does not match {context.dim} points")
+    if not np.isfinite(m).all():
+        raise ValueError("probability measure has a non-finite entry")
     if m.min(initial=0.0) < -1e-9:
         raise ValueError(f"probability measure has negative entry {m.min():.3e}")
     total = float(m.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probability measure sums to {total!r}, not 1")
-    return State(context, np.diag(np.clip(m, 0.0, None).astype(complex) / total))
+    mu0 = np.clip(m, 0.0, None) * (1.0 / total)
+    return State._trusted(context, mu0 * (1.0 / mu0.astype(complex).sum().real))
 
 
 def measure(rho: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import ctypes.util
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from noncomm import cli
 from noncomm.cli import main, parse_value, split_assignments
-from noncomm.scenarios import SCENARIOS, Scenario, run_scenario
+from noncomm.scenarios import SCENARIOS, run_scenario
 from noncomm.schema import MANIFEST_SCHEMA, RESULT_SCHEMA
 from noncomm.states import NumericalInvariantError, ZeroProbabilityError
 
@@ -154,8 +155,7 @@ def test_run_numerical_violation_exit_code(monkeypatch, capsys):
     def explode(params, trials, seed, record):
         raise ZeroProbabilityError("conditioned on the impossible")
 
-    broken = Scenario("epr", "broken", SCENARIOS["epr"].params, explode)
-    monkeypatch.setitem(SCENARIOS, "epr", broken)
+    monkeypatch.setitem(SCENARIOS, "epr", dataclasses.replace(SCENARIOS["epr"], fn=explode))
     assert main(["run", "epr"]) == 4
 
 
@@ -167,8 +167,7 @@ def test_run_exit_4_means_a_numerical_fault(monkeypatch, capsys, error, exit_cod
     def explode(params, trials, seed, record):
         raise error
 
-    monkeypatch.setitem(SCENARIOS, "epr", Scenario("epr", "broken", SCENARIOS["epr"].params,
-                                                    explode))
+    monkeypatch.setitem(SCENARIOS, "epr", dataclasses.replace(SCENARIOS["epr"], fn=explode))
     if exit_code is not None:
         assert main(["run", "epr"]) == exit_code
         assert "numerical invariant violation" in capsys.readouterr().err
@@ -176,6 +175,23 @@ def test_run_exit_4_means_a_numerical_fault(monkeypatch, capsys, error, exit_cod
         # a plain ValueError is a bug: it propagates instead of reading as exit 4
         with pytest.raises(ValueError, match="programming error"):
             main(["run", "epr"])
+
+
+# finite parameters whose derived values overflow a double: a config error,
+# caught before the arithmetic (a RuntimeWarning is an error in this suite)
+@pytest.mark.parametrize("scenario, settings, name", [
+    ("zeno_precise", "omega=1e308,T=1e308", "omega"),
+    ("zeno_precise", "T=1e308,n=1", "T"),
+    ("zeno_coarse", "coupling=1e308", "coupling"),
+    ("zeno_coarse", "coupling=1e308,dt=1e-300", "coupling"),
+    ("zeno_coarse", "coupling=1e154,dt=1e154", "dt"),
+    ("two_slit", "amp_l=[1e200,1e200],amp_r=[1e200,-1e200]", "amp_l"),
+    ("two_slit", "amp_l=[1e160,1],amp_r=[1,1]", "amp_l"),
+])
+def test_overflowing_parameters_exit_3(capsys, scenario, settings, name):
+    assert main(["run", scenario, "--set", settings, "--trials", "4"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], err
 
 
 def test_run_stdout_csv(capsys):

@@ -92,6 +92,24 @@ def measured_subsets(draw):
     return mu, np.flatnonzero(inside).tolist()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 128, 299])
+def test_classical_state_keeps_the_bits_of_the_dense_constructor(n):
+    # the measure alone, with the bits the n x n route gave: zeros, tiny and
+    # slightly negative masses, and sums up to 1e-9 away from 1
+    space, ctx = points(n)
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        mu = rng.dirichlet(np.full(n, rng.choice((0.1, 1.0, 10.0))))
+        mu[rng.random(n) < 0.2] = 0.0
+        mu[rng.random(n) < 0.1] = rng.choice((1e-300, 5e-324, -1e-10, -0.0))
+        mu *= 1.0 + rng.uniform(-9e-10, 9e-10)
+        total = float(mu.sum())
+        if not total or abs(total - 1.0) > 1e-9:
+            continue
+        dense = State(ctx, np.diag(np.clip(mu, 0.0, None).astype(complex) / total))
+        assert classical_state(ctx, mu).mu.tobytes() == dense.mu.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(measured_subsets(), st.floats(0.0, 1.0, exclude_max=True),
        st.floats(0.0, 1.0, exclude_max=True))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -449,10 +450,10 @@ def test_integral_trials_and_seed_are_accepted():
 
 
 def test_integer_too_large_for_a_float_is_checked_as_an_integer():
-    # an int is finite however large; the scenario's own bound then rejects it
-    assert validate_params("zeno_precise", {"n": -10**400})["n"] == -10**400
+    # an int is finite however large; its declared bound then rejects it
     with pytest.raises(ParameterError, match="n must be at least 1"):
-        run_scenario("zeno_precise", {"n": -10**400}, trials=1)
+        validate_params("zeno_precise", {"n": -10**400})
+    assert validate_params("zeno_precise", {"n": 10**400})["n"] == 10**400
 
 
 def test_validate_params_coercion():
@@ -478,6 +479,38 @@ def test_trials_must_be_positive():
         run_scenario("epr", trials=0, seed=0)
 
 
+# every declared lower bound, broken; each run would also be far too large
+# for memory, so only a bound checked before the estimate names the parameter
+BROKEN_BOUNDS = [
+    ("zeno_precise", {"n": 0}, "n must be at least 1, got 0"),
+    ("zeno_precise", {"n": -10**400}, "n must be at least 1, got -1000"),
+    ("zeno_precise", {"n": -10**5000}, "n must be at least 1, got a number below -10**4000"),
+    ("zeno_precise", {"T": -1e-300}, "T must be at least 0, got -1e-300"),
+    ("zeno_coarse", {"num_levels": 1}, "num_levels must be at least 2, got 1"),
+    ("zeno_coarse", {"drift_rate": -1}, "drift_rate must be at least 0, got -1"),
+    ("zeno_coarse", {"steps": -1}, "steps must be at least 0, got -1"),
+    ("classical_control", {"num_points": 1}, "num_points must be at least 2, got 1"),
+    ("classical_control", {"steps": -1}, "steps must be at least 0, got -1"),
+    ("classical_control", {"scenario": "epr", "num_points": 1}, "num_points must be at least 2"),
+    ("classical_control", {"scenario": "epr", "steps": -1}, "steps must be at least 0"),
+]
+
+
+@pytest.mark.parametrize("name, params, message", BROKEN_BOUNDS)
+def test_declared_bounds_are_checked_before_the_memory_estimate(name, params, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        validate_params(name, params)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        run_scenario(name, params, trials=10**15, record_trials=True)
+
+
+def test_every_declared_bound_is_broken_above():
+    declared = {(name, p.name) for name, scen in SCENARIOS.items()
+                for p in scen.params if p.minimum is not None}
+    assert declared == {(name, key) for name, params, _ in BROKEN_BOUNDS for key in params
+                        if key != "scenario"}
+
+
 def test_scenario_defaults_fit_in_memory():
     for name in SCENARIOS:
         for scenario in ("zeno", "epr") if name == "classical_control" else (None,):
@@ -497,8 +530,7 @@ def test_scenario_defaults_fit_in_memory():
 ])
 def test_peak_estimate_bounds_measured_peak(monkeypatch, name, params, trials, record):
     # small chunks, so that the sizes grown here, not the chunk, set the peak
-    for module in (measurement, scenarios):
-        monkeypatch.setattr(module, "CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(measurement, "CHUNK_BYTES", 1 << 16)
     # the run plus the JSON text the CLI writes, whose share the estimate carries
     tracemalloc.start()
     try:

@@ -7,7 +7,9 @@ from noncomm.algebra import (
     EPS_ALG,
     SIGMA_X,
     SIGMA_Z,
+    AlgebraElement,
     ContextMismatchError,
+    Observable,
     PhaseSpace,
     Projection,
     characteristic_projection,
@@ -433,3 +435,19 @@ def test_state_distance_examples():
     mixed = density_state(QUBIT, np.eye(2) / 2)
     # difference diag(.5, -.5) has singular values (.5, .5)
     assert abs(state_distance(s, mixed) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda x: State(QUBIT, [[0.5, 0.0], [0.0, x]]),
+    lambda x: State(QUBIT, [[0.5, x], [x, 0.5]]),
+    lambda x: pure_state(QUBIT, [1.0, x]),
+    lambda x: classical_state(diagonal_context(PhaseSpace(("a", "b"))), [0.5, x]),
+    lambda x: Observable(QUBIT, [[1.0, x], [x, 0.0]]),
+    lambda x: Projection(QUBIT, [[1.0, 0.0], [0.0, x]]),
+    lambda x: AlgebraElement(QUBIT, [[x, 0.0], [0.0, 0.0]]),
+], ids=["state-diagonal", "state-offdiagonal", "pure_state", "classical_state", "observable",
+        "projection", "element"])
+def test_nonfinite_entries_are_rejected_before_any_arithmetic(build, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        build(bad)
