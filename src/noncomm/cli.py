@@ -7,9 +7,9 @@
 
 `run` gathers the parameters, trial count and seed from the command line,
 the config file and NONCOMM_SEED (used when --seed is absent), and hands
-them to `run_scenario`, which validates them.  Exit codes for `run`: 0
-success, 2 unknown scenario, 3 config/schema error, 4 numerical invariant
-violation during the run.  `check` exits 1 if any invariant fails.
+them as given to `run_scenario`, which alone judges them.  Exit codes for
+`run`: 0 success, 2 unknown scenario, 3 config/schema error, 4 numerical
+invariant violation during the run.  `check` exits 1 if any invariant fails.
 
 Result files are deterministic: two runs with the same scenario, parameters,
 and seed produce byte-identical files.  Timestamps live only in the manifest
@@ -51,42 +51,52 @@ EXIT_UNKNOWN_SCENARIO = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
 
-_NAMES = {"pi": math.pi, "e": math.e, "tau": math.tau, "true": True, "false": False}
-_BINOPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
-}
+_NAMES = {"pi": math.pi, "e": math.e, "tau": math.tau, "true": True, "false": False,
+          "nan": math.nan, "infinity": math.inf, "null": None}
+
+
+def _digits() -> int:  # the interpreter's int-to-str digit limit, its default if unlimited
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _number(x):  # a float, or an int within the digit limit: not a bool, list or str
+    if type(x) is float or type(x) is int and abs(x) < 10 ** _digits():
+        return x
+    raise ValueError("not a number")
+
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 _UNARYOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
 def _eval_arith(node):
-    if isinstance(node, ast.Expression):
-        return _eval_arith(node.body)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if isinstance(node, ast.Constant) and type(node.value) in (bool, int, float, str):
         return node.value
     if isinstance(node, ast.Name) and node.id.lower() in _NAMES:
         return _NAMES[node.id.lower()]
+    if isinstance(node, ast.List):
+        return [_eval_arith(item) for item in node.elts]
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return _BINOPS[type(node.op)](_eval_arith(node.left), _eval_arith(node.right))
+        x, y = _number(_eval_arith(node.left)), _number(_eval_arith(node.right))
+        # a power that would pass the digit limit is refused before it is computed
+        if isinstance(node.op, ast.Pow) and y > 0 and abs(x) > 1 \
+                and y * math.log10(abs(x)) > _digits():
+            raise ValueError("a power past the digit limit")
+        return _number(_BINOPS[type(node.op)](x, y))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
-        return _UNARYOPS[type(node.op)](_eval_arith(node.operand))
-    raise ValueError("not a constant arithmetic expression")
+        return _number(_UNARYOPS[type(node.op)](_number(_eval_arith(node.operand))))
+    raise ValueError("not a constant")
 
 
 def parse_value(text: str):
-    """Parse a --set value: constant arithmetic ("0.5", "pi", "pi/4"), then
-    JSON ("[1,-1]", "\"singlet\"", "true"), then a bare string."""
+    """A --set value: arithmetic on numbers ("pi/4"), lists ("[1, [NaN, 0]]"),
+    quoted strings and the `_NAMES` in any case; any other text, or arithmetic
+    that fails or passes the digit limit, stays text.  Never raises."""
     text = text.strip()
     try:
-        return _eval_arith(ast.parse(text, mode="eval"))
-    except (ValueError, SyntaxError):
-        pass
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
+        return _eval_arith(ast.parse(text, mode="eval").body)
+    except (ValueError, SyntaxError, ArithmeticError, RecursionError, MemoryError):
         return text
 
 
@@ -259,7 +269,7 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # past the digit limit, or nested too deep
         raise ParameterError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError("config must be a JSON object")
@@ -277,14 +287,12 @@ def _cmd_run(args) -> int:
     if name not in SCENARIOS:
         print(f"error: unknown scenario {name!r}; see `noncomm list`", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        print(f"error: --out {args.out!r} is not in an existing directory", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if args.out is not None and os.path.isdir(args.out):
-        print(f"error: --out {args.out!r} is a directory", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     started = _utc_now()
     try:
+        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ParameterError(f"--out {args.out!r} is not in an existing directory")
+        if args.out is not None and os.path.isdir(args.out):
+            raise ParameterError(f"--out {args.out!r} is a directory")
         config = _load_config(args.config)
         overrides = dict(config.get("parameters", {}))
         overrides.update(parse_set_options(args.set))
@@ -369,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="JSON config file with seed/trials/parameters")
     run_p.add_argument("--set", action="append", metavar="k=v,...",
                        help="parameter overrides; repeatable, comma-separable")
-    run_p.add_argument("--seed", type=int,
-                       help=f"64-bit seed (default: $NONCOMM_SEED or {SEED.default})")
-    run_p.add_argument("--trials", type=int, help=f"trial count (default {TRIALS.default})")
+    run_p.add_argument("--seed", help=f"64-bit seed (default: $NONCOMM_SEED or {SEED.default})")
+    run_p.add_argument("--trials", help=f"trial count (default {TRIALS.default})")
     run_p.add_argument("--out", help="output path (default: stdout, no manifest)")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
     run_p.add_argument("--snapshots", action="store_true",

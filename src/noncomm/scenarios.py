@@ -7,13 +7,13 @@ which-path comparison, the three-observer P,Q,P sequence, and classical
 control runs of the Zeno and EPR setups on the commutative algebra.
 
 A scenario is declared once, by its entry in `SCENARIOS`: parameters with
-their lower bounds, runner, and memory footprint.  `run_scenario` is the one
-entry point, for the library and for `noncomm run` alike: it validates the
-parameters against the schema and bounds, and the trial count and 64-bit
-seed as integer parameters, before it estimates anything; rejects a run
-whose estimated peak memory (`peak_bytes`) exceeds what the process may use
-(`memory_limit`); then runs the scenario, whose runner rejects what bounds
-cannot state, such as a derived value that would overflow.  Every scenario is
+their lower bounds, runner, memory footprint and the rules its parameters
+must keep together.  `run_scenario` is the one entry point, for the library
+and for `noncomm run` alike: it validates the parameters against the
+schema, bounds and rules, and the trial count and 64-bit seed as integer
+parameters, before it estimates anything; rejects a run whose estimated
+peak memory (`peak_bytes`) exceeds what the process may use
+(`memory_limit`); then runs the scenario.  Every scenario is
 setup, run, summary: it builds its states and questions, runs its trials,
 and returns a ScenarioResult of scalar summary statistics, sequence-valued
 series and (optionally) per-trial records, laid out by `trial_records`.
@@ -35,6 +35,7 @@ import cmath
 import math
 import os
 import resource
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -127,40 +128,33 @@ def _echo(value):
         return [value.real, value.imag]
     if isinstance(value, (list, tuple)):
         return [_echo(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
+
+
+def _shown(value) -> str:
+    """repr for a message; an int past 10**4000, which repr may refuse, is named by its side."""
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, int) and not -10**4000 < value < 10**4000:
+        return f"a number {'below -' if value < 0 else 'above '}10**4000"
+    return repr(value)
 
 
 def _coerce(spec: ParamSpec, value):
     try:
-        if spec.kind == "number":
-            out = _number(value, float)
-        elif spec.kind == "integer":
-            out = _number(value, int)
-            if not isinstance(value, str) and out != value:  # exact, past 2**53 too
-                raise ParameterError(f"{spec.name} must be an integer, got {value!r}")
-        elif spec.kind == "string":
-            out = str(value)
-        elif spec.kind == "number_list":
-            out = [_number(v, float) for v in value]
-        elif spec.kind == "complex_list":
-            out = [_as_complex(v) for v in value]
-        else:
-            raise ParameterError(f"unknown parameter kind {spec.kind!r}")
-    except ParameterError:
-        raise
+        out = _KINDS[spec.kind](value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"bad value for {spec.name}: {value!r} ({exc})") from exc
+        raise ParameterError(f"bad value for {spec.name}: {_shown(value)} ({exc})") from exc
+    if spec.kind == "integer" and not isinstance(value, str) and out != value:  # exact, past 2**53
+        raise ParameterError(f"{spec.name} must be an integer, got {_shown(value)}")
     # ints are finite, and too large for the float an isfinite check would make
     numbers = [] if spec.kind in ("string", "integer") else out if isinstance(out, list) else [out]
     if not all(map(cmath.isfinite, numbers)):  # a complex entry is finite in both parts
-        raise ParameterError(f"{spec.name} must be finite, got {value!r}")
+        raise ParameterError(f"{spec.name} must be finite, got {_shown(value)}")
     if spec.choices and out not in spec.choices:
         raise ParameterError(f"{spec.name} must be one of {spec.choices}, got {out!r}")
-    if spec.minimum is not None and out < spec.minimum:  # an int past 4300 digits has no repr
-        shown = repr(out) if out > -10**4000 else "a number below -10**4000"
-        raise ParameterError(f"{spec.name} must be at least {spec.minimum}, got {shown}")
+    if spec.minimum is not None and out < spec.minimum:
+        raise ParameterError(f"{spec.name} must be at least {spec.minimum}, got {_shown(out)}")
     return out
 
 
@@ -174,9 +168,18 @@ def _number(v, kind):
 def _as_complex(v):
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
-            raise ValueError(f"complex entries are numbers or [re, im] pairs, got {v!r}")
+            raise ValueError(f"complex entries are numbers or [re, im] pairs, got {_shown(v)}")
         return complex(_number(v[0], float), _number(v[1], float))
     return _number(v, complex)
+
+
+_KINDS = {  # each kind's conversion, raising TypeError, ValueError or OverflowError
+    "number": lambda v: _number(v, float),
+    "integer": lambda v: _number(v, int),
+    "string": str,
+    "number_list": lambda v: [_number(x, float) for x in v],
+    "complex_list": lambda v: [_as_complex(x) for x in v],
+}
 
 
 def _ci4(p: float, n: int) -> float:
@@ -199,8 +202,6 @@ def _ket_projector(ctx, v) -> Projection:
 
 def _run_polarization(params, trials, seed, record_trials):
     angles = params["angles"]
-    if len(angles) < 2:
-        raise ParameterError("need at least two polarizer angles")
     ctx = _qubit()
     thetas = np.deg2rad(angles)
     initial = pure_state(ctx, [math.cos(thetas[0]), math.sin(thetas[0])])
@@ -252,9 +253,6 @@ def _run_polarization(params, trials, seed, record_trials):
 
 def _run_zeno_precise(params, trials, seed, record_trials):
     omega, t_total, n = params["omega"], params["T"], params["n"]
-    # the evolution turns by omega*T/2 in all, and the last measurement is at T*n/n
-    if not (math.isfinite(omega * t_total) and math.isfinite(t_total * n)):
-        raise ParameterError(f"omega*T or T*n overflows: omega={omega!r}, T={t_total!r}, n={n}")
     ctx = _qubit()
     ham = Hamiltonian(Observable(ctx, (omega / 2.0) * SIGMA_X))
     survive = Projection(ctx, np.diag([1.0, 0.0]).astype(complex))
@@ -286,14 +284,6 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     echo = {k: params[k] for k in ("num_levels", "window_width", "drift_rate", "steps",
                                    "coupling", "dt", "initial_level")}
     levels, width, drift, steps, coupling, dt, start = echo.values()
-    if not 1 <= width <= levels:
-        raise ParameterError("window width must be between 1 and the number of levels")
-    if not 1 <= start <= levels:
-        raise ParameterError("initial level out of range")
-    # the Hamiltonian's symmetrization doubles coupling; its eigenphases are below 2*coupling*dt
-    if not math.isfinite(2.0 * coupling * dt):
-        raise ParameterError(f"2*coupling*dt overflows: coupling={coupling!r}, dt={dt!r}")
-
     ctx = full_context(levels)
     level_obs = Observable(ctx, np.diag(np.arange(1, levels + 1)).astype(complex))
     hop = np.zeros((levels, levels), dtype=complex)
@@ -402,11 +392,12 @@ def _mean_or_none(xs):
 def _first_yes(rho, cls, questions, uniforms, used):
     """Each trial's position, sampled by asking "is it at point m?" in order
     until its first yes, conditioning on each answer: the chain reproduces
-    the Born distribution, and the last question is forced if reached.  Trial
-    i is on row cls[i] of `rho`, one row per answer history (`born_step`), and
-    is asked only until its yes; `used` ends at each trial's next draw."""
+    the Born distribution; the last, whose answer after no to all others is
+    a forced yes, is not asked.  Trial i is on row cls[i] of `rho`, one row
+    per answer history (`born_step`), and is asked only until its yes; `used`
+    ends at each trial's next draw."""
     point, rows, ahead = np.full(len(cls), len(questions) - 1), np.arange(len(cls)), used.copy()
-    for m, question in enumerate(questions):
+    for m, question in enumerate(questions[:-1]):
         if not len(rows):
             break
         rho, cls, yes, _ = born_step(rho, cls, question, uniforms, ahead)
@@ -417,27 +408,18 @@ def _first_yes(rho, cls, questions, uniforms, used):
     return point
 
 
-def _run_two_slit(params, trials, seed, record_trials):
+def _slits(params):
+    """amp_l, amp_r, their sum, and the which-path and screen squared norms."""
     amp_l = np.asarray(params["amp_l"], dtype=complex)
     amp_r = np.asarray(params["amp_r"], dtype=complex)
-    if amp_l.shape != amp_r.shape or amp_l.ndim != 1:
-        raise ParameterError("amp_l and amp_r must be vectors of equal length")
-    m_points = amp_l.shape[0]
-    if m_points < 1:
-        raise ParameterError("need at least one screen point")
-    # squared norms as Python floats, which overflow to inf without a warning
-    joint_norm2 = float(np.vdot(amp_l, amp_l).real) + float(np.vdot(amp_r, amp_r).real)
-    if not math.isfinite(joint_norm2):
-        raise ParameterError("amp_l and amp_r overflow: their squared norm is not finite")
-    if joint_norm2 <= 0.0:
-        raise ParameterError("slit amplitudes have zero total norm")
     combined = amp_l + amp_r
-    combined_norm2 = float(np.vdot(combined, combined).real)
-    if not math.isfinite(combined_norm2):
-        raise ParameterError("amp_l + amp_r overflows: its squared norm is not finite")
-    if combined_norm2 <= 0.0:
-        raise ParameterError("slit amplitudes cancel everywhere; screen state has zero norm")
+    joint_norm2 = float(np.vdot(amp_l, amp_l).real) + float(np.vdot(amp_r, amp_r).real)
+    return amp_l, amp_r, combined, joint_norm2, float(np.vdot(combined, combined).real)
 
+
+def _run_two_slit(params, trials, seed, record_trials):
+    amp_l, amp_r, combined, joint_norm2, combined_norm2 = _slits(params)
+    m_points = len(amp_l)
     analytic_nwp = (np.abs(combined) ** 2 / combined_norm2).tolist()
     analytic_wp = ((np.abs(amp_l) ** 2 + np.abs(amp_r) ** 2) / joint_norm2).tolist()
 
@@ -613,7 +595,6 @@ def _schedule_footprint(n, d):
     """A fixed n-entry schedule on d x d matrices through `run_batch`: the
     evolved and compiled stacks with a chunk, per trial its result rows and
     final state, per record n measurements."""
-    n = max(n, 0)  # polarization_sequence checks for two angles later
     return (n * (_QUESTION_BYTES + 192 * d * d) + chunk_peak_bytes(n, 16 * d * d),
             40 * n + 32 * d * d + 16, _RECORD_BYTES + n * _ENTRY_BYTES)
 
@@ -622,13 +603,13 @@ def _zeno_coarse_footprint(params):
     levels, steps = params["num_levels"], params["steps"]
     # the window center moves at most drift_rate a step, so at most this many
     # windows are built, each P and 1 - P plus their construction
-    windows = max(min(levels - params["window_width"] + 1, 2 * steps * params["drift_rate"] + 1), 1)
+    windows = min(levels - params["window_width"] + 1, 2 * steps * params["drift_rate"] + 1)
     return (16 * levels * levels * (10 + 5 * windows), 16 * (steps + 1),
             _RECORD_BYTES + steps * _ENTRY_BYTES)
 
 
 def _two_slit_footprint(params):
-    m = max(len(params["amp_l"]), len(params["amp_r"]))
+    m = len(params["amp_l"])
     # m screen-point questions of m x m and 2m x 2m, compiled: four stacks each
     return 768 * m ** 3 + chunk_peak_bytes(2 * m + 1, 80 * m * m), 48, _RECORD_BYTES
 
@@ -645,7 +626,7 @@ def _classical_control_footprint(params):
 
 def peak_bytes(name: str, params: dict, trials: int, record_trials: bool) -> int:
     """Estimated peak bytes of a run, from its parameters alone, already
-    within their declared bounds: what it builds once (schedule and question
+    within their declared bounds and rules: what it builds once (schedule and question
     stacks, windows, a chunk's step stacks), plus per trial its results and
     trajectory and, when kept, its records.  Nothing is allocated."""
     once, per_trial, per_record = SCENARIOS[name].footprint(params)
@@ -670,6 +651,7 @@ class Scenario:
     params: tuple
     fn: object  # fn(params, trials, seed, record_trials) -> ScenarioResult
     footprint: object  # params -> bytes (built once, per trial, per kept trial record)
+    rules: tuple = ()  # (message formatted with the params, holds(params)) pairs
 
     def schema(self) -> dict:
         return {
@@ -690,6 +672,7 @@ SCENARIOS = {
                        "polarizer angles in degrees; the photon starts aligned with the first"),),
             _run_polarization,
             lambda params: _schedule_footprint(len(params["angles"]) - 1, 2),
+            (("angles must hold two or more, got {angles}", lambda p: len(p["angles"]) >= 2),),
         ),
         Scenario(
             "zeno_precise",
@@ -702,6 +685,10 @@ SCENARIOS = {
             ),
             _run_zeno_precise,
             lambda params: _schedule_footprint(params["n"], 2),
+            # the last measurement is at T*n/n; an n past any double is left to peak_bytes
+            (("omega*T or T*n overflows: omega={omega}, T={T}, n={n}",
+              lambda p: math.isfinite(p["omega"] * p["T"])
+              and (p["n"] > sys.float_info.max or math.isfinite(p["T"] * p["n"]))),),
         ),
         Scenario(
             "zeno_coarse",
@@ -719,6 +706,15 @@ SCENARIOS = {
             ),
             _run_zeno_coarse,
             _zeno_coarse_footprint,
+            (
+                ("window_width must be in [1, num_levels={num_levels}], got {window_width}",
+                 lambda p: 1 <= p["window_width"] <= p["num_levels"]),
+                ("initial_level must be in [1, num_levels={num_levels}], got {initial_level}",
+                 lambda p: 1 <= p["initial_level"] <= p["num_levels"]),
+                # symmetrizing doubles coupling: the eigenphases stay below 2*coupling*dt
+                ("2*coupling*dt overflows: coupling={coupling}, dt={dt}",
+                 lambda p: math.isfinite(2.0 * p["coupling"] * p["dt"])),
+            ),
         ),
         Scenario(
             "epr",
@@ -743,6 +739,14 @@ SCENARIOS = {
             ),
             _run_two_slit,
             _two_slit_footprint,
+            (
+                ("amp_l and amp_r must be nonempty and of equal length",
+                 lambda p: len(p["amp_l"]) == len(p["amp_r"]) > 0),
+                # `pure_state` scales each state by the reciprocal of its squared norm
+                ("the squared norms of amp_l and amp_r and of amp_l + amp_r must be "
+                 "positive with finite reciprocals",
+                 lambda p: all(0 < x < math.inf and 1 / x < math.inf for x in _slits(p)[3:])),
+            ),
         ),
         Scenario(
             "three_observer",
@@ -779,10 +783,12 @@ def validate_params(name: str, overrides: dict | None) -> dict:
     merged = {p.name: p.default for p in scen.params}
     for key, value in (overrides or {}).items():
         if key not in known:
-            raise ParameterError(
-                f"scenario {name!r} has no parameter {key!r}; known: {sorted(known)}"
-            )
+            raise ParameterError(f"scenario {name!r} has no parameter {key!r}; "
+                                 f"known: {sorted(known)}")
         merged[key] = _coerce(known[key], value)
+    for message, holds in scen.rules:
+        if not holds(merged):
+            raise ParameterError(message.format_map({k: _shown(v) for k, v in merged.items()}))
     return merged
 
 
@@ -793,18 +799,17 @@ SEED = ParamSpec("seed", "integer", 0, "unsigned 64-bit run seed", minimum=0)
 
 def run_scenario(name: str, params: dict | None = None, trials: int = TRIALS.default,
                  seed: int = SEED.default, record_trials: bool = False) -> ScenarioResult:
-    """Validate parameters against the scenario's schema and bounds, and the
-    trial count and seed like integer parameters; then reject a run whose
-    estimated peak memory (`peak_bytes`) exceeds `memory_limit()`; then
-    execute the scenario, whose runner rejects a finite parameter whose
-    derived value overflows before the arithmetic that would overflow."""
+    """Validate parameters against the scenario's schema, bounds and rules,
+    and the trial count and seed like integer parameters; then reject a run
+    whose estimated peak memory (`peak_bytes`) exceeds `memory_limit()`;
+    then execute the scenario."""
     merged = validate_params(name, params)
     trials, seed = _coerce(TRIALS, trials), _coerce(SEED, seed)
     if seed >= 2**64:
-        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {_shown(seed)}")
     need, limit = peak_bytes(name, merged, trials, record_trials), memory_limit()
     if need > limit:
-        raise ParameterError(f"{name} with these parameters and trials={trials} needs about "
-                             f"{need >> 20} MiB, more than the {limit >> 20} MiB "
+        raise ParameterError(f"{name} with these parameters and trials={_shown(trials)} needs "
+                             f"about {_shown(need >> 20)} MiB, more than the {limit >> 20} MiB "
                              "this process may use")
     return SCENARIOS[name].fn(merged, trials, seed, record_trials)

@@ -9,7 +9,7 @@ import sys
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncomm import cli
@@ -146,7 +146,7 @@ def test_run_hands_its_inputs_to_run_scenario(monkeypatch, tmp_path):
     monkeypatch.setenv("NONCOMM_SEED", "11")
     out = tmp_path / "r.csv"
     assert main(["run", "epr", "--trials", "3", "--set", "state=product", "--out", str(out)]) == 0
-    assert calls == [("epr", {"state": "product"}, 3, "11", False)]
+    assert calls == [("epr", {"state": "product"}, "3", "11", False)]
     manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
     assert (manifest["seed"], manifest["trials"]) == (11, 3)
 
@@ -192,6 +192,73 @@ def test_overflowing_parameters_exit_3(capsys, scenario, settings, name):
     assert main(["run", scenario, "--set", settings, "--trials", "4"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], err
+
+
+# inputs a run cannot serve: each exits 3 with one line naming the parameter
+# (or the config), where they once ended in a traceback, argparse's exit 2, a
+# memory message despite a broken rule, or (10**10**8) a power still computing
+_HUGE_RUN = ["--trials", str(10**15)]
+REFUSED = {
+    "T=1/0": ("T", ["zeno_precise", "--set", "T=1/0"]),
+    "T=0**-1": ("T", ["zeno_precise", "--set", "T=0**-1"]),
+    "T=1e308**2": ("T", ["zeno_precise", "--set", "T=1e308**2"]),
+    "T=2**2**20": ("T", ["zeno_precise", "--set", "T=2**2**20"]),
+    "n=20000-minus-signs": ("n", ["zeno_precise", "--set", "n=" + "-" * 20000 + "1"]),
+    "n=5000-digits": ("n", ["zeno_precise", "--set", "n=" + "7" * 5000]),
+    "n=10**5000": ("n", ["zeno_precise", "--set", "n=10**5000"]),
+    "n=10**10**8": ("n", ["zeno_precise", "--set", "n=10**10**8"]),
+    "angles-20000-deep": ("angles", ["polarization_sequence", "--set",
+                                     "angles=" + "[" * 20000 + "]" * 20000]),
+    "config-5000-digits": ("config", ["epr", "--config", '{"trials": ' + "7" * 5000 + "}"]),
+    "config-100000-deep": ("config", ["epr", "--config", "[" * 100000 + "]" * 100000]),
+    "trials=abc": ("trials", ["epr", "--trials", "abc"]),
+    "amp_l-reciprocal": ("amp_l", ["two_slit", "--set", "amp_l=[1e-161],amp_r=[0]"]),
+    "window_width": ("window_width", ["zeno_coarse", "--set", "window_width=99", *_HUGE_RUN]),
+    "initial_level": ("initial_level", ["zeno_coarse", "--set", "initial_level=99", *_HUGE_RUN]),
+    "one-angle": ("angles", ["polarization_sequence", "--set", "angles=[0]", *_HUGE_RUN]),
+    "amp-lengths": ("amp_l", ["two_slit", "--set", "amp_l=[1],amp_r=[1,1]", *_HUGE_RUN]),
+    "omega*T": ("omega", ["zeno_precise", "--set", "omega=1e308,T=10", *_HUGE_RUN]),
+}
+
+
+@pytest.mark.parametrize("name, argv", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_input_exits_3_naming_it(tmp_path, capsys, name, argv):
+    argv = ["run", *argv]
+    if "--config" in argv:  # the text after it is the file's content
+        at = argv.index("--config") + 1
+        (tmp_path / "cfg.json").write_text(argv[at])
+        argv[at] = str(tmp_path / "cfg.json")
+    if "n=10**10**8" in argv:  # a child, so a power being computed cannot hang the suite
+        proc = subprocess.run([sys.executable, "-m", "noncomm", *argv], capture_output=True,
+                              text=True, timeout=10)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(argv), capsys.readouterr().err
+    lines = err.splitlines()
+    assert code == 3 and "Traceback" not in err
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
+
+
+_TOKENS = st.sampled_from(["0", "1", "7", "9", ".", "e", "+", "-", "*", "/", "**", "[", "]",
+                           "(", ")", '"', "pi", "nan", "null", "true"])
+_OPERANDS = st.sampled_from(["0", "1", "7", "9.5", ".5", "9e99", "1e-9", "pi", "nan", "null",
+                             "true", '"7"', "[1]", "(7)"])
+_OPERATORS = st.sampled_from(["+", "-", "*", "/", "**"])
+# token strings, most of them not arithmetic, and operand-operator chains,
+# most of them arithmetic
+_VALUES = st.one_of(
+    st.lists(_TOKENS, max_size=12).map("".join),
+    st.builds(lambda head, tail: head + "".join(map("".join, tail)),
+              _OPERANDS, st.lists(st.tuples(_OPERATORS, _OPERANDS), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+@example("1/0")
+@example("9e99**9")
+def test_any_value_parses_and_runs_or_exits_3(text):
+    parse_value(text)
+    assert main(["run", "zeno_precise", "--set", f"T={text}", "--trials", "1"]) in (0, 3)
 
 
 def test_run_stdout_csv(capsys):

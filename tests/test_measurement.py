@@ -604,8 +604,9 @@ def test_first_yes_asks_each_question_only_of_undecided_trials(monkeypatch):
 
     monkeypatch.setattr(scenarios, "born_step", spy)
     uniforms = np.array([rng.random(draws) for rng in trial_streams(seed, trials)])
-    scenarios._first_yes(state.rho[None], np.zeros(trials, dtype=np.intp), compiled(exps),
-                         uniforms, np.arange(trials) * draws)
+    used = np.arange(trials) * draws
+    point = scenarios._first_yes(state.rho[None], np.zeros(trials, dtype=np.intp),
+                                 compiled(exps), uniforms, used)
     first = [scalar_first_yes(state, exps, rng)[0] for rng in trial_streams(seed, trials)]
     assert 1 < len(asked) <= len(exps) and len(set(first)) > 1
     undecided = list(range(trials))
@@ -613,7 +614,13 @@ def test_first_yes_asks_each_question_only_of_undecided_trials(monkeypatch):
         assert trial == undecided == [i for i in range(trials) if first[i] >= m]
         assert asked_of == len(undecided)
         undecided = [i for i, y in zip(trial, yes) if not y]
-    assert not undecided or len(asked) == len(exps)
+    # the last question is not asked: whoever reaches it is on the last point,
+    # with the draws of the questions asked and no more
+    assert len(asked) <= len(exps) - 1
+    streams = list(trial_streams(seed, trials))
+    for i in undecided:
+        assert point[i] == len(exps) - 1
+        assert used[i] - i * draws == scalar_first_yes(state, exps[:-1], streams[i])[1]
 
 
 def histories(answers):

@@ -495,8 +495,35 @@ BROKEN_BOUNDS = [
     ("classical_control", {"scenario": "epr", "steps": -1}, "steps must be at least 0"),
 ]
 
+# every rule a scenario declares beyond its bounds, broken, on the same runs
+_NORMS = ("the squared norms of amp_l and amp_r and of amp_l + amp_r must be positive "
+          "with finite reciprocals")
+BROKEN_RULES = [
+    ("polarization_sequence", {"angles": [0.0]},
+     "angles must hold two or more, got [0.0]"),
+    ("polarization_sequence", {"angles": []},
+     "angles must hold two or more, got []"),
+    ("zeno_precise", {"omega": 1e308, "T": 10.0}, "omega*T or T*n overflows: omega=1e+308, T=10.0"),
+    ("zeno_precise", {"T": 1e308, "n": 2}, "omega*T or T*n overflows"),
+    ("zeno_coarse", {"window_width": 99},
+     "window_width must be in [1, num_levels=8], got 99"),
+    ("zeno_coarse", {"window_width": 0}, "window_width must be in [1, num_levels=8], got 0"),
+    ("zeno_coarse", {"initial_level": 99},
+     "initial_level must be in [1, num_levels=8], got 99"),
+    ("zeno_coarse", {"num_levels": 3, "initial_level": 4},
+     "initial_level must be in [1, num_levels=3]"),
+    ("zeno_coarse", {"coupling": 1e308, "dt": 2.0}, "2*coupling*dt overflows"),
+    ("two_slit", {"amp_l": [1.0], "amp_r": [1.0, 1.0]},
+     "amp_l and amp_r must be nonempty and of equal length"),
+    ("two_slit", {"amp_l": [], "amp_r": []}, "amp_l and amp_r must be nonempty"),
+    # the which-path state's squared norm overflows, then has no finite
+    # reciprocal; the screen state's overflows, then is zero
+    *(("two_slit", {"amp_l": [left], "amp_r": [right]}, _NORMS)
+      for left, right in ((1e200, 0.0), (1e-161, 0.0), (9e153, 9e153), (1.0, -1.0))),
+]
 
-@pytest.mark.parametrize("name, params, message", BROKEN_BOUNDS)
+
+@pytest.mark.parametrize("name, params, message", BROKEN_BOUNDS + BROKEN_RULES)
 def test_declared_bounds_are_checked_before_the_memory_estimate(name, params, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
         validate_params(name, params)
@@ -509,6 +536,17 @@ def test_every_declared_bound_is_broken_above():
                 for p in scen.params if p.minimum is not None}
     assert declared == {(name, key) for name, params, _ in BROKEN_BOUNDS for key in params
                         if key != "scenario"}
+
+
+@pytest.mark.parametrize("params, trials, seed, message", [
+    ({"n": 10**5000}, 1, 0, "needs about a number above 10**4000 MiB"),
+    (None, 10**5000, 0, "trials=a number above 10**4000 needs about a number above 10**4000 MiB"),
+    (None, 1, 10**5000, "seed must be an unsigned 64-bit integer, got a number above 10**4000"),
+    ({"T": [10**5000]}, 1, 0, "bad value for T: [a number above 10**4000]"),
+], ids=["n", "trials", "seed", "T"])
+def test_messages_name_ints_past_the_digit_limit(params, trials, seed, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        run_scenario("zeno_precise", params, trials=trials, seed=seed)
 
 
 def test_scenario_defaults_fit_in_memory():
