@@ -2,11 +2,14 @@
 
 One representation covers both kinds of observable algebra used by the rest
 of the package: the full algebra of n x n complex matrices (quantum), and the
-commutative algebra of functions on a finite phase space, stored as diagonal
-matrices (classical).  On top of the raw arithmetic sit projections
-(P^2 = P = P*), Hermitian observables, and the functional calculus at finite
-spectrum: eigendecomposition with degeneracy clustering and spectral
-projections "is the value of A in V?".
+commutative algebra of functions on a finite phase space, whose elements
+are diagonal matrices (classical).  A classical value is its n numbers: a
+diagonal element keeps only its `values`, as a diagonal state keeps only its
+measure `mu`, and either builds its matrix on first read, through the one
+storage rule of `AlgebraValue`.  On top of the raw arithmetic sit
+projections (P^2 = P = P*), Hermitian observables, and the functional
+calculus at finite spectrum: eigendecomposition with degeneracy clustering
+and spectral projections "is the value of A in V?".
 """
 
 from __future__ import annotations
@@ -185,107 +188,159 @@ def require_same_context(a, b):
         )
 
 
-class AlgebraElement:
-    """An element of the observable algebra: an n x n complex matrix.
+def measure(rho: np.ndarray) -> np.ndarray:
+    """The real diagonal of a matrix or (..., d, d) stack, as a view: a measure."""
+    return rho.diagonal(0, -2, -1).real
 
-    Immutable.  Arithmetic follows numpy conventions: + - for the vector
-    space, * / for scalars, @ for the algebra product, .adjoint() for the
-    involution.  Diagonal-kind elements must be diagonal matrices; this is
-    enforced at construction and preserved by all operations.
-    """
 
-    __slots__ = ("context", "matrix")
+def measure_matrix(mu: np.ndarray) -> np.ndarray:
+    """diag(mu) as a complex matrix, or one per stack row: how diagonal values build theirs."""
+    n = mu.shape[-1]
+    out = np.zeros(mu.shape + (n,), dtype=complex)
+    out.reshape(mu.shape[:-1] + (n * n,))[..., :: n + 1] = mu
+    return out
 
-    def __init__(self, context: AlgebraContext, matrix):
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two stored arrays: pointwise, exact per entry, on
+    diagonals; else the matrix product."""
+    return a * b if a.ndim == 1 else a @ b
+
+
+class AlgebraValue:
+    """What elements and states share: an immutable d x d complex matrix,
+    kept on a diagonal algebra as only its d numbers and built on first read.
+    A subclass names the matrix `_DENSE` and the diagonal `_FLAT`, which
+    `_flat` reads from a matrix; `_NOUN` names its input in messages."""
+
+    __slots__ = ("context",)
+
+    @classmethod
+    def _read(cls, context: AlgebraContext, matrix) -> np.ndarray:
+        """A complex copy of matrix input, checked for shape and finiteness
+        and, on a diagonal algebra, for off-diagonal entries beyond EPS_ALG."""
         arr = np.array(matrix, dtype=complex)
         if arr.shape != (context.dim, context.dim):
             raise ValueError(
-                f"matrix shape {arr.shape} does not match algebra dimension {context.dim}"
+                f"{cls._NOUN} shape {arr.shape} does not match algebra dimension {context.dim}"
             )
         if not np.isfinite(arr).all():
-            raise ValueError("matrix has a non-finite entry")
+            raise ValueError(f"{cls._NOUN} has a non-finite entry")
         if context.is_diagonal:
             off = arr - np.diag(np.diag(arr))
             if off.size and np.abs(off).max() > EPS_ALG:
-                raise ValueError("diagonal-algebra element has off-diagonal entries")
-            arr = np.diag(np.diag(arr))  # drop sub-tolerance off-diagonal noise
+                raise ValueError(f"diagonal-algebra {cls._NOUN} has off-diagonal entries")
+        return arr
+
+    def _set(self, context, arr):
+        """Keep `arr`, unvalidated and read-only: a matrix, or on a diagonal
+        algebra the diagonal, read (as a copy) from a matrix if given one."""
+        if context.is_diagonal and arr.ndim == 2:
+            arr = self._flat(arr).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "matrix", arr)
-        self._validate()
+        object.__setattr__(self, self._FLAT if arr.ndim == 1 else self._DENSE, arr)
+        return self
 
-    def _validate(self):
-        pass
+    @classmethod
+    def _unchecked(cls, context, arr):
+        """Internal fast path: wrap, unvalidated and uncopied, an array valid by
+        construction (e.g. a unitary conjugate of a valid input)."""
+        return object.__new__(cls)._set(context, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("algebra values are immutable")
 
-    @classmethod
-    def _unchecked(cls, context, matrix):
-        """Internal fast path: skip invariant validation for matrices that are
-        guaranteed valid by construction (e.g. unitary conjugates of valid
-        inputs)."""
-        obj = object.__new__(cls)
-        arr = np.asarray(matrix, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(obj, "context", context)
-        object.__setattr__(obj, "matrix", arr)
-        return obj
+    def __getattr__(self, name):  # reached only for the unset matrix of a diagonal value
+        if name != self._DENSE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dense = measure_matrix(getattr(self, self._FLAT))
+        dense.setflags(write=False)
+        object.__setattr__(self, name, dense)
+        return dense
+
+    @property
+    def _stored(self) -> np.ndarray:
+        """The array kept: the diagonal on a diagonal algebra, else the matrix."""
+        return getattr(self, self._FLAT if self.context.is_diagonal else self._DENSE)
 
     @property
     def dim(self) -> int:
         return self.context.dim
 
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, kind={self.context.kind})"
+
+
+class AlgebraElement(AlgebraValue):
+    """An element of the observable algebra: an n x n complex matrix.
+
+    Immutable.  Arithmetic follows numpy conventions: + - for the vector
+    space, * / for scalars, @ for the algebra product, .adjoint() for the
+    involution.  Diagonal-kind elements must be diagonal matrices, as
+    construction enforces; such an element keeps only `values`, its complex
+    diagonal, as a diagonal state keeps only its measure `mu`.
+    """
+
+    __slots__ = ("matrix", "values")
+    _DENSE, _FLAT, _NOUN = "matrix", "values", "matrix"
+    _flat = staticmethod(np.diagonal)
+
+    def __init__(self, context: AlgebraContext, matrix):
+        self._set(context, self._read(context, matrix))
+        self._validate()
+
+    def _validate(self):
+        pass
+
+    @classmethod
+    def _of(cls, context, stored):
+        """Internal: the element stored as `stored`, checked finite and by the class."""
+        if not np.isfinite(stored).all():
+            raise ValueError("matrix has a non-finite entry")
+        out = cls._unchecked(context, stored)
+        out._validate()
+        return out
+
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
+        return (self.values if self.context.is_diagonal else np.diag(self.matrix)).copy()
 
     def adjoint(self) -> "AlgebraElement":
-        return type(self)(self.context, self.matrix.conj().T)
+        return type(self)._of(self.context, self._stored.conj().T)
 
     def is_hermitian(self, tol: float = EPS_ALG) -> bool:
-        return within(self.matrix - self.matrix.conj().T, tol)
+        return within(self._stored - self._stored.conj().T, tol)
+
+    def _with(self, other, op):
+        """`op` of this element's and another's stored arrays, as an element."""
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        require_same_context(self, other)
+        return AlgebraElement._of(self.context, op(self._stored, other._stored))
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        require_same_context(self, other)
-        return AlgebraElement(self.context, self.matrix + other.matrix)
+        return self._with(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        require_same_context(self, other)
-        return AlgebraElement(self.context, self.matrix - other.matrix)
+        return self._with(other, np.subtract)
 
     def __neg__(self):
-        return AlgebraElement(self.context, -self.matrix)
+        return AlgebraElement._of(self.context, -self._stored)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return AlgebraElement(self.context, complex(scalar) * self.matrix)
+        return AlgebraElement._of(self.context, complex(scalar) * self._stored)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return AlgebraElement(self.context, self.matrix / complex(scalar))
+        return AlgebraElement._of(self.context, self._stored / complex(scalar))
 
     def __matmul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        require_same_context(self, other)
-        if self.context.is_diagonal:
-            # the function algebra's product is pointwise multiplication,
-            # exact per entry (no BLAS accumulation)
-            prod = np.diag(np.diag(self.matrix) * np.diag(other.matrix))
-        else:
-            prod = self.matrix @ other.matrix
-        return AlgebraElement(self.context, prod)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, kind={self.context.kind})"
+        return self._with(other, _times)
 
 
 class Observable(AlgebraElement):
@@ -294,7 +349,7 @@ class Observable(AlgebraElement):
     __slots__ = ()
 
     def _validate(self):
-        herm = self.matrix - self.matrix.conj().T
+        herm = self._stored - self._stored.conj().T
         if not within(herm, EPS_ALG):
             raise ValueError(f"observable is not Hermitian (defect {operator_norm(herm):.3e})")
 
@@ -305,8 +360,8 @@ class Projection(AlgebraElement):
     __slots__ = ()
 
     def _validate(self):
-        m = self.matrix
-        idem, herm = m @ m - m, m - m.conj().T
+        m = self._stored
+        idem, herm = _times(m, m) - m, m - m.conj().T
         if not (within(idem, EPS_ALG) and within(herm, EPS_ALG)):
             raise ValueError(
                 f"not a projection (idempotency defect {operator_norm(idem):.3e}, "
@@ -330,12 +385,11 @@ class SpectralData:
     def projection(self, value_set: ValueSet, cluster_tol: float = CLUSTER_TOL) -> Projection:
         """Sum of the eigenprojectors whose eigenvalue lies in the value set,
         with membership widened by cluster_tol to absorb eigensolver roundoff."""
-        ctx = self.projectors[0].context
-        total = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+        total = np.zeros_like(self.projectors[0]._stored)
         for val, proj in zip(self.eigenvalues, self.projectors):
             if value_set.contains(val, atol=cluster_tol):
-                total = total + proj.matrix
-        return Projection(ctx, (total + total.conj().T) / 2.0)
+                total = total + proj._stored
+        return Projection._of(self.projectors[0].context, (total + total.conj().T) / 2.0)
 
 
 def unit(context: AlgebraContext) -> Projection:
@@ -362,11 +416,12 @@ def diagonal_element(context: AlgebraContext, values) -> AlgebraElement:
 
 def complement(p: Projection) -> Projection:
     """1 - P.  Its defects equal P's own, so no revalidation is needed."""
-    return Projection._unchecked(p.context, np.eye(p.dim, dtype=complex) - p.matrix)
+    one = 1.0 if p.context.is_diagonal else np.eye(p.dim, dtype=complex)
+    return Projection._unchecked(p.context, one - p._stored)
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value.
+    """Largest singular value; a (d,) array stands for its diagonal matrix.
 
     Tolerance checks call `within(m, tol)` instead of comparing this with
     tol.  The Frobenius norm bounds the operator norm from above, so when it
@@ -375,7 +430,7 @@ def operator_norm(matrix: np.ndarray) -> float:
     """
     if matrix.size == 0:
         return 0.0
-    return float(np.linalg.norm(matrix, 2))
+    return float(np.abs(matrix).max() if matrix.ndim == 1 else np.linalg.norm(matrix, 2))
 
 
 def within(matrix: np.ndarray, tol: float) -> bool:
@@ -390,13 +445,13 @@ def norms(a: AlgebraElement) -> tuple[float, float]:
 
 
 def is_projection(a: AlgebraElement, tol: float = EPS_ALG) -> bool:
-    m = a.matrix
-    return within(m @ m - m, tol) and within(m - m.conj().T, tol)
+    m = a._stored
+    return within(_times(m, m) - m, tol) and within(m - m.conj().T, tol)
 
 
 def commutes(a: AlgebraElement, b: AlgebraElement, tol: float = EPS_ALG) -> bool:
     require_same_context(a, b)
-    return within(a.matrix @ b.matrix - b.matrix @ a.matrix, tol)
+    return within(_times(a._stored, b._stored) - _times(b._stored, a._stored), tol)
 
 
 def characteristic_projection(context: AlgebraContext, subset: PhaseSubset) -> Projection:
@@ -405,7 +460,7 @@ def characteristic_projection(context: AlgebraContext, subset: PhaseSubset) -> P
         raise ValueError("characteristic projections live in the diagonal algebra")
     if subset.space != context.phase_space:
         raise ContextMismatchError("subset belongs to a different phase space")
-    return Projection._unchecked(context, np.diag(subset.indicator().astype(complex)))
+    return Projection._unchecked(context, subset.indicator().astype(complex))
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -435,16 +490,15 @@ def eigendecompose(a: AlgebraElement, cluster_tol: float = CLUSTER_TOL) -> Spect
         raise ValueError("eigendecomposition requires a Hermitian element")
     ctx = a.context
     if ctx.is_diagonal:
-        vals = np.real(np.diag(a.matrix))
+        vals = a.values.real
         order = np.argsort(vals, kind="stable")
         svals = vals[order]
         eigenvalues, projectors = [], []
         for grp in _cluster(svals, cluster_tol):
-            idx = order[grp]
             d = np.zeros(ctx.dim, dtype=complex)
-            d[idx] = 1.0
+            d[order[grp]] = 1.0
             eigenvalues.append(float(svals[grp].mean()))
-            projectors.append(Projection._unchecked(ctx, np.diag(d)))
+            projectors.append(Projection._unchecked(ctx, d))
         return SpectralData(tuple(eigenvalues), tuple(projectors))
 
     w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2.0)
@@ -471,7 +525,6 @@ def spectral_projection(a: AlgebraElement, value_set: ValueSet,
     if ctx.is_diagonal:
         if not a.is_hermitian():
             raise ValueError("spectral projection requires a Hermitian element")
-        vals = np.real(np.diag(a.matrix))
-        d = np.array([1.0 if value_set.contains(x) else 0.0 for x in vals], dtype=complex)
-        return Projection._unchecked(ctx, np.diag(d))
+        return Projection._unchecked(ctx, np.array([1.0 if value_set.contains(x) else 0.0
+                                                    for x in a.values.real], dtype=complex))
     return eigendecompose(a, cluster_tol).projection(value_set, cluster_tol)

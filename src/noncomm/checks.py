@@ -95,12 +95,9 @@ def _check(suite: str, name: str, stated: float, statistical: bool = False):
 
 
 def _random_element(ctx: AlgebraContext, rng) -> algebra.AlgebraElement:
-    n = ctx.dim
-    if ctx.is_diagonal:
-        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return algebra.diagonal_element(ctx, d)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return algebra.element(ctx, m)
+    shape = (ctx.dim,) if ctx.is_diagonal else (ctx.dim, ctx.dim)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (algebra.diagonal_element if ctx.is_diagonal else algebra.element)(ctx, m)
 
 
 def _random_hermitian(ctx: AlgebraContext, rng) -> Observable:

@@ -42,8 +42,8 @@ import tempfile
 from . import __version__
 from .algebra import ContextMismatchError
 from .checks import SUITES, run_checks
-from .scenarios import (SCENARIOS, SEED, TRIALS, ParameterError, ScenarioResult, _shown,
-                        run_scenario)
+from .scenarios import (SCENARIOS, SEED, TRIALS, ParameterError, ScenarioResult,
+                        UnknownScenarioError, _shown, run_scenario)
 from .states import NumericalInvariantError
 
 EXIT_OK = 0
@@ -285,9 +285,6 @@ def _load_config(path):
 
 def _cmd_run(args) -> int:
     name = args.scenario
-    if name not in SCENARIOS:
-        print(f"error: unknown scenario {name!r}; see `noncomm list`", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
     started = _utc_now()
     try:
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -301,6 +298,9 @@ def _cmd_run(args) -> int:
         seed = next((s for s in seeds if s is not None), SEED.default)
         trials = args.trials if args.trials is not None else config.get("trials", TRIALS.default)
         result = run_scenario(name, overrides, trials, seed, args.snapshots)
+    except UnknownScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN_SCENARIO
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

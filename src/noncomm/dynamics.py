@@ -24,8 +24,10 @@ from .algebra import (
     PhaseSpace,
     Projection,
     diagonal_context,
+    measure,
+    measure_matrix,
 )
-from .states import State, measure, measure_matrix
+from .states import State
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,7 @@ def koopman_evolve(g: AlgebraElement, flow: Flow, t: int) -> AlgebraElement:
     """tau_t(g) = g o T_t on the diagonal algebra: the one-time case of
     `evolve_stack`, a pure index permutation of g's diagonal."""
     check_dynamics(flow, [g.context])
-    moved = evolve_stack(flow, [t], g.matrix.diagonal()[None])[0]
-    return type(g)._unchecked(g.context, np.diag(moved))
+    return type(g)._unchecked(g.context, evolve_stack(flow, [t], g.values[None])[0])
 
 
 def schrodinger_state(state: State, h: Hamiltonian, t: float) -> State:

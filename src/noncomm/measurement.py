@@ -43,6 +43,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded with the package, so no run's memory counts numpy's lazy import
 
 from .algebra import (
     DIAGONAL,
@@ -64,8 +65,6 @@ from .states import (
     State,
     bayes,
     condition,
-    measure,
-    measure_matrix,
     renormalize,
     require_probability,
     yes_probability,
@@ -248,9 +247,7 @@ def evolve_schedule(schedule, dynamics) -> list:
     if dynamics is None or not schedule:
         return schedule
     ctx = contexts.pop()
-    moved = _evolved(schedule, dynamics, ctx)
-    if ctx.is_diagonal:
-        moved = measure_matrix(moved)
+    moved = np.asarray(_evolved(schedule, dynamics, ctx), dtype=complex)
     return [ScheduleEntry(e.time, YesNoExperiment(e.experiment.label,
                                                   Projection._unchecked(ctx, m)))
             for e, m in zip(schedule, moved)]
@@ -259,8 +256,9 @@ def evolve_schedule(schedule, dynamics) -> list:
 def _evolved(schedule, dynamics, ctx: AlgebraContext) -> np.ndarray:
     """The schedule's projections, each at its time, as one stack: (n, d, d)
     matrices, or on a diagonal algebra the (n, d) indicator rows."""
-    read, dims = (measure, (ctx.dim,)) if ctx.is_diagonal else (np.asarray, (ctx.dim, ctx.dim))
-    stack = np.array([read(e.experiment.projection.matrix) for e in schedule]).reshape(-1, *dims)
+    stack = np.array([e.experiment.projection._stored for e in schedule])
+    stack = stack.reshape(-1, *[ctx.dim] * (1 if ctx.is_diagonal else 2))
+    stack = stack.real if ctx.is_diagonal else stack
     return stack if dynamics is None else evolve_stack(dynamics, [e.time for e in schedule], stack)
 
 
@@ -340,7 +338,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
         # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
         trace = lambda rows, col: (rows.reshape(-1, 1, col.size) @ col)[:, 0, 0].real
     raw_yes = trace(rho, yes_of)
-    p_yes = raw_yes.clip(0.0, 1.0)[cls]  # keeps -0.0, as yes_probability does
+    p_yes = raw_yes.clip(0.0, 1.0)[cls]  # numpy's sums give a zero as +0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
     free = ~(forced_yes | (p_yes <= P_FLOOR))
     yes = forced_yes | (free > (uniforms.ravel()[used] >= p_yes))  # free and not u >= p
@@ -387,7 +385,7 @@ def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> B
     check_dynamics(dynamics, [state.context])
     questions = compile_questions(_evolved(schedule, dynamics, state.context))
     n, d = len(questions), state.dim
-    start = state.mu if state.context.is_diagonal else state.rho
+    start = state._stored
 
     def run(uniforms, used):
         t = len(used)

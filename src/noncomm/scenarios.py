@@ -25,8 +25,8 @@ trials as one stack through `run_batch`; two-slit asks each question of its
 stop-at-first-yes chains only of the trials still without a yes.
 `zeno_coarse` and the classical Zeno control step trial by trial with
 `perform`, because what they ask next depends on the state reached.  The classical Zeno
-run builds its point questions once and asks the evolved ones as these
-points relabelled by the flow, never as evolved matrices.
+run builds its point questions once, n values each, and asks the evolved
+ones as these points relabelled by the flow, never as evolved matrices.
 """
 
 from __future__ import annotations
@@ -416,8 +416,7 @@ def _first_yes(rho, cls, questions, uniforms, used):
 
 def _slits(params):
     """amp_l, amp_r, their sum, and the which-path and screen squared norms."""
-    amp_l = np.asarray(params["amp_l"], dtype=complex)
-    amp_r = np.asarray(params["amp_r"], dtype=complex)
+    amp_l, amp_r = np.asarray(params["amp_l"]), np.asarray(params["amp_r"])
     combined = amp_l + amp_r
     joint_norm2 = float(np.vdot(amp_l, amp_l).real) + float(np.vdot(amp_r, amp_r).real)
     return amp_l, amp_r, combined, joint_norm2, float(np.vdot(combined, combined).real)
@@ -471,8 +470,7 @@ def _run_two_slit(params, trials, seed, record_trials):
         "empirical_which_path": (np.bincount(pos_wp, minlength=m_points) / trials).tolist(),
         "invalidated_point_indices": flipped,
     }
-    echo = {"amp_l": _echo([complex(v) for v in amp_l]),
-            "amp_r": _echo([complex(v) for v in amp_r])}
+    echo = {"amp_l": _echo(params["amp_l"]), "amp_r": _echo(params["amp_r"])}
     return ScenarioResult("two_slit", echo, seed, trials, summary, series, records)
 
 
@@ -516,7 +514,7 @@ def _classical_zeno(params, trials, seed, record_trials):
     space = PhaseSpace(tuple(f"x{i + 1}" for i in range(n_points)))
     ctx = diagonal_context(space)
     cycle = Flow(space, tuple((i + 1) % n_points for i in range(n_points)))
-    initial = classical_state(ctx, np.eye(n_points)[0])
+    initial = classical_state(ctx, np.eye(1, n_points)[0])
     point_exps = [
         YesNoExperiment(f"at {space.points[j]}", characteristic_projection(ctx, space.subset([j])))
         for j in range(n_points)
@@ -624,10 +622,10 @@ def _classical_control_footprint(params):
     if params["scenario"] == "epr":
         return _schedule_footprint(2, 4)
     n, steps = params["num_points"], params["steps"]
-    # n dense point projections and the 1 - P each builds when asked; a step
-    # asks at most n questions
-    return (32 * n ** 3 + 160 * n * n, 40 * (steps + 1),
-            _RECORD_BYTES + steps * n * _ENTRY_BYTES)
+    # n point questions of n values each, and the 1 - P of those answered
+    # "no", one more a step; step t asks (t mod n) + 1 questions
+    return ((n + min(steps, n)) * (16 * n + _QUESTION_BYTES), 40 * (steps + 1),
+            _RECORD_BYTES + steps * min(steps + 1, n) * _ENTRY_BYTES)
 
 
 def peak_bytes(name: str, params: dict, trials: int, record_trials: bool) -> int:
@@ -786,7 +784,7 @@ def validate_params(name: str, overrides: dict | None) -> dict:
         raise UnknownScenarioError(f"unknown scenario {name!r}; try one of {list(SCENARIOS)}")
     scen = SCENARIOS[name]
     known = {p.name: p for p in scen.params}
-    merged = {p.name: p.default for p in scen.params}
+    merged = {p.name: _coerce(p, p.default) for p in scen.params}
     for key, value in (overrides or {}).items():
         if key not in known:
             raise ParameterError(f"scenario {name!r} has no parameter {_shown(key)}; "

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
+from .algebra import (  # measure_matrix is exported from here too
     EPS_ALG,
     AlgebraContext,
     AlgebraElement,
+    AlgebraValue,
     PhaseSubset,
     Projection,
+    measure,
+    measure_matrix,
     operator_norm,
     require_same_context,
     within,
@@ -43,7 +46,7 @@ class ZeroProbabilityError(NumericalInvariantError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
-class State:
+class State(AlgebraValue):
     """A density matrix on the algebra: Hermitian, positive, unit trace.
 
     Construction validates the invariants within tolerance, then repairs the
@@ -52,23 +55,16 @@ class State:
     diagonal algebra keeps only its measure `mu`, and builds `rho` on first read.
     """
 
-    __slots__ = ("context", "rho", "mu")
+    __slots__ = ("rho", "mu")
+    _DENSE, _FLAT, _NOUN = "rho", "mu", "density matrix"
+    _flat = staticmethod(measure)
 
     def __init__(self, context: AlgebraContext, rho):
-        arr = np.array(rho, dtype=complex)
-        if arr.shape != (context.dim, context.dim):
-            raise ValueError(
-                f"density matrix shape {arr.shape} does not match dimension {context.dim}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("density matrix has a non-finite entry")
+        arr = self._read(context, rho)
         herm = arr - arr.conj().T
         if not within(herm, EPS_ALG):
             raise ValueError(f"density matrix is not Hermitian (defect {operator_norm(herm):.3e})")
         if context.is_diagonal:
-            off = arr - np.diag(np.diag(arr))
-            if off.size and np.abs(off).max() > EPS_ALG:
-                raise ValueError("diagonal-algebra state has off-diagonal entries")
             arr = np.diag(np.diag(arr))
         arr = (arr + arr.conj().T) / 2.0
         lo = float(np.linalg.eigvalsh(arr).min())
@@ -79,49 +75,17 @@ class State:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
         self._set(context, arr / tr)
 
-    def _set(self, context, arr):
-        arr = measure(arr).copy() if context.is_diagonal and arr.ndim == 2 else arr
-        arr.setflags(write=False)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "rho" if arr.ndim == 2 else "mu", arr)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("states are immutable")
-
-    def __getattr__(self, name):  # reached only for the unset `rho` of a diagonal state
-        if name != "rho":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rho = measure_matrix(self.mu)
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        return rho
-
     @classmethod
     def _renormalized(cls, context, rho):
         """Internal fast path for matrices positive by construction
         (conjugations P rho P / unitary transports of valid states): still
         symmetrize and fix the trace, but skip the spectral check."""
-        return cls._trusted(context, renormalize(rho))
-
-    @classmethod
-    def _trusted(cls, context, arr):
-        """Internal: wrap, unvalidated, a density matrix that is already
-        symmetric with unit trace, or a diagonal-algebra state's (n,) measure
-        that is already non-negative with unit sum, which is kept uncopied."""
-        return object.__new__(cls)._set(context, arr)
-
-    @property
-    def dim(self) -> int:
-        return self.context.dim
+        return cls._unchecked(context, renormalize(rho))
 
     def probabilities(self) -> np.ndarray:
         """The diagonal of rho as a real vector; for diagonal contexts this
         is the probability measure on phase space, a copy of `mu`."""
         return (self.mu if self.context.is_diagonal else measure(self.rho)).copy()
-
-    def __repr__(self):
-        return f"State(dim={self.dim}, kind={self.context.kind})"
 
 
 def renormalize(rho: np.ndarray) -> np.ndarray:
@@ -167,20 +131,7 @@ def classical_state(context: AlgebraContext, mu) -> State:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probability measure sums to {total!r}, not 1")
     mu0 = np.clip(m, 0.0, None) * (1.0 / total)
-    return State._trusted(context, mu0 * (1.0 / mu0.astype(complex).sum().real))
-
-
-def measure(rho: np.ndarray) -> np.ndarray:
-    """The real diagonal of a matrix or (..., d, d) stack, as a view: a measure."""
-    return rho.diagonal(0, -2, -1).real
-
-
-def measure_matrix(mu: np.ndarray) -> np.ndarray:
-    """The complex matrix diag(mu) of a measure, or of each row of a stack."""
-    n = mu.shape[-1]
-    out = np.zeros(mu.shape + (n,), dtype=complex)
-    out.reshape(mu.shape[:-1] + (n * n,))[..., :: n + 1] = mu
-    return out
+    return State._unchecked(context, mu0 * (1.0 / mu0.astype(complex).sum().real))
 
 
 def require_probability(prob):
@@ -206,7 +157,7 @@ def expectation(state: State, a: AlgebraElement) -> complex:
     algebra this is the integral sum_x mu(x) a(x)."""
     require_same_context(state, a)
     if state.context.is_diagonal:
-        mu, values = state.mu, a.matrix.diagonal()
+        mu, values = state.mu, a.values
         return complex(np.add.reduce(mu * values.real), np.add.reduce(mu * values.imag))
     # Tr(rho A) = sum_ij rho[i,j] A[j,i]
     return complex(state.rho.ravel().dot(a.matrix.T.ravel()))
@@ -216,10 +167,10 @@ def yes_probability(state: State, p: Projection) -> float:
     """Probability of "yes" for the experiment with projection P, clamped to [0, 1]."""
     if state.context.is_diagonal:  # the real part of `expectation`, without its imaginary sum
         require_same_context(state, p)
-        val = float(np.add.reduce(state.mu * measure(p.matrix)))
+        val = float(np.add.reduce(state.mu * p.values.real))
     else:
         val = expectation(state, p).real
-    return min(max(val, 0.0), 1.0)
+    return min(max(val + 0.0, 0.0), 1.0)  # + 0.0: a zero is +0.0, as `born_step` gives it
 
 
 def condition(state: State, p: Projection) -> State:
@@ -231,7 +182,7 @@ def condition(state: State, p: Projection) -> State:
     """
     require_same_context(state, p)
     if state.context.is_diagonal:
-        return State._trusted(state.context, bayes(state.mu, measure(p.matrix)))
+        return State._unchecked(state.context, bayes(state.mu, p.values.real))
     require_probability(state.rho.ravel().dot(p.matrix.T.ravel()).real)
     return State._renormalized(state.context, p.matrix @ state.rho @ p.matrix)
 

@@ -67,6 +67,17 @@ def test_list_json(capsys):
 
 def test_run_unknown_scenario(capsys):
     assert main(["run", "nosuch"]) == 2
+    # the message is the one `run_scenario` raises, printed once, with no traceback
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scenario 'nosuch'; try one of [") and err.count("\n") == 1
+    # inputs are judged before the name: an --out in no directory exits 3 first
+    assert main(["run", "nosuch", "--out", "/nonexistent-dir/out.json"]) == 3
+
+
+def test_list_json_bytes_are_pinned(capsys):
+    assert main(["list", "--json"]) == 0
+    digest = "84dd597758906867738b1974261addf27e158453636c794d501ac54bf3acec1b"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_run_bad_parameter(capsys):

@@ -10,19 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noncomm.algebra
 import noncomm.dynamics
-import noncomm.measurement
-import noncomm.states
+import noncomm.scenarios
 from noncomm.algebra import (
+    CLUSTER_TOL,
+    AlgebraElement,
     ContextMismatchError,
     Observable,
     PhaseSpace,
+    ValueSet,
     characteristic_projection,
+    complement,
     diagonal_context,
+    diagonal_element,
+    eigendecompose,
     full_context,
     require_same_context,
+    spectral_projection,
 )
-from noncomm.dynamics import Flow, Hamiltonian
+from noncomm.dynamics import Flow, Hamiltonian, koopman_evolve
 from noncomm.scenarios import run_scenario
 from noncomm.measurement import (
     ScheduleEntry,
@@ -184,7 +191,7 @@ def test_zero_mass_outcome_raises_the_same_error_from_condition_and_the_kernel()
     space, ctx = points(3)
     exp = YesNoExperiment("at x0", characteristic_projection(ctx, space.subset([0])))
     # trace 1/2, past validation: "yes" has mass 1/2, so "no" is drawn and has mass 0
-    broken = State._trusted(ctx, np.diag([0.5, 0.0, 0.0]).astype(complex))
+    broken = State._unchecked(ctx, np.diag([0.5, 0.0, 0.0]).astype(complex))
     with pytest.raises(ZeroProbabilityError) as scalar:
         condition(broken, exp.no_projection)
     with pytest.raises(ZeroProbabilityError) as performed:
@@ -214,18 +221,46 @@ def test_diagonal_batch_keeps_final_measures():
 
 
 def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
-    # every conditioning of the run is Bayes on the measure: no diag(mu) is
-    # built, not even for a state's `rho`
-    calls = []
+    # every conditioning of the run is Bayes on the measure and every point
+    # question keeps its n values: no diag(...) is built, neither by the one
+    # lazy builder (for a state's `rho` or a question's `matrix`) nor by
+    # np.diag, and no question holds a matrix when the run ends
+    calls, questions = [], []
 
-    def spy(mu):
-        calls.append(mu.shape)
-        return measure_matrix(mu)
+    def spy(values):
+        calls.append(values.shape)
+        return measure_matrix(values)
 
-    for module in (noncomm.states, noncomm.measurement, noncomm.dynamics):
+    def diag(v, k=0):
+        if np.ndim(v) == 1:
+            calls.append(np.shape(v))
+        return numpy_diag(v, k)
+
+    def experiment(label, projection):
+        questions.append(YesNoExperiment(label, projection))
+        return questions[-1]
+
+    numpy_diag = np.diag
+    for module in (noncomm.algebra, noncomm.dynamics):
         monkeypatch.setattr(module, "measure_matrix", spy)
+    monkeypatch.setattr(np, "diag", diag)
+    monkeypatch.setattr(noncomm.scenarios, "YesNoExperiment", experiment)
     run_scenario("classical_control", {"num_points": 16, "steps": 64}, 3, 17)
-    assert calls == []
+    assert calls == [] and len(questions) == 16
+    asked = [q.projection for q in questions] + [q.__dict__["_no"] for q in questions
+                                                 if "_no" in q.__dict__]  # the "no"s built
+    assert len(asked) > 16
+    for p in asked:
+        with pytest.raises(AttributeError):
+            AlgebraElement.matrix.__get__(p)  # the slot itself, which builds nothing
+
+
+def test_classical_zeno_at_a_thousand_points_fits_and_runs():
+    # each point question is n numbers, so the run needs O(n^2) bytes, not
+    # the O(n^3) of n dense n x n questions
+    result = run_scenario("classical_control", {"num_points": 1000, "steps": 4}, trials=1)
+    assert result.series["position_trajectory"] == [0, 1, 2, 3, 4]
+    assert result.summary["advanced_every_step"]
 
 
 def test_a_conditioned_diagonal_state_is_its_measure():
@@ -255,6 +290,61 @@ def test_a_conditioned_diagonal_state_is_its_measure():
             assert got == want
             assert post.mu.tobytes() == ref.mu.tobytes()
             assert post.rho.tobytes() == ref.rho.tobytes()
+
+
+# entries with signed zeros, ties and gaps just inside and outside CLUSTER_TOL
+REALS = st.sampled_from((-1.0, -0.0, 0.0, 0.5, 0.5 + CLUSTER_TOL / 2, 0.5 + 2 * CLUSTER_TOL,
+                         2.0)) | st.floats(-3.0, 3.0)
+COMPLEXES = st.builds(complex, REALS, REALS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_diagonal_element_is_its_values(data):
+    # a diagonal element keeps only its n values; its matrix is built on first
+    # read, read-only, cached and np.diag(values); every operation gives the
+    # bits its dense formula gives, computed here from the matrices
+    n = data.draw(st.integers(1, 6), label="n")
+    space, ctx = points(n)
+    column = st.lists(COMPLEXES, min_size=n, max_size=n)
+    a, b = (diagonal_element(ctx, data.draw(column)) for _ in range(2))
+    h = Observable(ctx, np.diag(data.draw(st.lists(REALS, min_size=n, max_size=n))))
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    p = characteristic_projection(ctx, space.subset(members))
+    for x in (a, b, h, p):
+        assert x.values.shape == (n,) and not x.values.flags.writeable
+        m = x.matrix
+        assert x.matrix is m and not m.flags.writeable
+        assert m.tobytes() == np.diag(x.values).tobytes()
+    A, B, H, P = a.matrix, b.matrix, h.matrix, p.matrix
+
+    def same(got, dense):
+        assert got.matrix.tobytes() == np.asarray(dense, dtype=complex).tobytes()
+
+    same(a @ b, np.diag(np.diag(A) * np.diag(B)))
+    same(a.adjoint(), np.diag(np.diag(A.conj().T)))
+    assert a.diagonal().tobytes() == np.diag(A).tobytes() and a.diagonal().flags.writeable
+    same(p, np.diag(space.subset(members).indicator().astype(complex)))
+    same(complement(p), np.eye(n, dtype=complex) - P)
+    flow = Flow(space, tuple(data.draw(st.permutations(range(n)))))
+    t = data.draw(st.integers(-2 * n, 2 * n))
+    same(koopman_evolve(a, flow, t), np.diag(np.diag(A)[list(flow.at(t))]))
+
+    vals = np.real(np.diag(H))
+    order = np.argsort(vals, kind="stable")
+    spec = eigendecompose(h)
+    assert sum(len(np.flatnonzero(np.diag(q.matrix))) for q in spec.projectors) == n
+    for k, (val, q) in enumerate(zip(spec.eigenvalues, spec.projectors)):
+        inside = np.diag(q.matrix) != 0
+        same(q, np.diag(inside.astype(complex)))
+        cluster = vals[order[inside[order]]]  # ascending, as the eigenvalues are
+        assert val == float(cluster.mean()) and np.all(np.diff(cluster) <= CLUSTER_TOL)
+        if k:  # a gap past CLUSTER_TOL separates consecutive clusters
+            assert cluster[0] - vals[np.diag(spec.projectors[k - 1].matrix) != 0].max() > CLUSTER_TOL
+    lo, hi = sorted(data.draw(st.lists(REALS, min_size=2, max_size=2)))
+    value_set = ValueSet(intervals=((lo, hi),))
+    same(spectral_projection(h, value_set),
+         np.diag([1.0 if value_set.contains(x) else 0.0 for x in vals]))
 
 
 def test_context_check_accepts_equal_contexts_and_names_different_ones():

@@ -128,7 +128,7 @@ def test_numerical_faults_are_numerical_invariant_errors():
     assert issubclass(NumericalInvariantError, ValueError)
     with pytest.raises(NumericalInvariantError):
         Outcome(yes=True, probability=1.5)
-    broken = State._trusted(QUBIT, np.full((2, 2), np.nan, dtype=complex))
+    broken = State._unchecked(QUBIT, np.full((2, 2), np.nan, dtype=complex))
     with pytest.raises(NumericalInvariantError, match=r"outside \[0, 1\]"):
         run_batch(broken, [ScheduleEntry(0.0, YesNoExperiment("g", GROUND))], trial_streams(0, 3))
 
@@ -468,8 +468,8 @@ def test_run_batch_checks_like_run_sequence():
     (np.full((2, 2), np.nan, dtype=complex), ValueError),
 ])
 def test_run_batch_raises_where_perform_raises(rho, error):
-    # State._trusted skips validation, so the broken states reach the step
-    state = State._trusted(QUBIT, rho)
+    # State._unchecked skips validation, so the broken states reach the step
+    state = State._unchecked(QUBIT, rho)
     schedule = [ScheduleEntry(0.0, YesNoExperiment("ground", GROUND))]
     with pytest.raises(error) as scalar:
         scalar_reference(state, schedule, trial_streams(0, 8))
@@ -712,7 +712,7 @@ def test_first_yes_drops_rows_no_trial_is_on(monkeypatch):
 def test_kernel_raises_the_first_failing_trial_of_any_row(diagonal, rows, cls, draws, error):
     ctx = diagonal_context(PhaseSpace(("u", "v"))) if diagonal else QUBIT
     measures = np.array(rows)
-    states = [State._trusted(ctx, mu if diagonal else np.diag(mu).astype(complex))
+    states = [State._unchecked(ctx, mu if diagonal else np.diag(mu).astype(complex))
               for mu in measures]
     exp = YesNoExperiment("at u", Projection(ctx, np.diag([1.0, 0.0]).astype(complex)))
     with pytest.raises(error) as scalar:
@@ -766,22 +766,33 @@ def test_step_on_a_stack_is_perform_for_every_trial(diagonal, draws, answers, ch
                                                               for x in scalar]
 
 
-@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
-def test_step_keeps_the_sign_of_a_zero_yes_probability_as_perform(diagonal):
-    # every product in Tr(rho P) is a signed zero, since P's entries are -0.0:
-    # p_yes must carry the sign `yes_probability` gives (clip keeps a -0.0,
-    # np.maximum(-0.0, 0.0) would not); numpy's sums start from +0.0 at d = 2
-    states, stack, _, _ = stack_and_question(diagonal, rows=1, dim=2)
-    proj = Projection(states[0].context, np.full((2, 2), -0.0).astype(complex))
+@pytest.mark.parametrize("case, negative", [
+    ("full", False), ("diagonal", False), ("full-d1", True), ("diagonal-signed-measure", False)])
+def test_step_keeps_the_sign_of_a_zero_yes_probability_as_perform(case, negative):
+    # every product in Tr(rho P) is a signed zero, since P's entries are -0.0
+    # (or the measure's are, where P's are +0.0): numpy's sums start from
+    # +0.0, but a dot at d = 1 is its one product, -0.0 (`negative`);
+    # `yes_probability` and the kernel give every such zero as +0.0 alike
+    diagonal = case.startswith("diagonal")
+    if case == "full-d1":
+        state, zeros = pure_state(full_context(1), [1.0]), [[-0.0]]
+    elif case == "diagonal-signed-measure":
+        state = State._unchecked(diagonal_context(PhaseSpace(("u", "v"))), np.array([-0.0, 1.0]))
+        zeros = np.diag([0.0, -0.0])
+    else:
+        (state,), _, _, _ = stack_and_question(diagonal, rows=1, dim=2)
+        zeros = np.full((2, 2), -0.0)
+    proj = Projection(state.context, np.array(zeros).astype(complex))
+    assert bool(np.signbit(expectation(state, proj).real)) == negative
     matrix = measure(proj.matrix) if diagonal else proj.matrix
     one = np.zeros(1, dtype=np.intp)
-    _, _, _, p_yes = born_step(stack, one, compile_questions(matrix[None])[0],
-                               np.array([[0.5]]), one.copy())
-    p = yes_probability(states[0], proj)
-    assert p == 0.0 and np.float64(p).tobytes() == p_yes[0].tobytes()
-    batch = run_batch(states[0], [ScheduleEntry(0.0, YesNoExperiment("zero", proj))],
+    _, _, _, p_yes = born_step((state.mu if diagonal else state.rho)[None], one,
+                               compile_questions(matrix[None])[0], np.array([[0.5]]), one.copy())
+    p = yes_probability(state, proj)
+    assert np.float64(p).tobytes() == p_yes[0].tobytes() == np.float64(0.0).tobytes()
+    batch = run_batch(state, [ScheduleEntry(0.0, YesNoExperiment("zero", proj))],
                       trial_streams(7, 2))
-    assert batch.p_yes.tobytes() == np.full((2, 1), p).tobytes()
+    assert batch.p_yes.tobytes() == np.zeros((2, 1)).tobytes()
 
 
 class CountingDraw:

@@ -456,6 +456,13 @@ def test_integer_too_large_for_a_float_is_checked_as_an_integer():
     assert validate_params("zeno_precise", {"n": 10**400})["n"] == 10**400
 
 
+def test_defaults_are_coerced_like_given_values():
+    amp_l = validate_params("two_slit", None)["amp_l"]
+    assert amp_l == [complex(0.7071067811865476)] * 2
+    assert all(type(v) is complex for v in amp_l)
+    assert validate_params("zeno_precise", {})["n"] == 100
+
+
 def test_validate_params_coercion():
     params = validate_params("zeno_precise", {"omega": 2, "n": 7.0})
     assert isinstance(params["omega"], float) and params["omega"] == 2.0
