@@ -5,8 +5,9 @@ of the package: the full algebra of n x n complex matrices (quantum), and the
 commutative algebra of functions on a finite phase space, whose elements
 are diagonal matrices (classical).  A classical value is its n numbers: a
 diagonal element keeps only its `values`, as a diagonal state keeps only its
-measure `mu`, and either builds its matrix on first read, through the one
-storage rule of `AlgebraValue`.  On top of the raw arithmetic sit
+measure `mu`, and builds its matrix on first read.  Every value has one
+constructor, which reads the matrix or, on a diagonal algebra, the n numbers,
+and judges them by its class's rule.  On top of the raw arithmetic sit
 projections (P^2 = P = P*), Hermitian observables, and the functional
 calculus at finite spectrum: eigendecomposition with degeneracy clustering
 and spectral projections "is the value of A in V?".
@@ -210,43 +211,48 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class AlgebraValue:
     """What elements and states share: an immutable d x d complex matrix,
     kept on a diagonal algebra as only its d numbers and built on first read.
-    A subclass names the matrix `_DENSE` and the diagonal `_FLAT`, which
-    `_flat` reads from a matrix; `_NOUN` names its input in messages."""
+    A subclass names the matrix `_DENSE` and the diagonal `_FLAT`, states its
+    rule in `_judged`, and `_NOUN` names its input in messages."""
 
     __slots__ = ("context",)
 
+    def __init__(self, context: AlgebraContext, value):
+        self._set(context, self._judged(self._read(context, value)))
+
     @classmethod
-    def _read(cls, context: AlgebraContext, matrix) -> np.ndarray:
-        """A complex copy of matrix input, checked for shape and finiteness
-        and, on a diagonal algebra, for off-diagonal entries beyond EPS_ALG."""
-        arr = np.array(matrix, dtype=complex)
-        if arr.shape != (context.dim, context.dim):
+    def _read(cls, context: AlgebraContext, value) -> np.ndarray:
+        """The kept form of a complex copy of the input, checked for shape and
+        finiteness: the d x d matrix or, on a diagonal algebra, the d numbers,
+        or the diagonal of a matrix whose other entries are within EPS_ALG."""
+        arr = np.array(value, dtype=complex)
+        flat = context.is_diagonal and arr.shape == (context.dim,)
+        if not flat and arr.shape != (context.dim, context.dim):
             raise ValueError(
                 f"{cls._NOUN} shape {arr.shape} does not match algebra dimension {context.dim}"
             )
         if not np.isfinite(arr).all():
             raise ValueError(f"{cls._NOUN} has a non-finite entry")
-        if context.is_diagonal:
-            off = arr - np.diag(np.diag(arr))
-            if off.size and np.abs(off).max() > EPS_ALG:
-                raise ValueError(f"diagonal-algebra {cls._NOUN} has off-diagonal entries")
-        return arr
+        if flat or not context.is_diagonal:
+            return arr
+        kept = arr.diagonal().copy()
+        np.fill_diagonal(arr, 0.0)  # the copy's off-diagonal part, in place
+        if np.abs(arr).max(initial=0.0) > EPS_ALG:
+            raise ValueError(f"diagonal-algebra {cls._NOUN} has off-diagonal entries")
+        return kept
 
-    def _set(self, context, arr):
-        """Keep `arr`, unvalidated and read-only: a matrix, or on a diagonal
-        algebra the diagonal, read (as a copy) from a matrix if given one."""
-        if context.is_diagonal and arr.ndim == 2:
-            arr = self._flat(arr).copy()
-        arr.setflags(write=False)
+    def _set(self, context, kept):
+        """Keep `kept`, unvalidated and read-only: the matrix, or on a
+        diagonal algebra the diagonal."""
+        kept.setflags(write=False)
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, self._FLAT if arr.ndim == 1 else self._DENSE, arr)
+        object.__setattr__(self, self._FLAT if kept.ndim == 1 else self._DENSE, kept)
         return self
 
     @classmethod
-    def _unchecked(cls, context, arr):
-        """Internal fast path: wrap, unvalidated and uncopied, an array valid by
-        construction (e.g. a unitary conjugate of a valid input)."""
-        return object.__new__(cls)._set(context, arr)
+    def _unchecked(cls, context, kept):
+        """Internal fast path: wrap, unvalidated and uncopied, a kept form valid
+        by construction (e.g. a unitary conjugate of a valid input)."""
+        return object.__new__(cls)._set(context, kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("algebra values are immutable")
@@ -277,36 +283,23 @@ class AlgebraElement(AlgebraValue):
 
     Immutable.  Arithmetic follows numpy conventions: + - for the vector
     space, * / for scalars, @ for the algebra product, .adjoint() for the
-    involution.  Diagonal-kind elements must be diagonal matrices, as
-    construction enforces; such an element keeps only `values`, its complex
-    diagonal, as a diagonal state keeps only its measure `mu`.
+    involution.  A diagonal-kind element is built from a diagonal matrix or
+    from its n numbers, and keeps only `values`, its complex diagonal, as a
+    diagonal state keeps only its measure `mu`.
     """
 
     __slots__ = ("matrix", "values")
     _DENSE, _FLAT, _NOUN = "matrix", "values", "matrix"
-    _flat = staticmethod(np.diagonal)
+    __init__ = AlgebraValue.__init__  # in this class's own namespace, where tracers wrap it
 
-    def __init__(self, context: AlgebraContext, matrix):
-        self._set(context, self._read(context, matrix))
-        self._validate()
-
-    def _validate(self):
-        pass
-
-    @classmethod
-    def _of(cls, context, stored):
-        """Internal: the element stored as `stored`, checked finite and by the class."""
-        if not np.isfinite(stored).all():
-            raise ValueError("matrix has a non-finite entry")
-        out = cls._unchecked(context, stored)
-        out._validate()
-        return out
+    def _judged(self, kept):
+        return kept
 
     def diagonal(self) -> np.ndarray:
         return (self.values if self.context.is_diagonal else np.diag(self.matrix)).copy()
 
     def adjoint(self) -> "AlgebraElement":
-        return type(self)._of(self.context, self._stored.conj().T)
+        return type(self)(self.context, self._stored.conj().T)
 
     def is_hermitian(self, tol: float = EPS_ALG) -> bool:
         return within(self._stored - self._stored.conj().T, tol)
@@ -316,7 +309,7 @@ class AlgebraElement(AlgebraValue):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         require_same_context(self, other)
-        return AlgebraElement._of(self.context, op(self._stored, other._stored))
+        return AlgebraElement(self.context, op(self._stored, other._stored))
 
     def __add__(self, other):
         return self._with(other, np.add)
@@ -325,19 +318,19 @@ class AlgebraElement(AlgebraValue):
         return self._with(other, np.subtract)
 
     def __neg__(self):
-        return AlgebraElement._of(self.context, -self._stored)
+        return AlgebraElement(self.context, -self._stored)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return AlgebraElement._of(self.context, complex(scalar) * self._stored)
+        return AlgebraElement(self.context, complex(scalar) * self._stored)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return AlgebraElement._of(self.context, self._stored / complex(scalar))
+        return AlgebraElement(self.context, self._stored / complex(scalar))
 
     def __matmul__(self, other):
         return self._with(other, _times)
@@ -348,10 +341,11 @@ class Observable(AlgebraElement):
 
     __slots__ = ()
 
-    def _validate(self):
-        herm = self._stored - self._stored.conj().T
+    def _judged(self, kept):
+        herm = kept - kept.conj().T
         if not within(herm, EPS_ALG):
             raise ValueError(f"observable is not Hermitian (defect {operator_norm(herm):.3e})")
+        return kept
 
 
 class Projection(AlgebraElement):
@@ -359,14 +353,14 @@ class Projection(AlgebraElement):
 
     __slots__ = ()
 
-    def _validate(self):
-        m = self._stored
-        idem, herm = _times(m, m) - m, m - m.conj().T
+    def _judged(self, kept):
+        idem, herm = _times(kept, kept) - kept, kept - kept.conj().T
         if not (within(idem, EPS_ALG) and within(herm, EPS_ALG)):
             raise ValueError(
                 f"not a projection (idempotency defect {operator_norm(idem):.3e}, "
                 f"Hermiticity defect {operator_norm(herm):.3e})"
             )
+        return kept
 
 
 @dataclass(frozen=True)
@@ -389,16 +383,17 @@ class SpectralData:
         for val, proj in zip(self.eigenvalues, self.projectors):
             if value_set.contains(val, atol=cluster_tol):
                 total = total + proj._stored
-        return Projection._of(self.projectors[0].context, (total + total.conj().T) / 2.0)
+        return Projection(self.projectors[0].context, (total + total.conj().T) / 2.0)
 
 
 def unit(context: AlgebraContext) -> Projection:
-    """The algebra unit; the identity matrix is a projection."""
-    return Projection._unchecked(context, np.eye(context.dim, dtype=complex))
+    """The algebra unit, 1 - 0."""
+    return complement(zero(context))
 
 
 def zero(context: AlgebraContext) -> Projection:
-    return Projection._unchecked(context, np.zeros((context.dim, context.dim), dtype=complex))
+    shape = (context.dim,) * (1 if context.is_diagonal else 2)
+    return Projection._unchecked(context, np.zeros(shape, dtype=complex))
 
 
 def element(context: AlgebraContext, matrix) -> AlgebraElement:
@@ -411,7 +406,7 @@ def diagonal_element(context: AlgebraContext, values) -> AlgebraElement:
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (context.dim,):
         raise ValueError(f"need {context.dim} diagonal values, got shape {vals.shape}")
-    return AlgebraElement(context, np.diag(vals))
+    return AlgebraElement(context, vals if context.is_diagonal else np.diag(vals))
 
 
 def complement(p: Projection) -> Projection:
@@ -439,8 +434,10 @@ def within(matrix: np.ndarray, tol: float) -> bool:
 
 
 def norms(a: AlgebraElement) -> tuple[float, float]:
-    """(operator norm, trace norm) of the element."""
-    s = np.linalg.svd(a.matrix, compute_uv=False)
+    """(operator norm, trace norm) of the element; the singular values of a
+    diagonal value are its moduli."""
+    m = a._stored
+    s = np.abs(m) if m.ndim == 1 else np.linalg.svd(m, compute_uv=False)
     return float(s.max(initial=0.0)), float(s.sum())
 
 

@@ -118,9 +118,14 @@ def propagators(h: Hamiltonian, times) -> np.ndarray:
     return (v * phases[:, None, :]) @ v.conj().T
 
 
+def _kept(context, matrix: np.ndarray) -> np.ndarray:
+    """What a value of `context` keeps of a d x d result (its diagonal, if diagonal)."""
+    return np.diagonal(matrix).copy() if context.is_diagonal else matrix
+
+
 def propagator(h: Hamiltonian, t: float) -> AlgebraElement:
     """The unitary U(t): the one-time case of `propagators`."""
-    return AlgebraElement._unchecked(h.context, propagators(h, [t])[0])
+    return AlgebraElement._unchecked(h.context, _kept(h.context, propagators(h, [t])[0]))
 
 
 def evolve_stack(dynamics, times, stack, hermitian: bool = True) -> np.ndarray:
@@ -155,7 +160,7 @@ def heisenberg_evolve(a: AlgebraElement, h: Hamiltonian, t: float) -> AlgebraEle
     the class of the input element."""
     check_dynamics(h, [a.context])
     hermitian = isinstance(a, (Projection, Observable))
-    out = evolve_stack(h, [t], a.matrix[None], hermitian)[0]
+    out = _kept(a.context, evolve_stack(h, [t], a.matrix[None], hermitian)[0])
     return (type(a) if hermitian else AlgebraElement)._unchecked(a.context, out)
 
 

@@ -8,7 +8,8 @@ measurement time before asking (the dynamics act on the observables, not on
 the state); a run evolves its whole schedule once, as one stack, and
 compiles it into the stacks of P, 1 - P and their rows that `born_step`
 reads.  Kronecker products, local embeddings, and partial traces cover the
-composite systems needed for entangled-pair experiments.
+composite systems needed for entangled-pair experiments; classical values
+multiply as their n numbers, and the other two are for full algebras only.
 
 One trial is `perform`: `run_sequence` loops it over the evolved schedule.
 A batch runs as one stack of distinct states, trials that share an answer
@@ -443,8 +444,9 @@ def tensor(*items):
     """Kronecker product of contexts, states, or elements (all of one kind).
 
     Slot 0 is the leftmost factor: the basis vector e_i (x) e_j of the product
-    has index i * dim_1 + j.  Products of projections are projections and
-    products of states are states.
+    has index i * dim_1 + j.  The product has the class its factors share:
+    products of projections are projections and products of states are
+    states.  Classical values multiply as their n numbers.
     """
     if not items:
         raise ValueError("tensor of nothing")
@@ -459,14 +461,9 @@ def tensor(*items):
         raise TypeError(f"cannot tensor {nouns[kind]} with non-{nouns[kind]}")
     if kind is AlgebraContext:
         return _tensor_contexts(items)
-    ctx = _tensor_contexts([x.context for x in items])
-    if kind is State:
-        return State(ctx, functools.reduce(np.kron, [x.rho for x in items]))
-    m = functools.reduce(np.kron, [x.matrix for x in items])
-    for cls in (Projection, Observable):
-        if all(isinstance(x, cls) for x in items):
-            return cls(ctx, m)
-    return AlgebraElement(ctx, m)
+    cls = next(c for c in (Projection, Observable, kind) if all(isinstance(x, c) for x in items))
+    return cls(_tensor_contexts([x.context for x in items]),
+               functools.reduce(np.kron, [x._stored for x in items]))
 
 
 def embed_local(a: AlgebraElement, slot: int, dims) -> AlgebraElement:
@@ -499,6 +496,8 @@ def partial_trace(state: State, keep_slot: int, dims) -> State:
     dims = tuple(int(d) for d in dims)
     if not 0 <= keep_slot < len(dims):
         raise ValueError(f"slot {keep_slot} out of range for {len(dims)} factors")
+    if state.context.kind != FULL:
+        raise ValueError("partial trace is defined for full matrix algebras")
     if int(np.prod(dims)) != state.dim:
         raise ValueError(f"factor dimensions {dims} do not multiply to {state.dim}")
     k = len(dims)

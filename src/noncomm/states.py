@@ -5,9 +5,10 @@ Tr(rho A).  Conditioning on a "yes" for the experiment with projection P is
 the projection postulate rho' = P rho P / Tr(rho P) -- the noncommutative
 conditional probability.  On the diagonal (classical) algebra that update
 *is* the Bayes rule mu'(U) = mu(U & S) / mu(S), so a diagonal state *is* its
-measure mu, builds rho = diag(mu) only when `rho` is first read, and
-`expectation`, `yes_probability` and `condition` work on mu alone, through
-`bayes`, the one helper that `classical_condition` and the kernel share.
+measure mu: it is read and judged as mu, builds rho = diag(mu) only when
+`rho` is first read, and `expectation`, `yes_probability`, `condition` and
+`state_distance` work on mu alone; updates go through `bayes`, the one
+helper that `classical_condition` and the kernel share.
 """
 
 from __future__ import annotations
@@ -52,28 +53,27 @@ class State(AlgebraValue):
     Construction validates the invariants within tolerance, then repairs the
     sub-tolerance defects by symmetrizing and renormalizing the trace, so
     long conditioning chains stay machine-checkable.  Immutable.  A state of a
-    diagonal algebra keeps only its measure `mu`, and builds `rho` on first read.
+    diagonal algebra is built from diag(mu) or from mu itself, keeps only its
+    measure `mu`, and builds `rho` on first read; its eigenvalues are mu.
     """
 
     __slots__ = ("rho", "mu")
     _DENSE, _FLAT, _NOUN = "rho", "mu", "density matrix"
-    _flat = staticmethod(measure)
+    __init__ = AlgebraValue.__init__  # in this class's own namespace, where tracers wrap it
 
-    def __init__(self, context: AlgebraContext, rho):
-        arr = self._read(context, rho)
-        herm = arr - arr.conj().T
+    def _judged(self, kept):
+        herm = kept - kept.conj().T
         if not within(herm, EPS_ALG):
             raise ValueError(f"density matrix is not Hermitian (defect {operator_norm(herm):.3e})")
-        if context.is_diagonal:
-            arr = np.diag(np.diag(arr))
-        arr = (arr + arr.conj().T) / 2.0
-        lo = float(np.linalg.eigvalsh(arr).min())
+        arr = (kept + kept.conj().T) / 2.0
+        lo = float((arr.real if arr.ndim == 1 else np.linalg.eigvalsh(arr)).min())
         if lo < -EPS_ALG:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-        tr = float(np.trace(arr).real)
+        tr = float((arr.sum() if arr.ndim == 1 else np.trace(arr)).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-        self._set(context, arr / tr)
+        arr = arr / tr
+        return arr.real.copy() if arr.ndim == 1 else arr
 
     @classmethod
     def _renormalized(cls, context, rho):
@@ -115,9 +115,8 @@ def pure_state(context: AlgebraContext, psi) -> State:
 
 
 def classical_state(context: AlgebraContext, mu) -> State:
-    """State of a diagonal algebra from a probability vector mu: the bits of
-    `State(context, diag(mu) / sum(mu))`, whose complex division by a real
-    multiplies by its reciprocal and whose trace is a complex sum."""
+    """State of a diagonal algebra from a probability vector mu, checked as a
+    measure: `State(context, mu / sum(mu))`, negative roundoff clipped."""
     if not context.is_diagonal:
         raise ValueError("classical states require a diagonal algebra")
     m = np.asarray(mu, dtype=float)
@@ -130,8 +129,7 @@ def classical_state(context: AlgebraContext, mu) -> State:
     total = float(m.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probability measure sums to {total!r}, not 1")
-    mu0 = np.clip(m, 0.0, None) * (1.0 / total)
-    return State._unchecked(context, mu0 * (1.0 / mu0.astype(complex).sum().real))
+    return State(context, np.clip(m, 0.0, None).astype(complex) / total)
 
 
 def require_probability(prob):
@@ -198,5 +196,5 @@ def classical_condition(mu, subset: PhaseSubset) -> np.ndarray:
 def state_distance(s1: State, s2: State) -> float:
     """Trace-norm distance ||rho1 - rho2||_1 (sum of singular values)."""
     require_same_context(s1, s2)
-    diff = s1.rho - s2.rho
-    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    diff = s1._stored - s2._stored  # a diagonal difference's eigenvalues are its entries
+    return float(np.abs(diff if diff.ndim == 1 else np.linalg.eigvalsh(diff)).sum())

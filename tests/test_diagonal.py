@@ -26,10 +26,19 @@ from noncomm.algebra import (
     diagonal_element,
     eigendecompose,
     full_context,
+    norms,
     require_same_context,
     spectral_projection,
 )
-from noncomm.dynamics import Flow, Hamiltonian, koopman_evolve
+from noncomm.dynamics import (
+    Flow,
+    Hamiltonian,
+    evolve_stack,
+    heisenberg_evolve,
+    koopman_evolve,
+    propagator,
+    propagators,
+)
 from noncomm.scenarios import run_scenario
 from noncomm.measurement import (
     ScheduleEntry,
@@ -39,6 +48,7 @@ from noncomm.measurement import (
     evolve_schedule,
     perform,
     run_batch,
+    tensor,
     trial_streams,
 )
 from noncomm.states import (
@@ -48,10 +58,12 @@ from noncomm.states import (
     classical_condition,
     classical_state,
     condition,
+    density_state,
     measure,
     measure_matrix,
     pure_state,
     renormalize,
+    state_distance,
     yes_probability,
 )
 
@@ -191,7 +203,7 @@ def test_zero_mass_outcome_raises_the_same_error_from_condition_and_the_kernel()
     space, ctx = points(3)
     exp = YesNoExperiment("at x0", characteristic_projection(ctx, space.subset([0])))
     # trace 1/2, past validation: "yes" has mass 1/2, so "no" is drawn and has mass 0
-    broken = State._unchecked(ctx, np.diag([0.5, 0.0, 0.0]).astype(complex))
+    broken = State._unchecked(ctx, np.array([0.5, 0.0, 0.0]))
     with pytest.raises(ZeroProbabilityError) as scalar:
         condition(broken, exp.no_projection)
     with pytest.raises(ZeroProbabilityError) as performed:
@@ -395,3 +407,98 @@ def test_diagonal_schedule_under_a_hamiltonian_asks_its_evolved_copy():
     assert batch.yes.tolist() == copy.yes.tolist()
     assert batch.probability.tobytes() == copy.probability.tobytes()
     assert batch.final.tobytes() == copy.final.tobytes()
+
+
+def test_a_hamiltonian_on_a_diagonal_algebra_gives_values_that_keep_their_n_numbers():
+    # propagator and heisenberg_evolve compute d x d matrices and keep their
+    # complex diagonals: the values take part in arithmetic like any other
+    space, ctx = points(3)
+    ham = Hamiltonian(Observable(ctx, np.diag([1.0, 2.0, 3.5]).astype(complex)))
+    u = propagator(ham, 0.7)
+    assert type(u) is AlgebraElement
+    assert u.values.tobytes() == np.diagonal(propagators(ham, [0.7])[0]).tobytes()
+    assert np.allclose((u @ u.adjoint()).values, 1.0, atol=1e-12)
+    for a in (Observable(ctx, [0.3, -1.0, 2.0]),
+              characteristic_projection(ctx, space.subset([0, 2])),
+              AlgebraElement(ctx, [0.3 + 1j, -1.0, 2.0 - 0.5j])):
+        hermitian = type(a) is not AlgebraElement
+        moved = heisenberg_evolve(a, ham, 0.9)
+        dense = evolve_stack(ham, [0.9], a.matrix[None], hermitian)[0]
+        assert type(moved) is type(a)
+        assert moved.values.dtype == complex and not moved.values.flags.writeable
+        assert moved.values.tobytes() == np.diagonal(dense).tobytes()
+        assert np.allclose((moved - a).values, 0.0, atol=1e-12)
+
+
+def test_constructors_take_the_n_numbers_with_the_bits_of_the_matrix_route():
+    rng = np.random.default_rng(52)
+    for n in DIMS:
+        _, ctx = points(n)
+        mu = rng.random(n) + 0.1
+        mu[1:][rng.random(n - 1) < 0.3] = rng.choice((0.0, -0.0, 5e-324, -1e-10))
+        mu *= (1.0 + rng.uniform(-1e-7, 1e-7)) / mu.sum()
+        vals = rng.standard_normal(n) + 0.0j
+        # the dense constructor's repair: symmetrize, then divide by the trace
+        arr = np.diag(mu).astype(complex)
+        arr = (arr + arr.conj().T) / 2.0
+        dense = measure(arr / float(np.trace(arr).real))
+        assert State(ctx, mu).mu.tobytes() == dense.tobytes()
+        assert State(ctx, np.diag(mu)).mu.tobytes() == dense.tobytes()
+        assert Observable(ctx, vals).values.tobytes() == Observable(ctx, np.diag(vals)).values.tobytes()
+        for cls, numbers in ((State, mu), (Observable, vals)):
+            with pytest.raises(ValueError, match="shape"):
+                cls(full_context(n), numbers)
+
+
+def spy_on_dense_work(monkeypatch):
+    """The names of the calls that build a diagonal value's matrix or run an
+    eigensolver for a state's spectrum, as they happen."""
+    calls = []
+
+    def spy(name, fn):
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(noncomm.algebra, "measure_matrix", spy("measure_matrix", measure_matrix))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+    return calls
+
+
+def test_classical_constructors_and_tensor_build_no_matrix(monkeypatch):
+    calls = spy_on_dense_work(monkeypatch)
+    space, ctx = points(5)
+    mu = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
+    s, t = State(ctx, mu), density_state(ctx, np.diag(mu))
+    p = characteristic_projection(ctx, space.subset([0, 2]))
+    products = (tensor(s, t), tensor(p, p, p), tensor(Observable(ctx, mu), Observable(ctx, mu)))
+    assert calls == []
+    assert [type(x) for x in products] == [State, type(p), Observable]
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 33])
+def test_classical_distance_and_norms_read_the_n_numbers(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    _, ctx = points(n)
+    s1, s2 = (classical_state(ctx, (m := rng.random(n) + 0.1) / m.sum()) for _ in range(2))
+    a = diagonal_element(ctx, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    distance = float(np.abs(np.linalg.eigvalsh(np.diag(s1.mu - s2.mu))).sum())
+    sv = np.linalg.svd(np.diag(a.values), compute_uv=False)
+    calls = spy_on_dense_work(monkeypatch)
+    assert state_distance(s1, s2) == pytest.approx(distance, rel=1e-12)
+    assert norms(a) == pytest.approx((sv.max(), sv.sum()), rel=1e-12)
+    assert calls == []
+
+
+def test_a_diagonal_state_reads_away_small_off_diagonal_entries_before_it_is_judged():
+    # as an Observable does: entries within EPS_ALG off the diagonal are
+    # dropped on reading, so their antisymmetric pair is no Hermiticity defect
+    _, ctx = points(2)
+    near = np.array([[0.5, 1e-9], [-1e-9, 0.5]])
+    assert density_state(ctx, near).mu.tolist() == [0.5, 0.5]
+    assert near.tolist() == [[0.5, 1e-9], [-1e-9, 0.5]]  # read from a copy
+    with pytest.raises(ValueError, match="not Hermitian"):
+        density_state(full_context(2), near)
+    with pytest.raises(ValueError, match="off-diagonal"):
+        density_state(ctx, [[0.5, 1e-8], [1e-8, 0.5]])

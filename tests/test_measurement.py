@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from noncomm import measurement, scenarios
 from noncomm.algebra import (
+    DIAGONAL,
+    FULL,
     SIGMA_X,
     SIGMA_Z,
+    AlgebraElement,
     ContextMismatchError,
     Observable,
     PhaseSpace,
@@ -942,6 +945,55 @@ def test_tensor_mixed_kinds_rejected():
         tensor(pure_state(QUBIT, [1, 0]), GROUND)
 
 
+
+def tensor_factor(kind, cls, n, rng):
+    """A random value of class `cls` on an n-dimensional algebra of `kind`."""
+    ctx = full_context(n) if kind == FULL else diagonal_context(
+        PhaseSpace(tuple(f"x{i}" for i in range(n))))
+    shape = (n,) if ctx.is_diagonal else (n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if cls is State:
+        return (classical_state(ctx, (m := rng.random(n) + 0.1) / m.sum()) if ctx.is_diagonal
+                else rand_density(ctx, rng))
+    if cls is Projection:
+        if ctx.is_diagonal:
+            return characteristic_projection(ctx, ctx.phase_space.subset(
+                np.flatnonzero(rng.random(n) < 0.5).tolist()))
+        q = np.linalg.qr(g)[0][:, :rng.integers(0, n + 1)]
+        return Projection(ctx, q @ q.conj().T)
+    if cls is Observable:
+        return Observable(ctx, g.real if ctx.is_diagonal else (g + g.conj().T) / 2.0)
+    return element(ctx, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([FULL, DIAGONAL]),
+       st.sampled_from([State, Projection, Observable, AlgebraElement]),
+       st.tuples(st.integers(1, 4), st.integers(1, 4)), st.integers(0, 2**32 - 1))
+def test_tensor_is_the_kronecker_product_of_the_kept_arrays(kind, cls, dims, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (tensor_factor(kind, cls, n, rng) for n in dims)
+    ab = tensor(a, b)
+    assert type(ab) is cls
+    kron = np.kron(a._stored, b._stored)
+    if cls is State:  # judged: symmetrized and scaled to unit trace
+        assert np.allclose(ab._stored, kron, rtol=1e-12, atol=1e-15)
+    else:
+        assert ab._stored.tobytes() == kron.tobytes()
+    if kind == DIAGONAL:  # the bits of the dense Kronecker product's diagonal
+        dense = np.kron(*(x.rho if cls is State else x.matrix for x in (a, b)))
+        if cls is State:  # as the dense state constructor repairs it
+            arr = np.diag(np.diag(dense))
+            arr = (arr + arr.conj().T) / 2.0
+            dense = arr / float(np.trace(arr).real)
+        assert ab._stored.tobytes() == (measure(dense) if cls is State
+                                        else np.diagonal(dense)).tobytes()
+    if cls is not State:
+        s, t = (tensor_factor(kind, State, n, rng) for n in dims)
+        want = expectation(s, a) * expectation(t, b)
+        assert abs(expectation(tensor(s, t), ab) - want) <= 1e-12 * (1.0 + abs(want))
+
+
 # ------------------------------------------------------------- embed_local
 
 
@@ -998,6 +1050,16 @@ def test_partial_trace_expectation_consistency():
     lhs = expectation(partial_trace(joint, 0, (2, 3)), a)
     rhs = expectation(joint, embed_local(a, 0, (2, 3)))
     assert abs(lhs - rhs) <= 1e-10
+
+
+def test_partial_trace_refuses_a_classical_state():
+    # the factors' phase spaces cannot be read back from dims, so there is
+    # no classical marginal to give, and a full-kind one would be wrong
+    a, b = (diagonal_context(PhaseSpace(labels)) for labels in (("u", "d"), ("l", "m", "r")))
+    joint = tensor(classical_state(a, [0.3, 0.7]), classical_state(b, [0.2, 0.3, 0.5]))
+    for slot in (0, 1):
+        with pytest.raises(ValueError, match="partial trace is defined for full matrix algebras"):
+            partial_trace(joint, slot, (2, 3))
 
 
 def test_partial_trace_dimension_mismatch():
