@@ -21,6 +21,7 @@ from noncomm.algebra import (
     element,
     full_context,
 )
+from noncomm.checks import NumpyDraw
 from noncomm.cli import main as cli_main
 from noncomm.dynamics import Flow, Hamiltonian, heisenberg_evolve, koopman_evolve
 from noncomm.measurement import YesNoExperiment, make_generator, perform
@@ -41,20 +42,6 @@ from noncomm.scenarios import run_scenario
 def _report(num, name, ok, detail):
     print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} {name}: {detail}"
-
-
-def _rand_state(ctx, rng):
-    n = ctx.dim
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ g.conj().T
-    return State(ctx, rho / np.trace(rho).real)
-
-
-def _rand_projection(ctx, rng, rank):
-    g = rng.standard_normal((ctx.dim, ctx.dim)) + 1j * rng.standard_normal((ctx.dim, ctx.dim))
-    q, _ = np.linalg.qr(g)
-    v = q[:, :rank]
-    return Projection(ctx, v @ v.conj().T)
 
 
 def test_criterion_1_bayes_equivalence():
@@ -109,8 +96,8 @@ def test_criterion_2_projection_postulate_equivalence_uniqueness():
     while done < 1000:
         n = int(rng.integers(2, 9))
         ctx = full_context(n)
-        s = _rand_state(ctx, rng)
-        p = _rand_projection(ctx, rng, rank=int(rng.integers(1, n)))
+        s = NumpyDraw(rng).density(ctx)
+        p = NumpyDraw(rng).projection(ctx, int(rng.integers(1, n)))
         prob = yes_probability(s, p)
         if prob <= 1e-6:
             continue
@@ -144,7 +131,7 @@ def test_criterion_3_compatibility_lemma():
         m1, m2 = rng.integers(0, 2, (2, n)).astype(float)
         p1 = Projection(ctx, (q * m1) @ q.conj().T)
         p2 = Projection(ctx, (q * m2) @ q.conj().T)
-        s = _rand_state(ctx, rng)
+        s = NumpyDraw(rng).density(ctx)
         sandwich = expectation(s, p1 @ p2 @ p1).real
         worst = max(worst, -sandwich, sandwich - expectation(s, p2).real)
         comp = np.eye(n) - p2.matrix

@@ -31,19 +31,9 @@ from noncomm.algebra import (
     unit,
     within,
 )
+from noncomm.checks import NumpyDraw
 
 TOL = 1e-12
-
-
-def rand_element(ctx, rng):
-    n = ctx.dim
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return element(ctx, m)
-
-
-def rand_hermitian(ctx, rng):
-    m = rand_element(ctx, rng).matrix
-    return Observable(ctx, (m + m.conj().T) / 2)
 
 
 # ---------------------------------------------------------------- contexts
@@ -113,7 +103,7 @@ def test_unit_law_on_random_elements():
     ctx = full_context(4)
     one = unit(ctx)
     for _ in range(5):
-        a = rand_element(ctx, rng)
+        a = NumpyDraw(rng).element(ctx)
         assert operator_norm((one @ a - a).matrix) <= TOL
         assert operator_norm((a @ one - a).matrix) <= TOL
 
@@ -157,7 +147,7 @@ def test_star_algebra_laws_random():
     rng = np.random.default_rng(2)
     for n in (2, 5, 8):
         ctx = full_context(n)
-        a, b, c = (rand_element(ctx, rng) for _ in range(3))
+        a, b, c = (NumpyDraw(rng).element(ctx) for _ in range(3))
         lam = complex(rng.standard_normal(), rng.standard_normal())
         assert operator_norm(((a @ b) @ c - a @ (b @ c)).matrix) <= 1e-12 * n * 100
         assert operator_norm((a @ (b + c) - (a @ b + a @ c)).matrix) <= 1e-12 * n * 100
@@ -200,22 +190,6 @@ def test_complement_is_projection():
     q = complement(p)
     assert is_projection(q)
     assert np.allclose((p + q).matrix, np.eye(2))
-
-
-def test_commuting_projection_lemma():
-    # for commuting P1, P2: P1 P2 and P2 - P1 P2 P1 are projections
-    rng = np.random.default_rng(3)
-    n = 6
-    ctx = full_context(n)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, _ = np.linalg.qr(g)
-    for _ in range(10):
-        m1, m2 = rng.integers(0, 2, (2, n)).astype(float)
-        p1 = Projection(ctx, (q * m1) @ q.conj().T)
-        p2 = Projection(ctx, (q * m2) @ q.conj().T)
-        assert commutes(p1, p2, tol=1e-9)
-        assert is_projection(p1 @ p2, tol=1e-9)
-        assert is_projection(p2 - p1 @ p2 @ p1, tol=1e-9)
 
 
 # -------------------------------------------------------------- commutators
@@ -298,21 +272,6 @@ def test_eigendecompose_rejects_non_hermitian():
         eigendecompose(element(ctx, [[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_eigendecompose_random_resolution_of_identity():
-    rng = np.random.default_rng(5)
-    for n in (2, 4, 8):
-        ctx = full_context(n)
-        a = rand_hermitian(ctx, rng)
-        spec = eigendecompose(a)
-        total = sum(p.matrix for p in spec.projectors)
-        recon = sum(v * p.matrix for v, p in zip(spec.eigenvalues, spec.projectors))
-        assert operator_norm(total - np.eye(n)) <= 1e-10
-        assert operator_norm(recon - a.matrix) <= 1e-10
-        for i, pi in enumerate(spec.projectors):
-            for pj in spec.projectors[i + 1:]:
-                assert operator_norm((pi @ pj).matrix) <= 1e-10
-
-
 def test_eigendecompose_clusters_near_degenerate_pairs():
     ctx = full_context(2)
     a = Observable(ctx, np.diag([1.0, 1.0 + 1e-12]).astype(complex))
@@ -378,18 +337,6 @@ def test_spectral_projection_examples():
 
     p = spectral_projection(sx, ValueSet(intervals=((5.0, 6.0),)))
     assert np.allclose(p.matrix, np.zeros((2, 2)))
-
-
-def test_spectral_projection_additivity_disjoint():
-    rng = np.random.default_rng(6)
-    ctx = full_context(6)
-    a = rand_hermitian(ctx, rng)
-    u = ValueSet(intervals=((-100.0, 0.0),))
-    v = ValueSet(intervals=((1e-6, 100.0),))
-    uv = ValueSet(intervals=u.intervals + v.intervals)
-    pu, pv, puv = (spectral_projection(a, s) for s in (u, v, uv))
-    assert operator_norm((pu + pv - puv).matrix) <= 1e-10
-    assert operator_norm((pu @ pv).matrix) <= 1e-10
 
 
 def test_spectral_projection_diagonal_matches_characteristic_exactly():

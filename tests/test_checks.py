@@ -1,10 +1,17 @@
 import math
 
 import pytest
+from draws import HypothesisDraw
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
+import noncomm.algebra as algebra
 import noncomm.checks as checks
+import noncomm.dynamics as dynamics
 import noncomm.states as states
 from noncomm.checks import SUITES, run_checks
+
+CHECKS = {f"{c.suite}.{c.name}": c for fns in SUITES.values() for c in fns}
 
 
 # every check in declaration order, with its `default` tolerance as
@@ -77,23 +84,70 @@ def test_unknown_suite_and_profile_rejected():
         run_checks("all", "lenient")
 
 
-def test_broken_conditioning_is_caught(monkeypatch):
-    # a conditioning that ignores the projection must fail the suite:
-    # the repeated-experiment certainty check sees omega'(P) != 1
-    monkeypatch.setattr(checks, "condition", lambda state, p: state)
-    results = run_checks("states", "default")
-    assert any(not r.passed for r in results)
-    names = {r.name for r in results if not r.passed}
-    assert "conditioning_idempotence" in names
+def _holds_on_hypothesis_draws(check, **options):
+    """A hypothesis test of `check`'s law at its strict bound, one case per example."""
+    tol = check.tolerance("strict")
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow], **options)
+    @given(st.data())
+    def holds(data):
+        assert check.law(HypothesisDraw(data)) <= tol
+
+    return holds
 
 
-def test_diagonal_bayes_check_compares_with_exact_bayes(monkeypatch):
-    # `condition` and `classical_condition` share `states.bayes`: a fault in
-    # that one helper must show against exact Bayes, not cancel out
-    bayes = states.bayes
-    monkeypatch.setattr(states, "bayes", lambda mu, s: bayes(mu, s) * (1.0 + 1e-6))
-    res = checks._check_diagonal_update_matches_bayes("default")
-    assert not res.passed and res.defect > 1e-8
+@pytest.mark.parametrize("name", [name for name, c in CHECKS.items() if not c.statistical])
+def test_law_holds_on_hypothesis_draws(name):
+    # every law that is not statistical, so a law added to SUITES is covered
+    # here, at its strict bound: on its fixed draws, then on hypothesis draws;
+    # a law that takes no input runs once
+    check = CHECKS[name]
+    result = check("strict")
+    assert result.passed, result.line()
+    if check.seed is None:
+        assert check.law(None) <= check.tolerance("strict")
+    else:
+        _holds_on_hypothesis_draws(check, max_examples=20)()
+
+
+_bayes = states.bayes
+
+
+@pytest.mark.parametrize("module, name, mutant, law", [
+    # the repeated question is no longer certain
+    pytest.param(checks, "condition", lambda state, p: state, "states.conditioning_idempotence",
+                 id="condition-ignores-P"),
+    # on a full algebra, renormalize(P rho) in place of renormalize(P rho P)
+    pytest.param(checks, "condition",
+                 lambda state, p: states.State._renormalized(state.context, p.matrix @ state.rho),
+                 "states.projection_update_functional_identity", id="condition-drops-second-P"),
+    # the automorphism laws hold for either direction of time; duality does not
+    pytest.param(checks, "heisenberg_evolve", lambda a, h, t: dynamics.heisenberg_evolve(a, h, -t),
+                 "measurement.schedule_duality", id="heisenberg-runs-backwards"),
+    # `condition` and `classical_condition` share `bayes`: its fault must show
+    # against exact Bayes, not cancel out
+    pytest.param(states, "bayes", lambda mu, s: _bayes(mu, s) * (1.0 + 1e-6),
+                 "states.diagonal_update_matches_bayes", id="bayes-off-by-1e-6"),
+])
+def test_mutation_fails_its_law_under_both_draws(monkeypatch, module, name, mutant, law):
+    monkeypatch.setattr(module, name, mutant)
+    assert not CHECKS[law]("default").passed
+    with pytest.raises(AssertionError):
+        _holds_on_hypothesis_draws(CHECKS[law], phases=[Phase.generate], database=None,
+                                   max_examples=200)()
+
+
+_cluster = algebra._cluster
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0], ids=["splits-below-tol", "merges-above-tol"])
+def test_a_grouping_fault_fails_the_resolution_of_identity_law(monkeypatch, scale):
+    # the hypothesis draw spaces eigenvalues 0.5-2x CLUSTER_TOL apart, so a
+    # cluster cut at another tolerance shows; the fixed draws have no such gaps
+    monkeypatch.setattr(algebra, "_cluster", lambda values, tol: _cluster(values, scale * tol))
+    with pytest.raises(AssertionError):
+        _holds_on_hypothesis_draws(CHECKS["algebra.resolution_of_identity"], phases=[Phase.generate],
+                                   database=None, max_examples=200)()
 
 
 def test_diagonal_commutativity_fails_when_commutes_disagrees(monkeypatch):

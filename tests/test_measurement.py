@@ -22,6 +22,7 @@ from noncomm.algebra import (
     element,
     full_context,
 )
+from noncomm.checks import NumpyDraw
 from noncomm.dynamics import (
     Flow,
     Hamiltonian,
@@ -67,12 +68,6 @@ QUBIT = full_context(2)
 GROUND = Projection(QUBIT, np.diag([1.0, 0.0]))
 EXCITED = Projection(QUBIT, np.diag([0.0, 1.0]))
 DIAG45 = Projection(QUBIT, np.full((2, 2), 0.5))
-
-
-def rand_density(ctx, rng):
-    g = rng.standard_normal((ctx.dim, ctx.dim)) + 1j * rng.standard_normal((ctx.dim, ctx.dim))
-    rho = g @ g.conj().T
-    return State(ctx, rho / np.trace(rho).real)
 
 
 # ------------------------------------------------------------------ perform
@@ -148,7 +143,7 @@ def test_run_sequence_empty_schedule():
 def test_run_sequence_repetition_consistency():
     rng = np.random.default_rng(30)
     for i in range(20):
-        s = rand_density(QUBIT, rng)
+        s = NumpyDraw(rng).density(QUBIT)
         exp = YesNoExperiment("45 deg", DIAG45)
         rec = run_sequence(s, [ScheduleEntry(0.0, exp), ScheduleEntry(0.0, exp)],
                            None, seed=i)
@@ -241,7 +236,7 @@ def test_heisenberg_scheduling_duality():
         ctx = full_context(n)
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ham = Hamiltonian(Observable(ctx, (m + m.conj().T) / 2))
-        s = rand_density(ctx, rng)
+        s = NumpyDraw(rng).density(ctx)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q, _ = np.linalg.qr(g)
         v = q[:, : max(1, n // 2)]
@@ -427,7 +422,7 @@ def test_run_batch_matches_scalar_random_mixed_states(dim):
         v = np.linalg.qr(g)[0][:, : 1 + k % (dim - 1)]
         exp = YesNoExperiment(f"p{k}", Projection(ctx, v @ v.conj().T))
         schedule.append(ScheduleEntry(float(k), exp))
-    assert_batch_matches_scalar(rand_density(ctx, rng), schedule, seed=2**64 - 1, trials=25)
+    assert_batch_matches_scalar(NumpyDraw(rng).density(ctx), schedule, seed=2**64 - 1, trials=25)
 
 
 def test_run_batch_single_trial_and_empty_schedule():
@@ -514,7 +509,7 @@ def one_trial_cases():
     classical = [ScheduleEntry(k, YesNoExperiment(f"in {sorted(m)}", characteristic_projection(
         ctx, space.subset(m)))) for k, m in enumerate([{0, 1, 3}, {1, 4}, {0, 2, 5}, {3}, {2, 4}])]
     mu = np.random.default_rng(41).dirichlet(np.ones(6))
-    return [(rand_density(QUBIT, np.random.default_rng(40)), quantum, ham),
+    return [(NumpyDraw(np.random.default_rng(40)).density(QUBIT), quantum, ham),
             (classical_state(ctx, mu), classical, flow)]
 
 
@@ -739,7 +734,7 @@ def stack_and_question(diagonal, rows=3, dim=3, seed=41):
         proj = Projection(ctx, np.diag(np.arange(dim) % 2 == 0).astype(complex))
         return states, np.array([s.mu for s in states]), proj, measure(proj.matrix)
     ctx = full_context(dim)
-    states = [rand_density(ctx, rng) for _ in range(rows)]
+    states = [NumpyDraw(rng).density(ctx) for _ in range(rows)]
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     proj = Projection(ctx, np.outer(v, v.conj()) / np.vdot(v, v).real)
     return states, np.array([s.rho for s in states]), proj, proj.matrix
@@ -954,7 +949,7 @@ def tensor_factor(kind, cls, n, rng):
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if cls is State:
         return (classical_state(ctx, (m := rng.random(n) + 0.1) / m.sum()) if ctx.is_diagonal
-                else rand_density(ctx, rng))
+                else NumpyDraw(rng).density(ctx))
     if cls is Projection:
         if ctx.is_diagonal:
             return characteristic_projection(ctx, ctx.phase_space.subset(
@@ -1029,8 +1024,8 @@ def test_embed_local_errors():
 
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(33)
-    rho = rand_density(QUBIT, rng)
-    sigma = rand_density(full_context(3), rng)
+    rho = NumpyDraw(rng).density(QUBIT)
+    sigma = NumpyDraw(rng).density(full_context(3))
     joint = State(full_context(6), np.kron(rho.rho, sigma.rho))
     assert state_distance(partial_trace(joint, 0, (2, 3)), rho) <= 1e-12
     assert state_distance(partial_trace(joint, 1, (2, 3)), sigma) <= 1e-12
@@ -1045,7 +1040,7 @@ def test_partial_trace_singlet_is_maximally_mixed():
 
 def test_partial_trace_expectation_consistency():
     rng = np.random.default_rng(34)
-    joint = rand_density(full_context(6), rng)
+    joint = NumpyDraw(rng).density(full_context(6))
     a = element(QUBIT, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     lhs = expectation(partial_trace(joint, 0, (2, 3)), a)
     rhs = expectation(joint, embed_local(a, 0, (2, 3)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from draws import measures_with_mass_on, states_with_mass_on
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncomm.algebra import (
@@ -19,8 +20,8 @@ from noncomm.algebra import (
     full_context,
     unit,
 )
+from noncomm.checks import NumpyDraw
 from noncomm.states import (
-    P_FLOOR,
     State,
     ZeroProbabilityError,
     classical_condition,
@@ -34,20 +35,6 @@ from noncomm.states import (
 )
 
 QUBIT = full_context(2)
-
-
-def rand_density(ctx, rng):
-    n = ctx.dim
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ g.conj().T
-    return State(ctx, rho / np.trace(rho).real)
-
-
-def rand_projection(ctx, rng, rank):
-    g = rng.standard_normal((ctx.dim, ctx.dim)) + 1j * rng.standard_normal((ctx.dim, ctx.dim))
-    q, _ = np.linalg.qr(g)
-    v = q[:, :rank]
-    return Projection(ctx, v @ v.conj().T)
 
 
 # ------------------------------------------------------------- construction
@@ -124,7 +111,7 @@ def test_states_immutable():
 def test_expectation_examples():
     rng = np.random.default_rng(10)
     for _ in range(5):
-        s = rand_density(full_context(4), rng)
+        s = NumpyDraw(rng).density(full_context(4))
         assert abs(expectation(s, unit(full_context(4))) - 1.0) <= 1e-12
     mixed = density_state(QUBIT, np.eye(2) / 2)
     assert abs(expectation(mixed, element(QUBIT, SIGMA_Z))) <= 1e-12
@@ -135,7 +122,7 @@ def test_expectation_examples():
 def test_expectation_real_for_hermitian():
     rng = np.random.default_rng(11)
     ctx = full_context(5)
-    s = rand_density(ctx, rng)
+    s = NumpyDraw(rng).density(ctx)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     a = element(ctx, (m + m.conj().T) / 2)
     assert abs(expectation(s, a).imag) <= 1e-10
@@ -151,7 +138,7 @@ def test_positivity_of_states_as_functionals():
     rng = np.random.default_rng(12)
     for n in (2, 4, 8):
         ctx = full_context(n)
-        s = rand_density(ctx, rng)
+        s = NumpyDraw(rng).density(ctx)
         for _ in range(10):
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             a = element(ctx, m)
@@ -192,59 +179,6 @@ def test_condition_zero_probability():
     p = Projection(QUBIT, np.diag([0.0, 1.0]))
     with pytest.raises(ZeroProbabilityError):
         condition(s, p)
-
-
-def test_condition_idempotent_and_certain():
-    rng = np.random.default_rng(13)
-    for n in (2, 3, 6):
-        ctx = full_context(n)
-        s = rand_density(ctx, rng)
-        p = rand_projection(ctx, rng, rank=max(1, n // 2))
-        once = condition(s, p)
-        assert state_distance(condition(once, p), once) <= 1e-10
-        assert abs(yes_probability(once, p) - 1.0) <= 1e-10
-
-
-# the mass of the answer conditioned on: down to 4 * P_FLOOR, up to 1 - 4 * P_FLOOR
-MASSES = st.floats(4 * P_FLOOR, 1e-6) | st.floats(1e-6, 1.0 - 4 * P_FLOOR)
-
-
-@st.composite
-def states_with_mass_on(draw):
-    """A full-algebra density matrix at d = 2..6 and a projection of random
-    rank whose yes-probability is a drawn mass, with coherences between P
-    and 1 - P: each mixed vector is sqrt(m) a + sqrt(1 - m) b, a and b unit
-    vectors in the ranges of P and 1 - P."""
-    d = draw(st.integers(2, 6))
-    rank = draw(st.integers(1, d - 1))
-    mass = draw(MASSES)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ctx = full_context(d)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    rho = np.zeros((d, d), dtype=complex)
-    for w in rng.dirichlet(np.ones(draw(st.integers(1, d)))):
-        a, b = (basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
-                for basis in (q[:, :rank], q[:, rank:]))
-        v = np.sqrt(mass) * a / np.linalg.norm(a) + np.sqrt(1.0 - mass) * b / np.linalg.norm(b)
-        rho += w * np.outer(v, v.conj())
-    return State(ctx, rho), Projection(ctx, q[:, :rank] @ q[:, :rank].conj().T)
-
-
-@st.composite
-def measures_with_mass_on(draw):
-    """A Dirichlet measure on n points and the indicator of a proper subset
-    carrying a drawn mass."""
-    n = draw(st.integers(2, 33))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mu = rng.dirichlet(np.full(n, draw(st.sampled_from((0.1, 1.0, 10.0)))))
-    members = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
-    inside = np.isin(np.arange(n), members)
-    assume(mu[inside].sum() > 0 and mu[~inside].sum() > 0)
-    mass = draw(MASSES)
-    mu = np.where(inside, mu * mass / mu[inside].sum(), mu * (1.0 - mass) / mu[~inside].sum())
-    space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
-    ctx = diagonal_context(space)
-    return classical_state(ctx, mu), characteristic_projection(ctx, space.subset(members))
 
 
 @settings(max_examples=300, deadline=None)
@@ -304,39 +238,21 @@ def test_long_diagonal_chain_keeps_a_probability_measure(n, seed):
 def test_long_full_chain_keeps_a_density_matrix(d, seed):
     rng = np.random.default_rng(seed)
     ctx = full_context(d)
-    projections = [rand_projection(ctx, rng, rank) for rank in rng.integers(1, d, 3)]
+    projections = [NumpyDraw(rng).projection(ctx, rank) for rank in rng.integers(1, d, 3)]
 
     def check(state):
         assert abs(np.trace(state.rho).real - 1.0) <= 1e-12
         assert np.array_equal(state.rho, state.rho.conj().T)
         assert np.linalg.eigvalsh(state.rho).min() >= -EPS_ALG
 
-    _long_chain(rand_density(ctx, rng), projections, rng, check)
-
-
-def test_condition_functional_identity_on_matrix_units():
-    # Tr(rho' E_jk) == Tr(rho P E_jk P) / Tr(rho P) for every matrix unit
-    rng = np.random.default_rng(14)
-    n = 3
-    ctx = full_context(n)
-    s = rand_density(ctx, rng)
-    p = rand_projection(ctx, rng, rank=2)
-    prob = expectation(s, p).real
-    post = condition(s, p)
-    for j in range(n):
-        for k in range(n):
-            unit_jk = np.zeros((n, n), dtype=complex)
-            unit_jk[j, k] = 1.0
-            lhs = np.trace(post.rho @ unit_jk)
-            rhs = np.trace(s.rho @ p.matrix @ unit_jk @ p.matrix) / prob
-            assert abs(lhs - rhs) <= 1e-10
+    _long_chain(NumpyDraw(rng).density(ctx), projections, rng, check)
 
 
 def test_uniqueness_from_matrix_unit_fingerprint():
     # two states with equal expectations on all matrix units coincide
     rng = np.random.default_rng(15)
     ctx = full_context(4)
-    s = rand_density(ctx, rng)
+    s = NumpyDraw(rng).density(ctx)
     fingerprint = np.array([[expectation(s, element(ctx, _unit(4, j, k)))
                              for k in range(4)] for j in range(4)])
     rebuilt = State(ctx, fingerprint.T)
@@ -363,65 +279,6 @@ def test_classical_condition_examples():
     assert np.allclose(classical_condition(mu, space.subset(range(4))), mu)
     with pytest.raises(ZeroProbabilityError):
         classical_condition(np.array([0.0, 0.0, 0.5, 0.5]), space.subset([0, 1]))
-
-
-def test_matrix_condition_restricted_to_diagonal_is_bayes():
-    rng = np.random.default_rng(16)
-    space = PhaseSpace(tuple(f"x{i}" for i in range(8)))
-    ctx = diagonal_context(space)
-    for _ in range(50):
-        mu = rng.random(8)
-        mu /= mu.sum()
-        s = classical_state(ctx, mu)
-        members = [i for i in range(8) if rng.random() < 0.5] or [0]
-        subset = space.subset(members)
-        chi = characteristic_projection(ctx, subset)
-        post = condition(s, chi)
-        bayes = classical_condition(mu, subset)
-        assert np.abs(post.probabilities() - bayes).max() <= 1e-12
-
-
-# ----------------------------------------------------------- compatibility
-
-
-def test_commuting_compatibility_lemma():
-    rng = np.random.default_rng(17)
-    n = 5
-    ctx = full_context(n)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, _ = np.linalg.qr(g)
-    for _ in range(20):
-        m1, m2 = rng.integers(0, 2, (2, n)).astype(float)
-        p1 = Projection(ctx, (q * m1) @ q.conj().T)
-        p2 = Projection(ctx, (q * m2) @ q.conj().T)
-        s = rand_density(ctx, rng)
-        sandwich = expectation(s, p1 @ p2 @ p1).real
-        assert sandwich >= -1e-12
-        assert sandwich <= expectation(s, p2).real + 1e-12
-        # a state with omega(P2) = 0 keeps it zero after conditioning on P1
-        comp = np.eye(n) - p2.matrix
-        blocked = comp @ s.rho @ comp
-        tr = np.trace(blocked).real
-        if tr <= 1e-9:
-            continue
-        blocked_state = State(ctx, blocked / tr)
-        try:
-            post = condition(blocked_state, p1)
-        except ZeroProbabilityError:
-            continue
-        assert yes_probability(post, p2) <= 1e-12
-
-
-def test_noncommutative_invalidation_witness():
-    # polarizers at 0, 45, 90 degrees: the 90-degree probability is zero
-    # on the initial state and exactly one half after the 45-degree yes
-    psi0 = pure_state(QUBIT, [1.0, 0.0])
-    v45 = np.array([1.0, 1.0]) / np.sqrt(2)
-    p45 = Projection(QUBIT, np.outer(v45, v45))
-    p90 = Projection(QUBIT, np.diag([0.0, 1.0]))
-    assert yes_probability(psi0, p90) <= 1e-12
-    after = condition(psi0, p45)
-    assert abs(yes_probability(after, p90) - 0.5) <= 1e-12
 
 
 # ----------------------------------------------------------------- distance
