@@ -7,13 +7,13 @@ case on inputs it asks `draw` for, through the methods of `NumpyDraw`.
 in `SUITES[suite]`, in declaration order, as a `Check` that answers
 `(profile) -> CheckResult`.  `noncomm check` feeds a law fixed draws: one
 `NumpyDraw` over `make_generator(seed)`, `cases` times, and reports the
-largest defect (at least 0; a NaN reads as inf).  A law declared without a
-seed takes no input and runs once on `draw=None`.  The Tier-1 tests feed
-every law that is not statistical hypothesis draws with the same methods,
-whose values include spectra clustered near CLUSTER_TOL and masses down to
-4 * P_FLOOR, and judge each case at the strict bound.  So a new law is one
-decorated body, and no test has to be written for it.  A sub-law that must
-hold exactly folds into the defect as inf.
+largest defect (at least 0; a NaN, or a case that raises, reads as inf).  A
+law declared without a seed takes no input and runs once on `draw=None`.
+The Tier-1 tests feed every law that is not statistical hypothesis draws
+with the same methods, whose values include spectra clustered near
+CLUSTER_TOL and masses down to 4 * P_FLOOR, and judge each case at the
+strict bound.  So a new law is one decorated body, and no test has to be
+written for it.  A sub-law that must hold exactly folds in as an inf defect.
 
 One rule gives every verdict: a check passes when defect <= tolerance.  The
 tolerance is the stated bound under the `strict` profile and 100x it under
@@ -106,7 +106,13 @@ class Check:
         draw = None if self.seed is None else NumpyDraw(make_generator(self.seed))
         defect = 0.0
         for _ in range(self.cases):
-            case = float(self.law(draw))
+            try:
+                case = float(self.law(draw))
+            except Exception:  # a case that raises fails the law: show where, once, and stop
+                import traceback  # here, as its 1 ms import would slow every `noncomm run`
+                traceback.print_exc()
+                defect = math.inf
+                break
             defect = max(defect, math.inf if math.isnan(case) else case)
         tol = self.tolerance(profile)
         return CheckResult(self.suite, self.name, defect <= tol, defect, tol)

@@ -58,17 +58,19 @@ from .algebra import (
     complement,
     diagonal_context,
     full_context,
+    require_same_context,
 )
 from .dynamics import check_dynamics, evolve_stack
 from .states import (
     P_FLOOR,
     NumericalInvariantError,
     State,
+    _conditioned,
+    _probability,
+    _weigh,
     bayes,
-    condition,
     renormalize,
     require_probability,
-    yes_probability,
 )
 
 # Bytes of one chunk's uniform blocks plus its state stacks in `run_chunked`.
@@ -226,15 +228,20 @@ class BatchOutcomes:
 
 def perform(state: State, experiment: YesNoExperiment,
             rng: np.random.Generator) -> tuple[Outcome, State]:
-    """Sample one yes/no experiment and condition the state on the result.
-
-    Outcomes with probability at or below the floor (or at or above one minus
-    it) are forced without consuming a draw, which keeps draw counts stable
-    and avoids conditioning on impossible outcomes.
+    """Sample one yes/no experiment and condition the state on the result, with
+    the bits and errors of `yes_probability` then `condition`, but one context
+    check and one weighing for "yes" (of P), two for "no" (of P, then 1 - P).
+    An outcome within P_FLOOR of probability 0 or 1 is forced without a draw,
+    which keeps draw counts stable and avoids conditioning on the impossible.
     """
-    p = yes_probability(state, experiment.projection)
+    proj = experiment.projection
+    require_same_context(state, proj)
+    weight = _weigh(state, proj)
+    p = _probability(weight[0])
     yes = p >= 1.0 - P_FLOOR or (not p <= P_FLOOR and bool(rng.random() < p))
-    post = condition(state, experiment.projection if yes else experiment.no_projection)
+    if not yes:
+        weight = _weigh(state, proj := experiment.no_projection)
+    post = _conditioned(state, proj, *weight)
     return Outcome(yes=yes, probability=p if yes else 1.0 - p), post
 
 

@@ -7,8 +7,9 @@ conditional probability.  On the diagonal (classical) algebra that update
 *is* the Bayes rule mu'(U) = mu(U & S) / mu(S), so a diagonal state *is* its
 measure mu: it is read and judged as mu, builds rho = diag(mu) only when
 `rho` is first read, and `expectation`, `yes_probability`, `condition` and
-`state_distance` work on mu alone; updates go through `bayes`, the one
-helper that `classical_condition` and the kernel share.
+`state_distance` work on mu alone.  `yes_probability`, `condition` and
+`perform` share one weighing of the state, `_weigh`; the kernel and
+`classical_condition` share `bayes`.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def require_probability(prob):
     """Raise ZeroProbabilityError, naming the first, if any probability to
     condition on is at or below P_FLOOR."""
     low = prob <= P_FLOOR
-    if np.count_nonzero(low):
+    if low is not False and np.count_nonzero(low):  # a float that passes asks numpy nothing
         worst = float(np.ravel(prob)[np.ravel(low)][0])
         raise ZeroProbabilityError(f"cannot condition on an outcome of probability {worst:.3e}")
 
@@ -161,14 +162,30 @@ def expectation(state: State, a: AlgebraElement) -> complex:
     return complex(state.rho.ravel().dot(a.matrix.T.ravel()))
 
 
+def _weigh(state: State, p: Projection) -> tuple:
+    """Tr(rho P), unclamped, as a float, and on a diagonal algebra the joint mu * s it sums."""
+    if state.context.is_diagonal:
+        joint = state.mu * p.values.real
+        return float(np.add.reduce(joint)), joint  # sum(), minus its Python wrapper
+    return float(state.rho.ravel().dot(p.matrix.T.ravel()).real), None  # sum_ij rho[i,j] P[j,i]
+
+
+def _probability(mass: float) -> float:
+    return min(max(mass + 0.0, 0.0), 1.0)  # + 0.0: a zero is +0.0, as `born_step` gives it
+
+
+def _conditioned(state: State, p: Projection, mass: float, joint) -> State:
+    """`condition` from its `_weigh`: the floor, then joint / mass or P rho P renormalized."""
+    require_probability(mass)
+    if joint is None:
+        return State._renormalized(state.context, p.matrix @ state.rho @ p.matrix)
+    return State._unchecked(state.context, joint / mass)
+
+
 def yes_probability(state: State, p: Projection) -> float:
     """Probability of "yes" for the experiment with projection P, clamped to [0, 1]."""
-    if state.context.is_diagonal:  # the real part of `expectation`, without its imaginary sum
-        require_same_context(state, p)
-        val = float(np.add.reduce(state.mu * p.values.real))
-    else:
-        val = expectation(state, p).real
-    return min(max(val + 0.0, 0.0), 1.0)  # + 0.0: a zero is +0.0, as `born_step` gives it
+    require_same_context(state, p)
+    return _probability(_weigh(state, p)[0])
 
 
 def condition(state: State, p: Projection) -> State:
@@ -176,13 +193,10 @@ def condition(state: State, p: Projection) -> State:
 
     The returned state satisfies Tr(rho' A) = Tr(rho P A P) / Tr(rho P) for
     every A, and assigns probability 1 to a repetition of the experiment.
-    On a diagonal algebra this is `bayes` on the measure and P's indicator.
+    On a diagonal algebra this is Bayes' rule on the measure and P's indicator.
     """
     require_same_context(state, p)
-    if state.context.is_diagonal:
-        return State._unchecked(state.context, bayes(state.mu, p.values.real))
-    require_probability(state.rho.ravel().dot(p.matrix.T.ravel()).real)
-    return State._renormalized(state.context, p.matrix @ state.rho @ p.matrix)
+    return _conditioned(state, p, *_weigh(state, p))
 
 
 def classical_condition(mu, subset: PhaseSubset) -> np.ndarray:

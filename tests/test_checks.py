@@ -137,6 +137,28 @@ def test_mutation_fails_its_law_under_both_draws(monkeypatch, module, name, muta
                                    max_examples=200)()
 
 
+def test_a_law_that_raises_fails_and_the_run_goes_on(monkeypatch):
+    # renormalize(P rho) in place of renormalize(P rho P) on a full algebra:
+    # fingerprint_uniqueness then builds a State from a matrix that is not
+    # one, which raises; that law fails with an inf defect, and every law
+    # still gets its verdict
+    condition = checks.condition
+
+    def drops_second_p(state, p):
+        if state.context.is_diagonal:
+            return condition(state, p)
+        return states.State._renormalized(state.context, p.matrix @ state.rho)
+
+    monkeypatch.setattr(checks, "condition", drops_second_p)
+    results = run_checks("all", "strict")
+    assert len(results) == len(DEFAULT_ROSTER)
+    by_name = {f"{r.suite}.{r.name}": r for r in results}
+    assert not by_name["states.projection_update_functional_identity"].passed
+    fingerprint = by_name["states.fingerprint_uniqueness"]
+    assert not fingerprint.passed and fingerprint.defect == math.inf
+    assert fingerprint.line().startswith("FAIL states.fingerprint_uniqueness: defect=inf ")
+
+
 _cluster = algebra._cluster
 
 

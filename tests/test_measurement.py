@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncomm import measurement, scenarios
@@ -57,6 +58,7 @@ from noncomm.states import (
     State,
     ZeroProbabilityError,
     classical_state,
+    condition,
     expectation,
     measure,
     pure_state,
@@ -755,13 +757,10 @@ def test_step_on_a_stack_is_perform_for_every_trial(diagonal, draws, answers, ch
                                       np.array(draws)[:, None], used)
     assert yes.tolist() == answers and len(post) == children
     for i, (k, u) in enumerate(zip(cls, draws)):
-        draw = CountingDraw(u)
-        outcome, after = perform(states[k], exp, draw)
-        final = after.mu if diagonal else after.rho
         kernel = (yes[i], p_yes[i] if yes[i] else 1.0 - p_yes[i], used[i] - i, post[row[i]])
-        scalar = (outcome.yes, outcome.probability, draw.taken, final)
-        assert [np.asarray(x).tobytes() for x in kernel] == [np.asarray(x).tobytes()
-                                                              for x in scalar]
+        scalar, defined = (outcome_bytes(functools.partial(one_trial, step, states[k], exp, u))
+                           for step in (perform, perform_as_defined))
+        assert outcome_bytes(lambda: kernel) == scalar == defined
 
 
 @pytest.mark.parametrize("case, negative", [
@@ -804,6 +803,23 @@ class CountingDraw:
         return self.u
 
 
+def perform_as_defined(state, exp, rng):
+    """`perform` as it is defined: `yes_probability`, then `condition` on the
+    projection of the answer, each of which weighs the state."""
+    p = yes_probability(state, exp.projection)
+    yes = p >= 1.0 - P_FLOOR or (not p <= P_FLOOR and bool(rng.random() < p))
+    post = condition(state, exp.projection if yes else exp.no_projection)
+    return Outcome(yes=yes, probability=p if yes else 1.0 - p), post
+
+
+def one_trial(step, state, exp, u):
+    """(answer, its probability, draws taken, state after) when `step` runs
+    one trial whose every draw is u, the state as its kept array."""
+    draw = CountingDraw(u)
+    out, post = step(state, exp, draw)
+    return out.yes, out.probability, draw.taken, post._stored
+
+
 def outcome_bytes(fn):
     """The bytes of what fn returns, or the type and message of what it raises."""
     try:
@@ -814,16 +830,22 @@ def outcome_bytes(fn):
 
 
 @st.composite
-def pure_states_straddling_the_floor(draw):
-    """A pure state at d = 2..6 and a projection of random rank whose
-    yes-probability is drawn in [P_FLOOR / 4, 4 P_FLOOR], or mirrored near 1:
-    psi = sqrt(t) a + sqrt(1 - t) b, a and b unit vectors in the ranges of
-    P and 1 - P."""
+def states_straddling_the_floor(draw):
+    """A state at d = 2..6 and a projection of random rank whose
+    yes-probability is drawn in [P_FLOOR / 4, 4 P_FLOOR], or mirrored near 1.
+    On a full algebra the state is pure, psi = sqrt(t) a + sqrt(1 - t) b, a
+    and b unit vectors in the ranges of P and 1 - P; on a diagonal algebra it
+    is a measure with mass t on P's points."""
     d = draw(st.integers(2, 6))
     rank = draw(st.integers(1, d - 1))
     t = draw(st.floats(P_FLOOR / 4, 4 * P_FLOOR))
     t = 1.0 - t if draw(st.booleans()) else t
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        ctx = diagonal_context(PhaseSpace(tuple(f"x{i}" for i in range(d))))
+        inside, weights = rng.permutation(d) < rank, rng.random(d) + 0.1
+        mu = np.where(inside, t / weights[inside].sum(), (1.0 - t) / weights[~inside].sum())
+        return State(ctx, mu * weights), Projection(ctx, np.diag(inside).astype(complex))
     ctx = full_context(d)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     a, b = (basis @ (rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1]))
@@ -832,29 +854,40 @@ def pure_states_straddling_the_floor(draw):
     return pure_state(ctx, psi), Projection(ctx, q[:, :rank] @ q[:, :rank].conj().T)
 
 
+def floor_failure(ctx):
+    """A measure short of unit mass whose drawn "no" (u = 1 - 1e-13) has mass
+    5e-13, at or below the floor, as roundoff can leave a state; P is at the
+    first point."""
+    mu = np.array([1.0 - 4e-12, 5e-13])
+    kept = mu if ctx.is_diagonal else np.diag(mu).astype(complex)
+    return State._unchecked(ctx, kept), Projection(ctx, np.diag([1.0, 0.0]).astype(complex))
+
+
 @settings(max_examples=300, deadline=None)
-@given(pure_states_straddling_the_floor(),
+@example(floor_failure(QUBIT), 1.0 - 1e-13)
+@example(floor_failure(diagonal_context(PhaseSpace(("u", "v")))), 1.0 - 1e-13)
+@given(states_straddling_the_floor(),
        st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 8 * P_FLOOR)
        | st.floats(1.0 - 8 * P_FLOOR, 1.0, exclude_max=True))
 def test_one_trial_step_is_perform_across_the_floor(case, u):
+    # the kernel, `perform` and `perform`'s definition: forced answers, drawn
+    # ones and the floor's error alike, on both algebra kinds
     state, p = case
     p_yes = yes_probability(state, p)
     assert P_FLOOR / 8 <= min(p_yes, 1.0 - p_yes) <= 8 * P_FLOOR
     exp = YesNoExperiment("near the floor", p)
-
-    def scalar():
-        draw = CountingDraw(u)
-        out, post = perform(state, exp, draw)
-        return out.yes, draw.taken, out.probability, post.rho
+    diagonal = state.context.is_diagonal
 
     def kernel():
         used = np.zeros(1, dtype=np.intp)
-        post, cls, yes, p_yes = born_step(state.rho[None], np.zeros(1, dtype=np.intp),
-                                          compile_questions(p.matrix[None])[0],
-                                          np.array([[u]]), used)
-        return yes[0], used[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], post[cls[0]]
+        question = compile_questions((measure(p.matrix) if diagonal else p.matrix)[None])[0]
+        post, cls, yes, p_yes = born_step(state._stored[None], np.zeros(1, dtype=np.intp),
+                                          question, np.array([[u]]), used)
+        return yes[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], used[0], post[cls[0]]
 
-    assert outcome_bytes(kernel) == outcome_bytes(scalar)
+    scalar, defined = (outcome_bytes(functools.partial(one_trial, step, state, exp, u))
+                       for step in (perform, perform_as_defined))
+    assert outcome_bytes(kernel) == scalar == defined
 
 
 def test_no_projection_is_built_once_per_experiment(monkeypatch):
