@@ -14,9 +14,9 @@ multiply as their n numbers, and the other two are for full algebras only.
 One trial is `perform`: `run_sequence` loops it over the evolved schedule.
 A batch runs as one stack of distinct states, trials that share an answer
 history sharing one conditioned state: `born_step` asks one question of
-every trial at once, takes "no" probabilities only for rows that answered
-no, conditions each state once per answer given, checks the step once for
-the floor and nan, and gives each trial the bits and errors of `perform`.
+every trial, or each row its own, takes "no" probabilities only for rows
+that answered no, conditions each state once per answer, checks the step
+once for the floor and nan, and gives each trial `perform`'s bits and errors.
 On a diagonal algebra the stack holds measures, a schedule stays the (n, d)
 stack of its indicator rows from evolution to compiled question, the update
 is `condition`'s Bayes rule, and the final states are those measures.  A
@@ -274,7 +274,8 @@ def compile_questions(projections) -> list:
     """Compile projections for `born_step`: an (n, d, d) stack (or list) of
     matrices gives question k = (P, 1 - P, P^T, (1 - P)^T), views of four
     stacks built once, each transpose a (d*d, 1) column; an (n, d) stack of
-    a diagonal algebra's indicator rows gives the rows (s, 1 - s)."""
+    a diagonal algebra's indicator rows gives the rows (s, 1 - s).  Gathered
+    by row, in place of views, the stacks give a question asked per row."""
     yes = np.asarray(projections)
     if yes.ndim == 2:
         s = np.ascontiguousarray(yes)
@@ -328,23 +329,24 @@ def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
     """Ask one compiled question (`compile_questions`) of every trial, with
     the bits and errors `perform` gives each trial alone.  Trials that share
     an answer history share one state: trial i is on row cls[i] of `rho`, a
-    C-ordered (m, d, d) stack, or (m, n) measures on a diagonal algebra.  Its
-    answer is forced when its clamped yes-probability p is within P_FLOOR of
-    0 or 1, else it is uniforms.ravel()[used[i]] < p and used[i] advances in
-    place.  Each (row, answer) some trial gave is conditioned once, rows no
-    trial is on are dropped, and "no" probabilities are taken only for rows
-    that answered no.  A nan p answers yes here, so one check a step, of each
-    child's probability, catches the floor and nan alike; only then is the
-    first failing trial found, and `perform`'s error for it raised.  Returns
+    C-ordered (m, d, d) stack, or (m, n) measures on a diagonal algebra; a
+    question asked per row stacks each of its arrays m deep.  The answer is
+    forced when its clamped yes-probability p is within P_FLOOR of 0 or 1,
+    else it is uniforms.ravel()[used[i]] < p and used[i] advances in place.
+    Each (row, answer) some trial gave is conditioned once, rows no trial is
+    on are dropped with their questions, and "no" probabilities are taken
+    only for rows that answered no.  A nan p answers yes here, so one check a
+    step, of each child's probability, catches the floor and nan alike; only
+    then is `perform`'s error raised, for the first failing trial.  Returns
     the new stack, each trial's row in it, the answers and p ("no": 1 - p)."""
-    diagonal = rho.ndim == 2
+    diagonal, per_row = rho.ndim == 2, question[0].ndim == rho.ndim
     if diagonal:  # the sums `yes_probability` and `bayes` take
         yes_m, no_m = yes_of, no_of = question
         trace = lambda rows, s: np.add.reduce(rows * s, -1)
     else:
         yes_m, no_m, yes_of, no_of = question
         # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
-        trace = lambda rows, col: (rows.reshape(-1, 1, col.size) @ col)[:, 0, 0].real
+        trace = lambda rows, col: (rows.reshape(-1, 1, col.shape[-2]) @ col)[:, 0, 0].real
     raw_yes = trace(rho, yes_of)
     p_yes = raw_yes.clip(0.0, 1.0)[cls]  # numpy's sums give a zero as +0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
@@ -362,9 +364,13 @@ def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
             row, answer = np.nonzero(taken)
             rho, raw_yes, answer = rho[row], raw_yes[row], answer == 1
             cls = (taken.cumsum() - 1)[child]
+            if per_row:  # each row's question goes with it
+                yes_m, no_m, no_of = yes_m[row], no_m[row], no_of[row]
     prob, no = raw_yes, ~answer  # each child's probability: "no" only where a row answered no
-    if np.count_nonzero(no):
-        prob[no] = trace(rho[no], no_of)
+    if len(answer) == 1 and no[0]:  # one child, a "no": its one row needs no gather
+        prob = trace(rho, no_of)
+    elif np.count_nonzero(no):
+        prob[no] = trace(rho[no], no_of[no] if per_row else no_of)
     if np.count_nonzero(prob > P_FLOOR) != len(prob):  # the floor or nan: find the first trial
         nan = p_yes != p_yes  # `perform` answers these no, and divides by their "no" probability
         given = np.where(nan, trace(rho, no_of)[cls], prob[cls])
@@ -372,7 +378,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
         require_probability(given[first])
         Outcome(False, float(1.0 - p_yes[first]))  # raises for a nan p, as in `perform`
     proj = ((yes_m if answer[0] else no_m) if len(answer) == 1  # one child: its projection
-            else np.where(answer.reshape(-1, *[1] * yes_m.ndim), yes_m, no_m))
+            else np.where(answer.reshape(-1, *[1] * (rho.ndim - 1)), yes_m, no_m))
     post = bayes(rho, proj) if diagonal else renormalize(proj @ rho @ proj)
     return post, cls, yes, p_yes
 

@@ -22,11 +22,11 @@ counter starts at i * 2**128, identical to the root stream jumped i times,
 so results are reproducible and independent of how trials are scheduled.
 Polarization, precise Zeno, three observers and both EPR runs advance all
 trials as one stack through `run_batch`; two-slit asks each question of its
-stop-at-first-yes chains only of the trials still without a yes.
-`zeno_coarse` and the classical Zeno control step trial by trial with
-`perform`, because what they ask next depends on the state reached.  The classical Zeno
-run builds its point questions once, n values each, and asks the evolved
-ones as these points relabelled by the flow, never as evolved matrices.
+stop-at-first-yes chains only of the trials still without a yes; and
+`zeno_coarse` asks each row of its stack the window its state has reached.
+Only the classical Zeno control steps trial by trial with `perform`: it
+builds its point questions once, n values each, and asks the evolved ones
+as these points relabelled by the flow, never as evolved matrices.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ from .states import (
     ZeroProbabilityError,
     classical_state,
     condition,
-    expectation,
     pure_state,
+    renormalize,
     state_distance,
     yes_probability,
 )
@@ -290,6 +290,7 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     echo = {k: params[k] for k in ("num_levels", "window_width", "drift_rate", "steps",
                                    "coupling", "dt", "initial_level")}
     levels, width, drift, steps, coupling, dt, start = echo.values()
+    drift = min(drift, levels)  # no move is longer than the ladder
     ctx = full_context(levels)
     level_obs = Observable(ctx, np.diag(np.arange(1, levels + 1)).astype(complex))
     hop = np.zeros((levels, levels), dtype=complex)
@@ -297,45 +298,52 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
         hop[i, i + 1] = hop[i + 1, i] = coupling
     ham = Hamiltonian(Observable(ctx, hop))
 
-    # window of `width` consecutive eigenvalues; even widths extend upward;
-    # near the spectrum edge the window shifts rather than shrinks.  Windows
-    # share one eigendecomposition and are built on first use, keyed by lo.
-    below = (width - 1) // 2
+    # window of `width` consecutive eigenvalues; even widths extend upward; near
+    # the spectrum edge it shifts rather than shrinks.  The center moves at most
+    # `drift` a step toward the rounded mean level; windows in reach are built once.
+    place = np.arange(levels + 1)
+    lo = np.clip(place - (width - 1) // 2, 1, levels - width + 1)
+    first, last = lo[np.clip([start - steps * drift, start + steps * drift], 1, levels)].tolist()
     spectrum = eigendecompose(level_obs)
-    windows = {}
+    windows = np.array([spectrum.projection(ValueSet(intervals=((k, k + width - 1),))).matrix
+                        for k in range(first, last + 1)])
+    mats = np.stack((windows, np.eye(levels, dtype=complex) - windows))
+    cols = mats.swapaxes(-1, -2).reshape(2, len(windows), levels * levels, 1)
+    one_row = list(zip(*mats[:, :, None], *cols[:, :, None]))  # (P, 1 - P, P^T, (1 - P)^T)
+    window_of = lo - first
+    next_center = place[:, None] + (place - place[:, None]).clip(-drift, drift)
 
-    def window(center):
-        lo = min(max(center - below, 1), levels - width + 1)
-        if lo not in windows:
-            hi = lo + width - 1
-            windows[lo] = YesNoExperiment(f"level within [{lo},{hi}]",
-                                          spectrum.projection(ValueSet(intervals=((lo, hi),))))
-        return windows[lo]
-
-    # `schrodinger_state`'s step rho -> U(-dt) rho U(-dt)*, with U built once
+    # `schrodinger_state`'s step rho -> U(-dt) rho U(-dt)*, with U built once;
+    # each row's mean level Tr(rho L), weighed as `born_step` weighs
     u = propagator(ham, -dt).matrix
     u_adj = u.conj().T
-    initial = pure_state(ctx, np.eye(levels)[start - 1])
-    initial_level = float(expectation(initial, level_obs).real)
-    trajectories = np.zeros((trials, steps + 1))
-    entries = [[] for _ in range(trials)]
-    for i, (log, rng) in enumerate(zip(entries, trial_streams(seed, trials))):
-        state, center, levels_seen = initial, start, [initial_level]
-        for step in range(1, steps + 1):
-            state = State._renormalized(ctx, u @ state.rho @ u_adj)
-            target = int(round(expectation(state, level_obs).real))
-            center += min(max(target - center, -drift), drift)
-            center = min(max(center, 1), levels)
-            experiment = window(center)
-            outcome, state = perform(state, experiment, rng)
-            a_now = float(expectation(state, level_obs).real)
-            levels_seen.append(a_now)
-            if record_trials:
-                log.append({**entry_dict(step, experiment.label, outcome.yes,
-                                         outcome.probability), "mean_level": a_now})
-        trajectories[i] = levels_seen
+    level_col = level_obs.matrix.T.reshape(-1, 1)
+    level = lambda rho: (rho.reshape(-1, 1, levels * levels) @ level_col)[:, 0, 0].real
+    initial = pure_state(ctx, np.eye(levels)[start - 1]).rho[None]
 
-    records = trial_records(entries=entries) if record_trials else None
+    def run(uniforms, used):
+        t = len(used)
+        rho, cls, center = initial, np.zeros(t, dtype=np.intp), np.array([start])
+        yes, p_yes = np.empty((t, steps), dtype=bool), np.empty((t, steps))
+        asked, seen = np.empty((t, steps), dtype=np.intp), np.full((t, steps + 1), level(initial))
+        for k in range(steps):
+            rho = renormalize(u @ rho @ u_adj)
+            center = next_center[center, np.rint(level(rho)).astype(np.intp)]
+            window = window_of[center]
+            question = one_row[window[0]] if len(rho) == 1 else (*mats[:, window], *cols[:, window])
+            rho, child, yes[:, k], p_yes[:, k] = born_step(rho, cls, question, uniforms, used)
+            parent, center = center, np.empty(len(rho), dtype=np.intp)
+            center[child] = parent[cls]
+            asked[:, k], seen[:, k + 1], cls = window[cls], level(rho)[child], child
+        return yes, p_yes, asked, seen
+
+    yes, p_yes, asked, trajectories = run_chunked(trial_streams(seed, trials), steps,
+                                                  16 * 5 * levels * levels, run)
+    records = trial_records(entries=[
+        [{**entry_dict(step, f"level within [{k},{k + width - 1}]", y, p if y else 1.0 - p),
+          "mean_level": a} for step, k, y, p, a in zip(range(1, steps + 1), *row)]
+        for row in zip((asked + first).tolist(), yes.tolist(), p_yes.tolist(),
+                       trajectories[:, 1:].tolist())]) if record_trials else None
     mean_traj = trajectories.mean(axis=0)
     summary = {
         **echo,
@@ -605,10 +613,11 @@ def _schedule_footprint(n, d):
 
 def _zeno_coarse_footprint(params):
     levels, steps = params["num_levels"], params["steps"]
-    # the window center moves at most drift_rate a step, so at most this many
-    # windows are built, each P and 1 - P plus their construction
+    # the windows a center moving drift_rate a step reaches, each P, 1 - P, their
+    # columns and construction; an eigenprojector a level; a state row and question a trial
     windows = min(levels - params["window_width"] + 1, 2 * steps * params["drift_rate"] + 1)
-    return (16 * levels * levels * (10 + 5 * windows), 16 * (steps + 1),
+    once = 16 * levels * levels * (10 + levels + 7 * windows)
+    return (once + chunk_peak_bytes(steps, 80 * levels * levels), 64 * (steps + 1),
             _RECORD_BYTES + steps * _ENTRY_BYTES)
 
 

@@ -726,6 +726,27 @@ def test_kernel_raises_the_first_failing_trial_of_any_row(diagonal, rows, cls, d
     assert type(kernel.value) is type(scalar.value) and str(kernel.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+def test_kernel_raises_the_first_failing_trial_with_a_question_per_row(diagonal):
+    # under its own question "no" has mass 0 on row 0 and 4e-13 on row 1, so
+    # trial 1 fails first, on row 1; under row 0's question row 1 would pass
+    ctx = diagonal_context(PhaseSpace(("u", "v"))) if diagonal else QUBIT
+    measures, asked = np.array([[0.5, 0.0], [4e-13, 0.3]]), np.eye(2)
+    cls, draws = [0, 1, 0], [0.1, 0.9, 0.9]
+    states = [State._unchecked(ctx, mu if diagonal else np.diag(mu).astype(complex))
+              for mu in measures]
+    exps = [YesNoExperiment("asked", Projection(ctx, np.diag(s).astype(complex))) for s in asked]
+    with pytest.raises(ZeroProbabilityError) as scalar:
+        for row, u in zip(cls, draws):  # the trials in order, as a loop would run them
+            perform(states[row], exps[row], CountingDraw(u))
+    stack = measures if diagonal else np.array([s.rho for s in states])
+    kept = asked if diagonal else np.array([e.projection.matrix for e in exps])
+    question = [np.array(q) for q in zip(*compile_questions(kept))]
+    with pytest.raises(ZeroProbabilityError) as kernel:
+        born_step(stack, np.array(cls), question, np.array(draws)[:, None], np.arange(3))
+    assert str(kernel.value) == str(scalar.value)
+
+
 def stack_and_question(diagonal, rows=3, dim=3, seed=41):
     """`rows` random states of one algebra with their stack, and a question
     compiled from a projection none of them answers with certainty."""
@@ -761,6 +782,61 @@ def test_step_on_a_stack_is_perform_for_every_trial(diagonal, draws, answers, ch
         scalar, defined = (outcome_bytes(functools.partial(one_trial, step, states[k], exp, u))
                            for step in (perform, perform_as_defined))
         assert outcome_bytes(lambda: kernel) == scalar == defined
+
+
+def per_row_questions(diagonal, dim=3):
+    """A different projection for each of three rows, and their compiled
+    questions stacked one entry a row, as a question asked per row."""
+    if diagonal:
+        ctx = diagonal_context(PhaseSpace(tuple("uvwxyz"[:dim])))
+        projs = [characteristic_projection(ctx, ctx.phase_space.subset(s))
+                 for s in ([0], [1, 2], [0, 2])]
+        kept = [p.values.real for p in projs]
+    else:
+        projs = [stack_and_question(False, rows=1, dim=dim, seed=s)[2] for s in (5, 6, 7)]
+        kept = [p.matrix for p in projs]
+    return projs, [np.array(q) for q in zip(*compile_questions(np.array(kept)))]
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@pytest.mark.parametrize("cls, draws, children", [
+    # row 0 answers yes, row 1 splits and row 2 answers no: the rows' questions
+    # are gathered with them, and "no" is taken on two rows
+    ([0, 0, 1, 1, 2, 2], [0.0, 0.0, 0.0, 0.99, 0.99, 0.99], 4),
+    # trials on rows 0 and 2 only: row 1 and its question are dropped
+    ([2, 0, 2], [0.99, 0.0, 0.99], 2),
+    # each row answers one way, so no row is gathered
+    ([0, 1, 2], [0.0, 0.99, 0.0], 3),
+], ids=["split", "dropped", "kept"])
+def test_step_with_a_question_per_row_is_perform_for_every_trial(diagonal, cls, draws,
+                                                                 children):
+    states, stack, _, _ = stack_and_question(diagonal)
+    projs, question = per_row_questions(diagonal)
+    cls, used = np.array(cls), np.arange(len(cls))
+    post, row, yes, p_yes = born_step(stack, cls, question, np.array(draws)[:, None], used)
+    assert len(post) == children
+    for i, (k, u) in enumerate(zip(cls, draws)):
+        exp = YesNoExperiment("asked", projs[k])
+        kernel = (yes[i], p_yes[i] if yes[i] else 1.0 - p_yes[i], used[i] - i, post[row[i]])
+        scalar = outcome_bytes(functools.partial(one_trial, perform, states[k], exp, u))
+        assert outcome_bytes(lambda: kernel) == scalar
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@pytest.mark.parametrize("u", [0.0, 0.99], ids=["yes", "no"])
+def test_one_row_step_with_its_own_question_is_perform(diagonal, u):
+    # the one-child step takes its projection, and on "no" its probability,
+    # from the row's own question
+    states, stack, _, _ = stack_and_question(diagonal)
+    projs, question = per_row_questions(diagonal)
+    one, used = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    post, row, yes, p_yes = born_step(stack[1:2], one, [q[1:2] for q in question],
+                                      np.array([[u]]), used)
+    kernel = (yes[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], used[0], post[row[0]])
+    scalar = outcome_bytes(functools.partial(
+        one_trial, perform, states[1], YesNoExperiment("asked", projs[1]), u))
+    assert not yes[0] if u else yes[0]
+    assert outcome_bytes(lambda: kernel) == scalar
 
 
 @pytest.mark.parametrize("case, negative", [

@@ -9,34 +9,41 @@ import pytest
 
 from noncomm import measurement, scenarios
 from noncomm.algebra import (
+    Observable,
     PhaseSpace,
     Projection,
+    SpectralData,
+    ValueSet,
     characteristic_projection,
     diagonal_context,
+    eigendecompose,
     full_context,
 )
 from noncomm.cli import main, result_json
-from noncomm.dynamics import Flow, propagator
+from noncomm.dynamics import Flow, Hamiltonian, propagator
 from noncomm.measurement import (
     ScheduleEntry,
     YesNoExperiment,
     embed_local,
+    entry_dict,
     evolve_schedule,
     perform,
     tensor,
     trial_generator,
+    trial_records,
     trial_streams,
 )
 from noncomm.scenarios import (
     SCENARIOS,
     ParameterError,
+    ScenarioResult,
     UnknownScenarioError,
     memory_limit,
     peak_bytes,
     run_scenario,
     validate_params,
 )
-from noncomm.states import classical_state, pure_state, yes_probability
+from noncomm.states import State, classical_state, expectation, pure_state, yes_probability
 
 SEED = 20240817
 
@@ -571,6 +578,8 @@ def test_scenario_defaults_fit_in_memory():
     ("three_observer", {}, 3000, True),
     ("two_slit", {"amp_l": [1.0] * 32, "amp_r": [0.5, -0.5] * 16}, 8, True),
     ("zeno_coarse", {"num_levels": 96, "steps": 40}, 2, True),
+    ("zeno_coarse", {"num_levels": 96, "steps": 40, "drift_rate": 0}, 2, True),
+    ("zeno_coarse", {"num_levels": 4, "steps": 48}, 2000, False),
     ("classical_control", {"num_points": 120, "steps": 3}, 2, True),
 ])
 def test_peak_estimate_bounds_measured_peak(monkeypatch, name, params, trials, record):
@@ -589,9 +598,9 @@ def test_peak_estimate_bounds_measured_peak(monkeypatch, name, params, trials, r
 
 # ------------------------------------------- batched vs scalar reference runs
 #
-# The per-trial loops that the batched epr, classical epr and two_slit runs
-# replaced, kept here as references: every answer, probability and summary
-# value must match bit for bit.
+# The per-trial loops that the batched epr, classical epr, two_slit and
+# zeno_coarse runs replaced, kept here as references: every answer,
+# probability and summary value must match bit for bit.
 
 
 def _mean_or_none(xs):
@@ -721,12 +730,117 @@ def test_two_slit_batch_matches_scalar_reference(amp_l, amp_r, seed):
         assert res.series[series] == (counts / 70).tolist()
 
 
+def scalar_zeno_coarse(params, trials, seed, record_trials):
+    """The per-trial loop: every trial stepped alone through `perform`."""
+    echo = {k: params[k] for k in ("num_levels", "window_width", "drift_rate", "steps",
+                                   "coupling", "dt", "initial_level")}
+    levels, width, drift, steps, coupling, dt, start = echo.values()
+    ctx = full_context(levels)
+    level_obs = Observable(ctx, np.diag(np.arange(1, levels + 1)).astype(complex))
+    hop = np.zeros((levels, levels), dtype=complex)
+    for i in range(levels - 1):
+        hop[i, i + 1] = hop[i + 1, i] = coupling
+    ham = Hamiltonian(Observable(ctx, hop))
+
+    # window of `width` consecutive eigenvalues; even widths extend upward;
+    # near the spectrum edge the window shifts rather than shrinks.  Windows
+    # share one eigendecomposition and are built on first use, keyed by lo.
+    below = (width - 1) // 2
+    spectrum = eigendecompose(level_obs)
+    windows = {}
+
+    def window(center):
+        lo = min(max(center - below, 1), levels - width + 1)
+        if lo not in windows:
+            hi = lo + width - 1
+            windows[lo] = YesNoExperiment(f"level within [{lo},{hi}]",
+                                          spectrum.projection(ValueSet(intervals=((lo, hi),))))
+        return windows[lo]
+
+    # `schrodinger_state`'s step rho -> U(-dt) rho U(-dt)*, with U built once
+    u = propagator(ham, -dt).matrix
+    u_adj = u.conj().T
+    initial = pure_state(ctx, np.eye(levels)[start - 1])
+    initial_level = float(expectation(initial, level_obs).real)
+    trajectories = np.zeros((trials, steps + 1))
+    entries = [[] for _ in range(trials)]
+    for i, (log, rng) in enumerate(zip(entries, trial_streams(seed, trials))):
+        state, center, levels_seen = initial, start, [initial_level]
+        for step in range(1, steps + 1):
+            state = State._renormalized(ctx, u @ state.rho @ u_adj)
+            target = int(round(expectation(state, level_obs).real))
+            center += min(max(target - center, -drift), drift)
+            center = min(max(center, 1), levels)
+            experiment = window(center)
+            outcome, state = perform(state, experiment, rng)
+            a_now = float(expectation(state, level_obs).real)
+            levels_seen.append(a_now)
+            if record_trials:
+                log.append({**entry_dict(step, experiment.label, outcome.yes,
+                                         outcome.probability), "mean_level": a_now})
+        trajectories[i] = levels_seen
+
+    records = trial_records(entries=entries) if record_trials else None
+    mean_traj = trajectories.mean(axis=0)
+    summary = {
+        **echo,
+        "freeze_metric": float(np.abs(np.diff(mean_traj)).sum()),
+        "net_drift": float(mean_traj[-1] - mean_traj[0]),
+        "max_mean_excursion": float(np.abs(mean_traj - mean_traj[0]).max()),
+    }
+    series = {"mean_level_trajectory": [float(x) for x in mean_traj]}
+    return ScenarioResult("zeno_coarse", echo, seed, trials, summary, series, records)
+
+
+# each window width's parity, a window that stays or moves two levels a step,
+# a start at either edge of the ladder, and no steps at all
+ZENO_COARSE_CASES = [{"window_width": width, "drift_rate": drift, "initial_level": start}
+                     for width in (1, 2) for drift in (0, 2) for start in (1, 6)]
+ZENO_COARSE_CASES += [{"steps": 0}, {"steps": 0, "initial_level": 6, "window_width": 2}]
+
+
+@pytest.mark.parametrize("params", ZENO_COARSE_CASES)
+@pytest.mark.parametrize("trials, seed", [(1, 2**64 - 1), (300, SEED)])
+def test_zeno_coarse_batch_matches_scalar_reference(params, trials, seed):
+    merged = validate_params("zeno_coarse", {"num_levels": 6, "steps": 12, "coupling": 0.4,
+                                             **params})
+    res = run_scenario("zeno_coarse", merged, trials=trials, seed=seed, record_trials=True)
+    assert result_json(res) == result_json(scalar_zeno_coarse(merged, trials, seed, True))
+
+
+def test_zeno_coarse_steps_no_trial_alone_and_builds_each_window_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("zeno_coarse stepped a trial alone")
+
+    built = []
+    projection = SpectralData.projection
+
+    def counting(self, value_set, *args):
+        built.append(value_set.intervals)
+        return projection(self, value_set, *args)
+
+    monkeypatch.setattr(scenarios, "perform", refuse)
+    monkeypatch.setattr(SpectralData, "projection", counting)
+    # from level 1, one level a step: 16 centers reach 14 windows of 3
+    res = run_scenario("zeno_coarse", {"num_levels": 16, "steps": 48}, trials=200, seed=3,
+                       record_trials=True)
+    asked = {e["label"] for r in res.trial_records for e in r["entries"]}
+    assert built == [((lo, lo + 2.0),) for lo in range(1, 15)]
+    assert asked <= {f"level within [{lo},{lo + 2}]" for lo in range(1, 15)} and len(asked) > 1
+    # two steps of one level from level 8 reach levels 6 to 10: windows 5 to 9
+    built.clear()
+    run_scenario("zeno_coarse", {"num_levels": 16, "steps": 2, "initial_level": 8}, trials=50)
+    assert built == [((lo, lo + 2.0),) for lo in range(5, 10)]
+
+
 @pytest.mark.parametrize("name, params", [
     ("epr", {}),
     ("epr", {"state": "product"}),
     ("classical_control", {"scenario": "epr"}),
     ("two_slit", {}),
     ("two_slit", {"amp_l": [1, 1, 1, 1, 1, 1, 1, 1], "amp_r": [1, -1, 1, -1, 1, -1, 1, -1]}),
+    ("zeno_coarse", {}),
+    ("zeno_coarse", {"num_levels": 16, "steps": 48}),
 ])
 def test_batched_scenarios_do_not_depend_on_chunking(monkeypatch, name, params):
     whole = run_scenario(name, params, trials=23, seed=8, record_trials=True).to_dict()
