@@ -115,12 +115,14 @@ class ValueSet:
         object.__setattr__(self, "intervals", ivs)
         object.__setattr__(self, "points", tuple(float(p) for p in self.points))
 
-    def contains(self, x: float, atol: float = 0.0) -> bool:
-        """Membership test, widened by `atol` to absorb eigenvalue roundoff."""
+    def contains(self, x, atol: float = 0.0):
+        """Membership of x, widened by `atol` for eigenvalue roundoff; a bool array if x is one."""
+        inside = np.zeros(np.shape(x), dtype=bool)
         for lo, hi in self.intervals:
-            if lo - atol <= x <= hi + atol:
-                return True
-        return any(abs(x - p) <= atol for p in self.points)
+            inside |= (lo - atol <= x) & (x <= hi + atol)
+        for p in self.points:
+            inside |= abs(x - p) <= atol
+        return inside if inside.ndim else bool(inside)
 
     def __contains__(self, x) -> bool:
         return self.contains(float(x))
@@ -354,12 +356,7 @@ class Projection(AlgebraElement):
     __slots__ = ()
 
     def _judged(self, kept):
-        idem, herm = _times(kept, kept) - kept, kept - kept.conj().T
-        if not (within(idem, EPS_ALG) and within(herm, EPS_ALG)):
-            raise ValueError(
-                f"not a projection (idempotency defect {operator_norm(idem):.3e}, "
-                f"Hermiticity defect {operator_norm(herm):.3e})"
-            )
+        _judge_projections(kept[None])
         return kept
 
 
@@ -376,14 +373,20 @@ class SpectralData:
         if len(self.eigenvalues) != len(self.projectors):
             raise ValueError("eigenvalue/projector count mismatch")
 
+    def projections(self, value_sets, cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
+        """Window i sums, from zero and in order, the eigenprojectors whose eigenvalue lies in
+        value set i widened by cluster_tol (eigensolver roundoff): one stack, checked as one."""
+        values = np.array(self.eigenvalues)
+        total = np.zeros((len(value_sets), *self.projectors[0]._stored.shape), dtype=complex)
+        for window, value_set in zip(total, value_sets):
+            for i in np.flatnonzero(value_set.contains(values, cluster_tol)):
+                window += self.projectors[i]._stored
+        return _projection_stack(total)
+
     def projection(self, value_set: ValueSet, cluster_tol: float = CLUSTER_TOL) -> Projection:
-        """Sum of the eigenprojectors whose eigenvalue lies in the value set,
-        with membership widened by cluster_tol to absorb eigensolver roundoff."""
-        total = np.zeros_like(self.projectors[0]._stored)
-        for val, proj in zip(self.eigenvalues, self.projectors):
-            if value_set.contains(val, atol=cluster_tol):
-                total = total + proj._stored
-        return Projection(self.projectors[0].context, (total + total.conj().T) / 2.0)
+        """The window of one value set (`projections`), as a `Projection`."""
+        return Projection._unchecked(self.projectors[0].context,
+                                     self.projections((value_set,), cluster_tol)[0])
 
 
 def unit(context: AlgebraContext) -> Projection:
@@ -416,21 +419,24 @@ def complement(p: Projection) -> Projection:
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value; a (d,) array stands for its diagonal matrix.
-
-    Tolerance checks call `within(m, tol)` instead of comparing this with
-    tol.  The Frobenius norm bounds the operator norm from above, so when it
-    is at most tol * (1 - 1e-9) (the margin absorbs roundoff in either norm)
-    the check passes without an SVD; otherwise this function decides.
-    """
+    """Largest singular value; a (d,) array stands for its diagonal matrix."""
     if matrix.size == 0:
         return 0.0
     return float(np.abs(matrix).max() if matrix.ndim == 1 else np.linalg.norm(matrix, 2))
 
 
 def within(matrix: np.ndarray, tol: float) -> bool:
-    """operator_norm(matrix) <= tol, Frobenius norm first (see operator_norm)."""
-    return bool(np.linalg.norm(matrix) <= tol * (1.0 - 1e-9)) or operator_norm(matrix) <= tol
+    """operator_norm(matrix) <= tol, by `within_each`'s rule."""
+    return bool(within_each(matrix[None], tol)[0])
+
+
+def within_each(stack: np.ndarray, tol: float) -> np.ndarray:
+    """operator_norm(m) <= tol for each member m of a stack.  The Frobenius norm bounds it from
+    above, so at most tol * (1 - 1e-9) (the margin absorbs roundoff in either norm) a member
+    passes without an SVD; operator_norm decides the others."""
+    flat = stack.reshape(len(stack), stack[:1].size)
+    ok = np.sqrt(np.vecdot(flat, flat).real) <= tol * (1.0 - 1e-9)
+    return ok if ok.all() else ok | [operator_norm(m) <= tol for m in stack]
 
 
 def norms(a: AlgebraElement) -> tuple[float, float]:
@@ -472,6 +478,28 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    """P* of each member of a (k, d, d) stack of matrices or (k, d) stack of diagonals."""
+    return stack.conj() if stack.ndim == 2 else stack.swapaxes(-1, -2).conj()
+
+
+def _judge_projections(p: np.ndarray) -> None:
+    """`Projection`'s rule for each member of a stack p (see `_adjoints`); a failing one raises."""
+    idem, herm = (p * p if p.ndim == 2 else p @ p) - p, p - _adjoints(p)
+    for i in np.flatnonzero(~(within_each(idem, EPS_ALG) & within_each(herm, EPS_ALG)))[:1]:
+        raise ValueError(f"not a projection (idempotency defect {operator_norm(idem[i]):.3e}, "
+                         f"Hermiticity defect {operator_norm(herm[i]):.3e})")
+
+
+def _projection_stack(stack: np.ndarray) -> np.ndarray:
+    """Symmetrize each member of a stack (see `_adjoints`) in place, as (P + P*) / 2, and
+    judge it by `Projection`'s rule, in parts of about 256 KiB to bound the temporaries."""
+    for part in np.array_split(stack, 1 + stack.nbytes // (1 << 18)):
+        part[...] = (part + _adjoints(part)) / 2.0
+        _judge_projections(part)
+    return stack
+
+
 def eigendecompose(a: AlgebraElement, cluster_tol: float = CLUSTER_TOL) -> SpectralData:
     """Spectral decomposition of a Hermitian element.
 
@@ -480,33 +508,25 @@ def eigendecompose(a: AlgebraElement, cluster_tol: float = CLUSTER_TOL) -> Spect
     spaced just under cluster_tol form one cluster up to (k - 1) *
     cluster_tol wide, reported at its mean.  Each projector is the
     symmetrized sum of outer products of an orthonormal eigenbasis for its
-    cluster.  Diagonal-kind elements are decomposed exactly from their
-    diagonal, with no floating-point eigensolver involved.
+    cluster, all built into one stack and checked as one.  Diagonal-kind
+    elements are decomposed exactly from their diagonal.
     """
     if not a.is_hermitian():
         raise ValueError("eigendecomposition requires a Hermitian element")
-    ctx = a.context
-    if ctx.is_diagonal:
-        vals = a.values.real
-        order = np.argsort(vals, kind="stable")
-        svals = vals[order]
-        eigenvalues, projectors = [], []
-        for grp in _cluster(svals, cluster_tol):
-            d = np.zeros(ctx.dim, dtype=complex)
-            d[order[grp]] = 1.0
-            eigenvalues.append(float(svals[grp].mean()))
-            projectors.append(Projection._unchecked(ctx, d))
-        return SpectralData(tuple(eigenvalues), tuple(projectors))
-
-    w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2.0)
-    eigenvalues, projectors = [], []
-    for grp in _cluster(w, cluster_tol):
-        vecs = v[:, grp]
-        p = vecs @ vecs.conj().T
-        p = (p + p.conj().T) / 2.0  # suppress roundoff asymmetry
-        eigenvalues.append(float(w[grp].mean()))
-        projectors.append(Projection(ctx, p))
-    return SpectralData(tuple(eigenvalues), tuple(projectors))
+    if a.context.is_diagonal:
+        order = np.argsort(a.values.real, kind="stable")
+        w = a.values.real[order]
+    else:
+        w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2.0)
+    groups = _cluster(w, cluster_tol)
+    stack = np.zeros((len(groups), *a._stored.shape), dtype=complex)
+    for p, grp in zip(stack, groups):
+        if a.context.is_diagonal:
+            p[order[grp]] = 1.0
+        else:
+            np.matmul(v[:, grp], v[:, grp].conj().T, out=p)
+    return SpectralData(tuple(w[grp].mean() for grp in groups),
+                        tuple(Projection._unchecked(a.context, p) for p in _projection_stack(stack)))
 
 
 def spectral_projection(a: AlgebraElement, value_set: ValueSet,
@@ -522,6 +542,5 @@ def spectral_projection(a: AlgebraElement, value_set: ValueSet,
     if ctx.is_diagonal:
         if not a.is_hermitian():
             raise ValueError("spectral projection requires a Hermitian element")
-        return Projection._unchecked(ctx, np.array([1.0 if value_set.contains(x) else 0.0
-                                                    for x in a.values.real], dtype=complex))
+        return Projection._unchecked(ctx, value_set.contains(a.values.real).astype(complex))
     return eigendecompose(a, cluster_tol).projection(value_set, cluster_tol)

@@ -41,6 +41,7 @@ chunked.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,14 +144,15 @@ class YesNoExperiment:
         return self.__dict__["_no"]
 
 
-@dataclass(frozen=True)
-class Outcome:
-    yes: bool
-    probability: float  # pre-measurement probability of the realized answer
+class Outcome(namedtuple("Outcome", ("yes", "probability"))):
+    """An answer and its prior probability: a (yes, probability) tuple, range-checked when built."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks the range too
 
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise NumericalInvariantError(f"outcome probability {self.probability} outside [0, 1]")
+    def __new__(cls, yes: bool, probability: float):
+        if not 0.0 <= probability <= 1.0:
+            raise NumericalInvariantError(f"outcome probability {probability} outside [0, 1]")
+        return tuple.__new__(cls, (yes, probability))
 
     @property
     def answer(self) -> str:
@@ -350,7 +352,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
     raw_yes = trace(rho, yes_of)
     p_yes = raw_yes.clip(0.0, 1.0)[cls]  # numpy's sums give a zero as +0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
-    free = ~(forced_yes | (p_yes <= P_FLOOR))
+    free = (p_yes <= P_FLOOR) == forced_yes  # neither forced, as a nan p is
     yes = forced_yes | (free > (uniforms.ravel()[used] >= p_yes))  # free and not u >= p
     used += free
     if len(rho) == 1 and len(yes) and np.count_nonzero(yes) % len(yes) == 0:

@@ -304,9 +304,8 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     place = np.arange(levels + 1)
     lo = np.clip(place - (width - 1) // 2, 1, levels - width + 1)
     first, last = lo[np.clip([start - steps * drift, start + steps * drift], 1, levels)].tolist()
-    spectrum = eigendecompose(level_obs)
-    windows = np.array([spectrum.projection(ValueSet(intervals=((k, k + width - 1),))).matrix
-                        for k in range(first, last + 1)])
+    windows = eigendecompose(level_obs).projections(
+        [ValueSet(intervals=((k, k + width - 1),)) for k in range(first, last + 1)])
     mats = np.stack((windows, np.eye(levels, dtype=complex) - windows))
     cols = mats.swapaxes(-1, -2).reshape(2, len(windows), levels * levels, 1)
     one_row = list(zip(*mats[:, :, None], *cols[:, :, None]))  # (P, 1 - P, P^T, (1 - P)^T)

@@ -90,10 +90,10 @@ class State(AlgebraValue):
 
 
 def renormalize(rho: np.ndarray) -> np.ndarray:
-    """Symmetrize a matrix, or each matrix of a (..., d, d) stack, and scale
-    it to unit trace.  The stacked form gives every matrix the same bits as
-    the single-matrix form."""
-    arr = (rho + rho.swapaxes(-1, -2).conj()) / 2.0
+    """Symmetrize a matrix, or each matrix of a (..., d, d) stack, to unit trace:
+    (rho + rho*) / Tr(rho + rho*), unhalved, as halving is exact and (a/2) / (t/2)
+    rounds as a / t, barring subnormals.  Each stacked matrix gets the bits it gets alone."""
+    arr = rho + rho.swapaxes(-1, -2).conj()
     tr = arr.trace(0, -2, -1).real
     return arr / (tr if arr.ndim == 2 else tr[..., None, None])
 

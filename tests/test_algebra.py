@@ -30,6 +30,7 @@ from noncomm.algebra import (
     spectral_projection,
     unit,
     within,
+    within_each,
 )
 from noncomm.checks import NumpyDraw
 
@@ -436,6 +437,28 @@ def test_within_flat_spectrum_needs_the_svd(n, seed, rel):
     assert within(m, EPS_ALG) == (operator_norm(m) <= EPS_ALG)
     if abs(rel) > 1e-9:
         assert within(m, EPS_ALG) == (rel < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), flat=st.booleans(),
+       rels=st.lists(st.sampled_from([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]) | st.floats(-3e-9, 3e-9),
+                     min_size=1, max_size=6))
+def test_within_each_is_within_of_every_member(n, seed, flat, rels):
+    # a stack whose members sit at the edge of EPS_ALG: rank one (the
+    # Frobenius shortcut decides), a scaled unitary (the SVD decides), or a
+    # diagonal; each member's verdict is the one `within` gives it alone
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    if flat:
+        shape = [np.exp(1j * rng.uniform(0, 7, n)) * rng.uniform(0, 1, n) for _ in rels]
+        members = [s / np.abs(s).max() for s in shape]
+    else:
+        members = [q if i % 2 else _unit_rank_one(n, rng) for i in range(len(rels))]
+    stack = np.array([EPS_ALG * (1.0 + rel) * m for rel, m in zip(rels, members)])
+    got = within_each(stack, EPS_ALG)
+    assert got.dtype == bool and got.shape == (len(rels),)
+    assert got.tolist() == [within(m, EPS_ALG) for m in stack]
+    assert got.tolist() == [operator_norm(m) <= EPS_ALG for m in stack]
 
 
 def test_within_empty_matrix():

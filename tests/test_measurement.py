@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,9 +118,20 @@ def test_perform_deterministic_given_stream():
 
 
 def test_outcome_validation():
-    with pytest.raises(ValueError):
-        Outcome(yes=True, probability=1.5)
-    assert Outcome(yes=False, probability=0.25).answer == "no"
+    # built by keyword or position, immutable, with its answer and its range check
+    out = Outcome(yes=False, probability=0.25)
+    assert out == Outcome(False, 0.25) and (out.yes, out.probability, out.answer) == (False, 0.25, "no")
+    assert Outcome(yes=True, probability=1.0).answer == "yes"
+    for name in ("yes", "probability", "label"):
+        with pytest.raises(AttributeError):
+            setattr(out, name, True)
+    assert out._replace(probability=1.0) == Outcome(False, 1.0) == Outcome._make((False, 1.0))
+    for bad in (1.5, -1e-300, math.nan):
+        for build in (lambda: Outcome(yes=True, probability=bad), lambda: Outcome._make((True, bad)),
+                      lambda: out._replace(probability=bad)):
+            with pytest.raises(NumericalInvariantError,
+                               match=re.escape(f"outcome probability {bad} outside [0, 1]")):
+                build()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

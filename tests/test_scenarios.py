@@ -812,25 +812,26 @@ def test_zeno_coarse_steps_no_trial_alone_and_builds_each_window_once(monkeypatc
     def refuse(*args):
         raise AssertionError("zeno_coarse stepped a trial alone")
 
-    built = []
-    projection = SpectralData.projection
+    built = []  # the windows of each stacked build
+    projections = SpectralData.projections
 
-    def counting(self, value_set, *args):
-        built.append(value_set.intervals)
-        return projection(self, value_set, *args)
+    def counting(self, value_sets, *args):
+        built.append([v.intervals for v in value_sets])
+        return projections(self, value_sets, *args)
 
     monkeypatch.setattr(scenarios, "perform", refuse)
-    monkeypatch.setattr(SpectralData, "projection", counting)
-    # from level 1, one level a step: 16 centers reach 14 windows of 3
+    monkeypatch.setattr(SpectralData, "projections", counting)
+    monkeypatch.setattr(SpectralData, "projection", lambda *args: pytest.fail("one window built alone"))
+    # from level 1, one level a step: 16 centers reach 14 windows of 3, built as one stack
     res = run_scenario("zeno_coarse", {"num_levels": 16, "steps": 48}, trials=200, seed=3,
                        record_trials=True)
     asked = {e["label"] for r in res.trial_records for e in r["entries"]}
-    assert built == [((lo, lo + 2.0),) for lo in range(1, 15)]
+    assert built == [[((lo, lo + 2.0),) for lo in range(1, 15)]]
     assert asked <= {f"level within [{lo},{lo + 2}]" for lo in range(1, 15)} and len(asked) > 1
     # two steps of one level from level 8 reach levels 6 to 10: windows 5 to 9
     built.clear()
     run_scenario("zeno_coarse", {"num_levels": 16, "steps": 2, "initial_level": 8}, trials=50)
-    assert built == [((lo, lo + 2.0),) for lo in range(5, 10)]
+    assert built == [[((lo, lo + 2.0),) for lo in range(5, 10)]]
 
 
 @pytest.mark.parametrize("name, params", [
