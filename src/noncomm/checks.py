@@ -495,14 +495,14 @@ def _check_born_rule_sampling(_):
     ctx = full_context(2)
     draws = 100_000
     worst_ratio = 0.0
-    ground, = compile_questions(np.diag([1.0, 0.0]).astype(complex)[None])
+    ground = compile_questions(np.diag([1.0, 0.0]).astype(complex)[None])
     for k, p in enumerate((0.1, 0.5, 0.9)):
         psi = [math.sqrt(p), math.sqrt(1.0 - p)]
         state = pure_state(ctx, psi)
         # one step from one row: trial i reads the draw the i-th `perform` makes
         uniforms = make_generator(400 + k).random((draws, 1))
         one = np.zeros(draws, dtype=np.intp)
-        hits = int(born_step(state.rho[None], one, ground, uniforms, np.arange(draws))[2].sum())
+        hits = int(born_step(state.rho[None], one, ground, 0, uniforms, np.arange(draws))[2].sum())
         band = 4.0 * math.sqrt(p * (1.0 - p) / draws)
         worst_ratio = max(worst_ratio, abs(hits / draws - p) / band)
     return worst_ratio

@@ -6,10 +6,11 @@ by the conditional rho' = P rho P / Tr(rho P), "no" by the complementary
 projection 1 - P.  Schedules evolve each experiment's projection to its
 measurement time before asking (the dynamics act on the observables, not on
 the state); a run evolves its whole schedule once, as one stack, and
-compiles it into the stacks of P, 1 - P and their rows that `born_step`
-reads.  Kronecker products, local embeddings, and partial traces cover the
-composite systems needed for entangled-pair experiments; classical values
-multiply as their n numbers, and the other two are for full algebras only.
+compiles it (`compile_questions`) into one stack of P and 1 - P and one of
+the columns Tr(rho .) reads, which `born_step` asks by index.  Kronecker
+products, local embeddings, and partial traces cover the composite systems
+needed for entangled-pair experiments; classical values multiply as their n
+numbers, and the other two are for full algebras only.
 
 One trial is `perform`: `run_sequence` loops it over the evolved schedule.
 A batch runs as one stack of distinct states, trials that share an answer
@@ -272,20 +273,16 @@ def _evolved(schedule, dynamics, ctx: AlgebraContext) -> np.ndarray:
     return stack if dynamics is None else evolve_stack(dynamics, [e.time for e in schedule], stack)
 
 
-def compile_questions(projections) -> list:
-    """Compile projections for `born_step`: an (n, d, d) stack (or list) of
-    matrices gives question k = (P, 1 - P, P^T, (1 - P)^T), views of four
-    stacks built once, each transpose a (d*d, 1) column; an (n, d) stack of
-    a diagonal algebra's indicator rows gives the rows (s, 1 - s).  Gathered
-    by row, in place of views, the stacks give a question asked per row."""
+def compile_questions(projections) -> tuple:
+    """Compile n projections for `born_step` as (proj, weight), each stacked
+    (2, n, ...): proj[0, k] is P_k and proj[1, k] is 1 - P_k, and weight,
+    what Tr(rho .) reads, holds their transposes as (d*d, 1) columns.  On a
+    diagonal algebra the (n, d) indicator rows s give proj = (s, 1 - s),
+    which weight is too.  A question is asked by its index k."""
     yes = np.asarray(projections)
-    if yes.ndim == 2:
-        s = np.ascontiguousarray(yes)
-        return list(zip(s, 1.0 - s))
-    n, d = len(yes), yes.shape[-1]
-    no = np.eye(d, dtype=complex) - yes
-    cols = (m.swapaxes(-1, -2).reshape(n, d * d, 1) for m in (yes, no))
-    return list(zip(yes, no, *cols))
+    diagonal, d = yes.ndim == 2, yes.shape[-1]
+    proj = np.stack((yes, (1.0 if diagonal else np.eye(d, dtype=complex)) - yes))
+    return proj, proj if diagonal else proj.swapaxes(-1, -2).reshape(2, len(yes), d * d, 1)
 
 
 def _check_schedule(state: State, schedule):
@@ -326,30 +323,31 @@ def chunk_peak_bytes(draws: int, state_bytes: int) -> int:
     return 4 * max(CHUNK_BYTES, 8 * draws + state_bytes)
 
 
-def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
+def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.ndarray,
               used: np.ndarray) -> tuple:
-    """Ask one compiled question (`compile_questions`) of every trial, with
-    the bits and errors `perform` gives each trial alone.  Trials that share
-    an answer history share one state: trial i is on row cls[i] of `rho`, a
-    C-ordered (m, d, d) stack, or (m, n) measures on a diagonal algebra; a
-    question asked per row stacks each of its arrays m deep.  The answer is
-    forced when its clamped yes-probability p is within P_FLOOR of 0 or 1,
+    """Ask compiled questions (`compile_questions`) of every trial, with the
+    bits and errors `perform` gives each trial alone.  Trials that share an
+    answer history share one state: trial i is on row cls[i] of `rho`, a
+    C-ordered (m, d, d) stack, or (m, n) measures on a diagonal algebra; `ask`
+    is one question's index, or an intp array of one index a row.  The answer
+    is forced when its clamped yes-probability p is within P_FLOOR of 0 or 1,
     else it is uniforms.ravel()[used[i]] < p and used[i] advances in place.
     Each (row, answer) some trial gave is conditioned once, rows no trial is
-    on are dropped with their questions, and "no" probabilities are taken
-    only for rows that answered no.  A nan p answers yes here, so one check a
-    step, of each child's probability, catches the floor and nan alike; only
-    then is `perform`'s error raised, for the first failing trial.  Returns
-    the new stack, each trial's row in it, the answers and p ("no": 1 - p)."""
-    diagonal, per_row = rho.ndim == 2, question[0].ndim == rho.ndim
+    on are dropped with their indices, and "no" probabilities are taken only
+    for rows that answered no.  A nan p answers yes here, so one check a step,
+    of each child's probability, catches the floor and nan alike; only then is
+    `perform`'s error raised, for the first failing trial.  Returns the new
+    stack, each trial's row in it, the answers and p ("no": 1 - p)."""
+    proj, weight = questions
+    diagonal, per_row = rho.ndim == 2, isinstance(ask, np.ndarray)
+    if per_row and len(rho) == 1:
+        ask, per_row = ask[0], False  # one row: its question is asked as a shared one
     if diagonal:  # the sums `yes_probability` and `bayes` take
-        yes_m, no_m = yes_of, no_of = question
         trace = lambda rows, s: np.add.reduce(rows * s, -1)
     else:
-        yes_m, no_m, yes_of, no_of = question
         # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
         trace = lambda rows, col: (rows.reshape(-1, 1, col.shape[-2]) @ col)[:, 0, 0].real
-    raw_yes = trace(rho, yes_of)
+    raw_yes = trace(rho, weight[0, ask])
     p_yes = raw_yes.clip(0.0, 1.0)[cls]  # numpy's sums give a zero as +0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
     free = (p_yes <= P_FLOOR) == forced_yes  # neither forced, as a nan p is
@@ -367,21 +365,21 @@ def born_step(rho: np.ndarray, cls: np.ndarray, question, uniforms: np.ndarray,
             rho, raw_yes, answer = rho[row], raw_yes[row], answer == 1
             cls = (taken.cumsum() - 1)[child]
             if per_row:  # each row's question goes with it
-                yes_m, no_m, no_of = yes_m[row], no_m[row], no_of[row]
+                ask = ask[row]
     prob, no = raw_yes, ~answer  # each child's probability: "no" only where a row answered no
     if len(answer) == 1 and no[0]:  # one child, a "no": its one row needs no gather
-        prob = trace(rho, no_of)
+        prob = trace(rho, weight[1, ask])
     elif np.count_nonzero(no):
-        prob[no] = trace(rho[no], no_of[no] if per_row else no_of)
+        prob[no] = trace(rho[no], weight[1, ask[no] if per_row else ask])
     if np.count_nonzero(prob > P_FLOOR) != len(prob):  # the floor or nan: find the first trial
         nan = p_yes != p_yes  # `perform` answers these no, and divides by their "no" probability
-        given = np.where(nan, trace(rho, no_of)[cls], prob[cls])
+        given = np.where(nan, trace(rho, weight[1, ask])[cls], prob[cls])
         first = ((given <= P_FLOOR) | nan).argmax()
         require_probability(given[first])
         Outcome(False, float(1.0 - p_yes[first]))  # raises for a nan p, as in `perform`
-    proj = ((yes_m if answer[0] else no_m) if len(answer) == 1  # one child: its projection
-            else np.where(answer.reshape(-1, *[1] * (rho.ndim - 1)), yes_m, no_m))
-    post = bayes(rho, proj) if diagonal else renormalize(proj @ rho @ proj)
+    chosen = ((proj[0, ask] if answer[0] else proj[1, ask]) if len(answer) == 1  # one child
+              else np.where(answer.reshape(-1, *[1] * (rho.ndim - 1)), proj[0, ask], proj[1, ask]))
+    post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
     return post, cls, yes, p_yes
 
 
@@ -400,15 +398,15 @@ def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> B
     _check_schedule(state, schedule)
     check_dynamics(dynamics, [state.context])
     questions = compile_questions(_evolved(schedule, dynamics, state.context))
-    n, d = len(questions), state.dim
+    n, d = questions[0].shape[1], state.dim
     start = state._stored
 
     def run(uniforms, used):
         t = len(used)
         yes, p_yes = np.empty((t, n), dtype=bool), np.empty((t, n))
         rho, cls = start[None], np.zeros(t, dtype=np.intp)
-        for k, question in enumerate(questions):
-            rho, cls, yes[:, k], p_yes[:, k] = born_step(rho, cls, question, uniforms, used)
+        for k in range(n):
+            rho, cls, yes[:, k], p_yes[:, k] = born_step(rho, cls, questions, k, uniforms, used)
         prob = np.where(yes, p_yes, 1.0 - p_yes)
         return yes, prob, p_yes, used - np.arange(t) * n, rho[cls]
 

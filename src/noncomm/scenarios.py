@@ -300,15 +300,12 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
 
     # window of `width` consecutive eigenvalues; even widths extend upward; near
     # the spectrum edge it shifts rather than shrinks.  The center moves at most
-    # `drift` a step toward the rounded mean level; windows in reach are built once.
+    # `drift` a step toward the rounded mean level; windows in reach are compiled once.
     place = np.arange(levels + 1)
     lo = np.clip(place - (width - 1) // 2, 1, levels - width + 1)
     first, last = lo[np.clip([start - steps * drift, start + steps * drift], 1, levels)].tolist()
-    windows = eigendecompose(level_obs).projections(
-        [ValueSet(intervals=((k, k + width - 1),)) for k in range(first, last + 1)])
-    mats = np.stack((windows, np.eye(levels, dtype=complex) - windows))
-    cols = mats.swapaxes(-1, -2).reshape(2, len(windows), levels * levels, 1)
-    one_row = list(zip(*mats[:, :, None], *cols[:, :, None]))  # (P, 1 - P, P^T, (1 - P)^T)
+    windows = compile_questions(eigendecompose(level_obs).projections(
+        [ValueSet(intervals=((k, k + width - 1),)) for k in range(first, last + 1)]))
     window_of = lo - first
     next_center = place[:, None] + (place - place[:, None]).clip(-drift, drift)
 
@@ -328,12 +325,11 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
         for k in range(steps):
             rho = renormalize(u @ rho @ u_adj)
             center = next_center[center, np.rint(level(rho)).astype(np.intp)]
-            window = window_of[center]
-            question = one_row[window[0]] if len(rho) == 1 else (*mats[:, window], *cols[:, window])
-            rho, child, yes[:, k], p_yes[:, k] = born_step(rho, cls, question, uniforms, used)
+            ask = window_of[center]
+            rho, child, yes[:, k], p_yes[:, k] = born_step(rho, cls, windows, ask, uniforms, used)
             parent, center = center, np.empty(len(rho), dtype=np.intp)
             center[child] = parent[cls]
-            asked[:, k], seen[:, k + 1], cls = window[cls], level(rho)[child], child
+            asked[:, k], seen[:, k + 1], cls = ask[cls], level(rho)[child], child
         return yes, p_yes, asked, seen
 
     yes, p_yes, asked, trajectories = run_chunked(trial_streams(seed, trials), steps,
@@ -403,17 +399,19 @@ def _mean_or_none(xs):
 
 
 def _first_yes(rho, cls, questions, uniforms, used):
-    """Each trial's position, sampled by asking "is it at point m?" in order
-    until its first yes, conditioning on each answer: the chain reproduces
-    the Born distribution; the last, whose answer after no to all others is
-    a forced yes, is not asked.  Trial i is on row cls[i] of `rho`, one row
-    per answer history (`born_step`), and is asked only until its yes; `used`
-    ends at each trial's next draw."""
-    point, rows, ahead = np.full(len(cls), len(questions) - 1), np.arange(len(cls)), used.copy()
-    for m, question in enumerate(questions[:-1]):
+    """Each trial's position, sampled by asking "is it at point m?", index m
+    of the compiled `questions`, in order until its first yes, conditioning
+    on each answer: the chain reproduces the Born distribution; the last,
+    whose answer after no to all others is a forced yes, is not asked.
+    Trial i is on row cls[i] of `rho`, one row per answer history
+    (`born_step`), and is asked only until its yes; `used` ends at each
+    trial's next draw."""
+    last = questions[0].shape[1] - 1
+    point, rows, ahead = np.full(len(cls), last), np.arange(len(cls)), used.copy()
+    for m in range(last):
         if not len(rows):
             break
-        rho, cls, yes, _ = born_step(rho, cls, question, uniforms, ahead)
+        rho, cls, yes, _ = born_step(rho, cls, questions, m, uniforms, ahead)
         if yes.any():
             point[rows[yes]], used[rows[yes]] = m, ahead[yes]
             cls, rows, ahead = cls[~yes], rows[~yes], ahead[~yes]
@@ -442,7 +440,7 @@ def _run_two_slit(params, trials, seed, record_trials):
     # "did it go through the left slit?" (1 (x) |left><left|), compiled once
     points = np.array([np.diag(row) for row in np.eye(m_points, dtype=complex)])
     at_screen, at_joint = compile_questions(points), compile_questions(np.kron(points, np.eye(2)))
-    path_left, = compile_questions(np.kron(np.eye(m_points), np.diag([1.0 + 0j, 0.0]))[None])
+    path_left = compile_questions(np.kron(np.eye(m_points), np.diag([1.0 + 0j, 0.0]))[None])
 
     screen_state = pure_state(ctx_screen, combined)
     psi_joint = np.kron(amp_l, np.array([1.0, 0.0])) + np.kron(amp_r, np.array([0.0, 1.0]))
@@ -451,7 +449,7 @@ def _run_two_slit(params, trials, seed, record_trials):
     def run(uniforms, used):
         start = np.zeros(len(used), dtype=np.intp)
         pos = _first_yes(screen_state.rho[None], start, at_screen, uniforms, used)
-        joint, cls, left, _ = born_step(joint_state.rho[None], start, path_left, uniforms, used)
+        joint, cls, left, _ = born_step(joint_state.rho[None], start, path_left, 0, uniforms, used)
         return pos, left, _first_yes(joint, cls, at_joint, uniforms, used)
 
     # per trial: 2m + 1 uniforms (m per screen chain, 1 for the path; one
@@ -622,7 +620,7 @@ def _zeno_coarse_footprint(params):
 
 def _two_slit_footprint(params):
     m = len(params["amp_l"])
-    # m screen-point questions of m x m and 2m x 2m, compiled: four stacks each
+    # m screen-point questions of m x m and 2m x 2m, compiled: two (2, m, ...) stacks each
     return 768 * m ** 3 + chunk_peak_bytes(2 * m + 1, 80 * m * m), 48, _RECORD_BYTES
 
 

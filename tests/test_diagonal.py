@@ -151,12 +151,12 @@ def test_condition_classical_condition_and_kernel_agree_bitwise(case, u, v):
         out, post = perform(state, exp, FixedDraw(u))
         return measure(post.rho)[None], [out.yes], [p_yes]
 
-    question, = compile_questions(measure(exp.projection.matrix)[None])
+    questions = compile_questions(measure(exp.projection.matrix)[None])
 
     def kernel(rows, uniforms):
         # one trial per row; the post-state is returned in trial order
         trials = np.arange(len(rows))
-        post, cls, yes, p_yes = born_step(rows, trials, question, uniforms, trials.copy())
+        post, cls, yes, p_yes = born_step(rows, trials, questions, 0, uniforms, trials.copy())
         return post[cls], yes, p_yes
 
     alone = outcome(lambda: kernel(mu[None].copy(), np.array([[u]])))
@@ -210,7 +210,7 @@ def test_zero_mass_outcome_raises_the_same_error_from_condition_and_the_kernel()
         perform(broken, exp, FixedDraw(0.9))
     with pytest.raises(ZeroProbabilityError) as kernel:
         born_step(broken.mu[None], np.zeros(3, dtype=np.intp),
-                  compile_questions(measure(exp.projection.matrix)[None])[0],
+                  compile_questions(measure(exp.projection.matrix)[None]), 0,
                   np.array([[0.1], [0.9], [0.7]]), np.arange(3))
     with pytest.raises(ZeroProbabilityError) as bayes:
         classical_condition([0.5, 0.5, 0.0], space.subset([2]))

@@ -563,12 +563,12 @@ def test_run_batch_and_first_yes_take_empty_stacks():
     none = run_batch(state, [ScheduleEntry(0.0, e) for e in exps], trial_streams(0, 0))
     assert none.yes.shape == none.p_yes.shape == (0, 3) and none.final.shape == (0, 3, 3)
     empty, used = np.empty((0, 3, 3), dtype=complex), np.zeros(0, dtype=np.intp)
-    out, cls, yes, p_yes = born_step(empty, used, compiled(exps)[0], np.zeros((0, 7)), used)
+    out, cls, yes, p_yes = born_step(empty, used, compiled(exps), 0, np.zeros((0, 7)), used)
     assert out.shape == (0, 3, 3) and cls.shape == yes.shape == p_yes.shape == (0,)
     point = scenarios._first_yes(empty, used, compiled(exps), np.zeros((0, 7)), used)
     assert point.shape == used.shape == (0,)
     # a one-row stack with no trial on it drops its row
-    out, cls, yes, p_yes = born_step(state.rho[None], used, compiled(exps)[0],
+    out, cls, yes, p_yes = born_step(state.rho[None], used, compiled(exps), 0,
                                      np.zeros((0, 7)), used)
     assert out.shape == (0, 3, 3) and cls.shape == yes.shape == p_yes.shape == (0,)
 
@@ -608,9 +608,9 @@ def test_first_yes_asks_each_question_only_of_undecided_trials(monkeypatch):
     seed, trials, draws = 23, 60, 4
     asked = []
 
-    def spy(rho, cls, question, uniforms, used):
+    def spy(rho, cls, questions, ask, uniforms, used):
         trial = used // draws  # each trial's pointer stays in its own row
-        out = born_step(rho, cls, question, uniforms, used)
+        out = born_step(rho, cls, questions, ask, uniforms, used)
         asked.append((trial.tolist(), len(cls), out[2].tolist()))
         return out
 
@@ -643,8 +643,8 @@ def histories(answers):
 def test_batch_stack_holds_one_state_per_answer_history(monkeypatch):
     steps = []
 
-    def spy(rho, cls, question, uniforms, used):
-        out = born_step(rho, cls, question, uniforms, used)
+    def spy(rho, cls, questions, ask, uniforms, used):
+        out = born_step(rho, cls, questions, ask, uniforms, used)
         steps.append((len(rho), len(out[0]), out[1]))
         return out
 
@@ -660,8 +660,8 @@ def test_batch_stack_holds_one_state_per_answer_history(monkeypatch):
 def test_two_slit_stacks_hold_one_state_per_answer_history(monkeypatch):
     calls = []
 
-    def spy(rho, cls, question, uniforms, used):
-        out = born_step(rho, cls, question, uniforms, used)
+    def spy(rho, cls, questions, ask, uniforms, used):
+        out = born_step(rho, cls, questions, ask, uniforms, used)
         calls.append((rho.shape[-1], len(set(cls.tolist())), len(cls), len(out[0]), out[2]))
         return out
 
@@ -696,8 +696,8 @@ def test_first_yes_drops_rows_no_trial_is_on(monkeypatch):
     seed, trials, draws = 31, 200, 4
     steps = []
 
-    def spy(rho, cls, question, uniforms, used):
-        out = born_step(rho, cls, question, uniforms, used)
+    def spy(rho, cls, questions, ask, uniforms, used):
+        out = born_step(rho, cls, questions, ask, uniforms, used)
         steps.append((len(rho), len(set(cls.tolist())), len(out[0])))
         return out
 
@@ -731,10 +731,11 @@ def test_kernel_raises_the_first_failing_trial_of_any_row(diagonal, rows, cls, d
         for row, u in zip(cls, draws):  # the trials in order, as a loop would run them
             perform(states[row], exp, CountingDraw(u))
     stack = measures if diagonal else np.array([s.rho for s in states])
-    question, = compile_questions((measure(exp.projection.matrix) if diagonal
+    questions = compile_questions((measure(exp.projection.matrix) if diagonal
                                    else exp.projection.matrix)[None])
     with pytest.raises(error) as kernel:
-        born_step(stack, np.array(cls), question, np.array(draws)[:, None], np.arange(len(cls)))
+        born_step(stack, np.array(cls), questions, 0, np.array(draws)[:, None],
+                  np.arange(len(cls)))
     assert type(kernel.value) is type(scalar.value) and str(kernel.value) == str(scalar.value)
 
 
@@ -753,9 +754,9 @@ def test_kernel_raises_the_first_failing_trial_with_a_question_per_row(diagonal)
             perform(states[row], exps[row], CountingDraw(u))
     stack = measures if diagonal else np.array([s.rho for s in states])
     kept = asked if diagonal else np.array([e.projection.matrix for e in exps])
-    question = [np.array(q) for q in zip(*compile_questions(kept))]
     with pytest.raises(ZeroProbabilityError) as kernel:
-        born_step(stack, np.array(cls), question, np.array(draws)[:, None], np.arange(3))
+        born_step(stack, np.array(cls), compile_questions(kept), np.arange(2),
+                  np.array(draws)[:, None], np.arange(3))
     assert str(kernel.value) == str(scalar.value)
 
 
@@ -786,7 +787,7 @@ def test_step_on_a_stack_is_perform_for_every_trial(diagonal, draws, answers, ch
     states, stack, proj, matrix = stack_and_question(diagonal)
     exp, cls = YesNoExperiment("asked", proj), np.array([0, 0, 1, 1, 2, 2])
     used = np.arange(len(cls))
-    post, row, yes, p_yes = born_step(stack, cls, compile_questions(matrix[None])[0],
+    post, row, yes, p_yes = born_step(stack, cls, compile_questions(matrix[None]), 0,
                                       np.array(draws)[:, None], used)
     assert yes.tolist() == answers and len(post) == children
     for i, (k, u) in enumerate(zip(cls, draws)):
@@ -798,7 +799,7 @@ def test_step_on_a_stack_is_perform_for_every_trial(diagonal, draws, answers, ch
 
 def per_row_questions(diagonal, dim=3):
     """A different projection for each of three rows, and their compiled
-    questions stacked one entry a row, as a question asked per row."""
+    questions, row k's at index k."""
     if diagonal:
         ctx = diagonal_context(PhaseSpace(tuple("uvwxyz"[:dim])))
         projs = [characteristic_projection(ctx, ctx.phase_space.subset(s))
@@ -807,31 +808,36 @@ def per_row_questions(diagonal, dim=3):
     else:
         projs = [stack_and_question(False, rows=1, dim=dim, seed=s)[2] for s in (5, 6, 7)]
         kept = [p.matrix for p in projs]
-    return projs, [np.array(q) for q in zip(*compile_questions(np.array(kept)))]
+    return projs, compile_questions(np.array(kept))
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
 @pytest.mark.parametrize("cls, draws, children", [
-    # row 0 answers yes, row 1 splits and row 2 answers no: the rows' questions
+    # row 0 answers yes, row 1 splits and row 2 answers no: the rows' indices
     # are gathered with them, and "no" is taken on two rows
     ([0, 0, 1, 1, 2, 2], [0.0, 0.0, 0.0, 0.99, 0.99, 0.99], 4),
-    # trials on rows 0 and 2 only: row 1 and its question are dropped
+    # trials on rows 0 and 2 only: row 1 and its index are dropped
     ([2, 0, 2], [0.99, 0.0, 0.99], 2),
     # each row answers one way, so no row is gathered
     ([0, 1, 2], [0.0, 0.99, 0.0], 3),
-], ids=["split", "dropped", "kept"])
+    # trials on row 1 only, and all answer no: one child, on row 1's question
+    ([1, 1], [0.99, 0.99], 1),
+], ids=["split", "dropped", "kept", "one-child"])
 def test_step_with_a_question_per_row_is_perform_for_every_trial(diagonal, cls, draws,
                                                                  children):
     states, stack, _, _ = stack_and_question(diagonal)
-    projs, question = per_row_questions(diagonal)
-    cls, used = np.array(cls), np.arange(len(cls))
-    post, row, yes, p_yes = born_step(stack, cls, question, np.array(draws)[:, None], used)
-    assert len(post) == children
-    for i, (k, u) in enumerate(zip(cls, draws)):
-        exp = YesNoExperiment("asked", projs[k])
-        kernel = (yes[i], p_yes[i] if yes[i] else 1.0 - p_yes[i], used[i] - i, post[row[i]])
-        scalar = outcome_bytes(functools.partial(one_trial, perform, states[k], exp, u))
-        assert outcome_bytes(lambda: kernel) == scalar
+    projs, questions = per_row_questions(diagonal)
+    cls = np.array(cls)
+    for ask in (np.arange(3), 1):  # row k asks question k, then every row asks question 1
+        used = np.arange(len(cls))
+        post, row, yes, p_yes = born_step(stack, cls, questions, ask, np.array(draws)[:, None],
+                                          used)
+        assert len(post) == children
+        for i, (k, u) in enumerate(zip(cls, draws)):
+            exp = YesNoExperiment("asked", projs[np.broadcast_to(ask, 3)[k]])
+            kernel = (yes[i], p_yes[i] if yes[i] else 1.0 - p_yes[i], used[i] - i, post[row[i]])
+            scalar = outcome_bytes(functools.partial(one_trial, perform, states[k], exp, u))
+            assert outcome_bytes(lambda: kernel) == scalar
 
 
 @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
@@ -840,15 +846,31 @@ def test_one_row_step_with_its_own_question_is_perform(diagonal, u):
     # the one-child step takes its projection, and on "no" its probability,
     # from the row's own question
     states, stack, _, _ = stack_and_question(diagonal)
-    projs, question = per_row_questions(diagonal)
+    projs, questions = per_row_questions(diagonal)
     one, used = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    post, row, yes, p_yes = born_step(stack[1:2], one, [q[1:2] for q in question],
+    post, row, yes, p_yes = born_step(stack[1:2], one, questions, np.array([1]),
                                       np.array([[u]]), used)
     kernel = (yes[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], used[0], post[row[0]])
     scalar = outcome_bytes(functools.partial(
         one_trial, perform, states[1], YesNoExperiment("asked", projs[1]), u))
     assert not yes[0] if u else yes[0]
     assert outcome_bytes(lambda: kernel) == scalar
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@pytest.mark.parametrize("draws", [[0.0], [0.99], [0.0, 0.99, 0.5, 0.99]],
+                         ids=["yes", "no", "split"])
+def test_one_row_step_asks_its_index_bitwise_as_a_shared_one(diagonal, draws):
+    # `zeno_coarse` at one trial asks its one row's window as an index array
+    # every step: that step is the one with the index shared by every row
+    _, stack, _, _ = stack_and_question(diagonal)
+    _, questions = per_row_questions(diagonal)
+    for k in range(3):
+        steps = [born_step(stack[k:k + 1], np.zeros(len(draws), dtype=np.intp), questions, ask,
+                           np.array(draws)[:, None], np.arange(len(draws)))
+                 for ask in (np.array([k]), k)]
+        per_row, shared = ([np.asarray(x).tobytes() for x in step] for step in steps)
+        assert per_row == shared
 
 
 @pytest.mark.parametrize("case, negative", [
@@ -872,7 +894,7 @@ def test_step_keeps_the_sign_of_a_zero_yes_probability_as_perform(case, negative
     matrix = measure(proj.matrix) if diagonal else proj.matrix
     one = np.zeros(1, dtype=np.intp)
     _, _, _, p_yes = born_step((state.mu if diagonal else state.rho)[None], one,
-                               compile_questions(matrix[None])[0], np.array([[0.5]]), one.copy())
+                               compile_questions(matrix[None]), 0, np.array([[0.5]]), one.copy())
     p = yes_probability(state, proj)
     assert np.float64(p).tobytes() == p_yes[0].tobytes() == np.float64(0.0).tobytes()
     batch = run_batch(state, [ScheduleEntry(0.0, YesNoExperiment("zero", proj))],
@@ -968,9 +990,9 @@ def test_one_trial_step_is_perform_across_the_floor(case, u):
 
     def kernel():
         used = np.zeros(1, dtype=np.intp)
-        question = compile_questions((measure(p.matrix) if diagonal else p.matrix)[None])[0]
+        questions = compile_questions((measure(p.matrix) if diagonal else p.matrix)[None])
         post, cls, yes, p_yes = born_step(state._stored[None], np.zeros(1, dtype=np.intp),
-                                          question, np.array([[u]]), used)
+                                          questions, 0, np.array([[u]]), used)
         return yes[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], used[0], post[cls[0]]
 
     scalar, defined = (outcome_bytes(functools.partial(one_trial, step, state, exp, u))
