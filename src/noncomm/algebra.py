@@ -10,7 +10,10 @@ constructor, which reads the matrix or, on a diagonal algebra, the n numbers,
 and judges them by its class's rule.  On top of the raw arithmetic sit
 projections (P^2 = P = P*), Hermitian observables, and the functional
 calculus at finite spectrum: eigendecomposition with degeneracy clustering
-and spectral projections "is the value of A in V?".
+and spectral projections "is the value of A in V?".  No call sets its own
+tolerance: each constructor and its verdict (`is_hermitian`, `is_projection`)
+judge defects against one EPS_ALG, and CLUSTER_TOL alone sets which
+eigenvalues merge into one cluster and how far value sets widen for roundoff.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Validation tolerance (operator norm) for projection and Hermiticity defects.
 # Comfortably above double-precision eigendecomposition error at n <= 64,
 # far below any scale the scenarios probe.
 EPS_ALG = 1e-9
-
-# Eigenvalues closer than this are merged into one degenerate cluster.
 CLUSTER_TOL = 1e-8
 
 FULL = "full"
@@ -303,8 +303,8 @@ class AlgebraElement(AlgebraValue):
     def adjoint(self) -> "AlgebraElement":
         return type(self)(self.context, self._stored.conj().T)
 
-    def is_hermitian(self, tol: float = EPS_ALG) -> bool:
-        return within(self._stored - self._stored.conj().T, tol)
+    def is_hermitian(self) -> bool:
+        return within(self._stored - self._stored.conj().T, EPS_ALG)
 
     def _with(self, other, op):
         """`op` of this element's and another's stored arrays, as an element."""
@@ -373,20 +373,19 @@ class SpectralData:
         if len(self.eigenvalues) != len(self.projectors):
             raise ValueError("eigenvalue/projector count mismatch")
 
-    def projections(self, value_sets, cluster_tol: float = CLUSTER_TOL) -> np.ndarray:
+    def projections(self, value_sets) -> np.ndarray:
         """Window i sums, from zero and in order, the eigenprojectors whose eigenvalue lies in
-        value set i widened by cluster_tol (eigensolver roundoff): one stack, checked as one."""
+        value set i widened by CLUSTER_TOL (eigensolver roundoff): one stack, checked as one."""
         values = np.array(self.eigenvalues)
         total = np.zeros((len(value_sets), *self.projectors[0]._stored.shape), dtype=complex)
         for window, value_set in zip(total, value_sets):
-            for i in np.flatnonzero(value_set.contains(values, cluster_tol)):
+            for i in np.flatnonzero(value_set.contains(values, CLUSTER_TOL)):
                 window += self.projectors[i]._stored
         return _projection_stack(total)
 
-    def projection(self, value_set: ValueSet, cluster_tol: float = CLUSTER_TOL) -> Projection:
+    def projection(self, value_set: ValueSet) -> Projection:
         """The window of one value set (`projections`), as a `Projection`."""
-        return Projection._unchecked(self.projectors[0].context,
-                                     self.projections((value_set,), cluster_tol)[0])
+        return Projection._unchecked(self.projectors[0].context, self.projections((value_set,))[0])
 
 
 def unit(context: AlgebraContext) -> Projection:
@@ -447,14 +446,14 @@ def norms(a: AlgebraElement) -> tuple[float, float]:
     return float(s.max(initial=0.0)), float(s.sum())
 
 
-def is_projection(a: AlgebraElement, tol: float = EPS_ALG) -> bool:
+def is_projection(a: AlgebraElement) -> bool:
     m = a._stored
-    return within(_times(m, m) - m, tol) and within(m - m.conj().T, tol)
+    return within(_times(m, m) - m, EPS_ALG) and within(m - m.conj().T, EPS_ALG)
 
 
-def commutes(a: AlgebraElement, b: AlgebraElement, tol: float = EPS_ALG) -> bool:
+def commutes(a: AlgebraElement, b: AlgebraElement) -> bool:
     require_same_context(a, b)
-    return within(_times(a._stored, b._stored) - _times(b._stored, a._stored), tol)
+    return within(_times(a._stored, b._stored) - _times(b._stored, a._stored), EPS_ALG)
 
 
 def characteristic_projection(context: AlgebraContext, subset: PhaseSubset) -> Projection:
@@ -500,13 +499,13 @@ def _projection_stack(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def eigendecompose(a: AlgebraElement, cluster_tol: float = CLUSTER_TOL) -> SpectralData:
+def eigendecompose(a: AlgebraElement) -> SpectralData:
     """Spectral decomposition of a Hermitian element.
 
     Ascending eigenvalues merge into one degenerate cluster wherever a
-    consecutive gap is at most cluster_tol, so merging chains: k eigenvalues
-    spaced just under cluster_tol form one cluster up to (k - 1) *
-    cluster_tol wide, reported at its mean.  Each projector is the
+    consecutive gap is at most CLUSTER_TOL, so merging chains: k eigenvalues
+    spaced just under CLUSTER_TOL form one cluster up to (k - 1) *
+    CLUSTER_TOL wide, reported at its mean.  Each projector is the
     symmetrized sum of outer products of an orthonormal eigenbasis for its
     cluster, all built into one stack and checked as one.  Diagonal-kind
     elements are decomposed exactly from their diagonal.
@@ -518,7 +517,7 @@ def eigendecompose(a: AlgebraElement, cluster_tol: float = CLUSTER_TOL) -> Spect
         w = a.values.real[order]
     else:
         w, v = np.linalg.eigh((a.matrix + a.matrix.conj().T) / 2.0)
-    groups = _cluster(w, cluster_tol)
+    groups = _cluster(w, CLUSTER_TOL)
     stack = np.zeros((len(groups), *a._stored.shape), dtype=complex)
     for p, grp in zip(stack, groups):
         if a.context.is_diagonal:
@@ -529,18 +528,17 @@ def eigendecompose(a: AlgebraElement, cluster_tol: float = CLUSTER_TOL) -> Spect
                         tuple(Projection._unchecked(a.context, p) for p in _projection_stack(stack)))
 
 
-def spectral_projection(a: AlgebraElement, value_set: ValueSet,
-                        cluster_tol: float = CLUSTER_TOL) -> Projection:
+def spectral_projection(a: AlgebraElement, value_set: ValueSet) -> Projection:
     """Projection of the yes/no experiment "is the value of A in V?".
 
     Sum of the eigenprojectors of A whose eigenvalue lies in the value set.
     For diagonal-kind A this is exactly the characteristic projection of the
     preimage of V, with exact membership; for full-kind A the membership
-    test is widened by cluster_tol to absorb eigensolver roundoff.
+    test is widened by CLUSTER_TOL to absorb eigensolver roundoff.
     """
     ctx = a.context
     if ctx.is_diagonal:
         if not a.is_hermitian():
             raise ValueError("spectral projection requires a Hermitian element")
         return Projection._unchecked(ctx, value_set.contains(a.values.real).astype(complex))
-    return eigendecompose(a, cluster_tol).projection(value_set, cluster_tol)
+    return eigendecompose(a).projection(value_set)

@@ -287,6 +287,8 @@ def _cmd_run(args) -> int:
     name = args.scenario
     started = _utc_now()
     try:
+        if args.out == "":
+            raise ParameterError("--out is empty")
         if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ParameterError(f"--out {args.out!r} is not in an existing directory")
         if args.out is not None and os.path.isdir(args.out):

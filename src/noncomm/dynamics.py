@@ -63,12 +63,11 @@ class Flow:
     """
 
     space: PhaseSpace
-    step: tuple = field(default=None)
+    step: tuple
     cycles: tuple = field(init=False, compare=False, repr=False)  # of step, for `at`
 
     def __post_init__(self):
-        step = tuple(int(i) for i in (self.step if self.step is not None
-                                      else range(len(self.space))))
+        step = tuple(int(i) for i in self.step)
         object.__setattr__(self, "step", step)
         if sorted(step) != list(range(len(self.space))):
             raise ValueError(f"step {step} is not a bijection of {len(self.space)} points")

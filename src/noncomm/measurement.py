@@ -323,6 +323,14 @@ def chunk_peak_bytes(draws: int, state_bytes: int) -> int:
     return 4 * max(CHUNK_BYTES, 8 * draws + state_bytes)
 
 
+def row_traces(rho: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Tr(rho P) for each row: on (m, n) measures the sum of mu * s `bayes` takes; else
+    sum_ij rho[i,j] P[j,i], as `expectation` takes it, from P's transpose as a (d*d, 1) column."""
+    if rho.ndim == 2:
+        return np.add.reduce(rho * weight, -1)
+    return (rho.reshape(-1, 1, weight.shape[-2]) @ weight)[:, 0, 0].real
+
+
 def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.ndarray,
               used: np.ndarray) -> tuple:
     """Ask compiled questions (`compile_questions`) of every trial, with the
@@ -342,12 +350,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     diagonal, per_row = rho.ndim == 2, isinstance(ask, np.ndarray)
     if per_row and len(rho) == 1:
         ask, per_row = ask[0], False  # one row: its question is asked as a shared one
-    if diagonal:  # the sums `yes_probability` and `bayes` take
-        trace = lambda rows, s: np.add.reduce(rows * s, -1)
-    else:
-        # Tr(rho P) = sum_ij rho[i,j] P[j,i], as `expectation` computes it
-        trace = lambda rows, col: (rows.reshape(-1, 1, col.shape[-2]) @ col)[:, 0, 0].real
-    raw_yes = trace(rho, weight[0, ask])
+    raw_yes = row_traces(rho, weight[0, ask])
     p_yes = raw_yes.clip(0.0, 1.0)[cls]  # numpy's sums give a zero as +0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
     free = (p_yes <= P_FLOOR) == forced_yes  # neither forced, as a nan p is
@@ -368,12 +371,12 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
                 ask = ask[row]
     prob, no = raw_yes, ~answer  # each child's probability: "no" only where a row answered no
     if len(answer) == 1 and no[0]:  # one child, a "no": its one row needs no gather
-        prob = trace(rho, weight[1, ask])
+        prob = row_traces(rho, weight[1, ask])
     elif np.count_nonzero(no):
-        prob[no] = trace(rho[no], weight[1, ask[no] if per_row else ask])
+        prob[no] = row_traces(rho[no], weight[1, ask[no] if per_row else ask])
     if np.count_nonzero(prob > P_FLOOR) != len(prob):  # the floor or nan: find the first trial
         nan = p_yes != p_yes  # `perform` answers these no, and divides by their "no" probability
-        given = np.where(nan, trace(rho, weight[1, ask])[cls], prob[cls])
+        given = np.where(nan, row_traces(rho, weight[1, ask])[cls], prob[cls])
         first = ((given <= P_FLOOR) | nan).argmax()
         require_probability(given[first])
         Outcome(False, float(1.0 - p_yes[first]))  # raises for a nan p, as in `perform`

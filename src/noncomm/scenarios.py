@@ -63,6 +63,7 @@ from .measurement import (
     partial_trace,
     perform,
     run_batch,
+    row_traces,
     run_chunked,
     tensor,
     trial_records,
@@ -310,26 +311,25 @@ def _run_zeno_coarse(params, trials, seed, record_trials):
     next_center = place[:, None] + (place - place[:, None]).clip(-drift, drift)
 
     # `schrodinger_state`'s step rho -> U(-dt) rho U(-dt)*, with U built once;
-    # each row's mean level Tr(rho L), weighed as `born_step` weighs
+    # each row's mean level Tr(rho L), weighed as `born_step` weighs, is `start` at first
     u = propagator(ham, -dt).matrix
     u_adj = u.conj().T
     level_col = level_obs.matrix.T.reshape(-1, 1)
-    level = lambda rho: (rho.reshape(-1, 1, levels * levels) @ level_col)[:, 0, 0].real
     initial = pure_state(ctx, np.eye(levels)[start - 1]).rho[None]
 
     def run(uniforms, used):
         t = len(used)
         rho, cls, center = initial, np.zeros(t, dtype=np.intp), np.array([start])
         yes, p_yes = np.empty((t, steps), dtype=bool), np.empty((t, steps))
-        asked, seen = np.empty((t, steps), dtype=np.intp), np.full((t, steps + 1), level(initial))
+        asked, seen = np.empty((t, steps), dtype=np.intp), np.full((t, steps + 1), float(start))
         for k in range(steps):
             rho = renormalize(u @ rho @ u_adj)
-            center = next_center[center, np.rint(level(rho)).astype(np.intp)]
+            center = next_center[center, np.rint(row_traces(rho, level_col)).astype(np.intp)]
             ask = window_of[center]
             rho, child, yes[:, k], p_yes[:, k] = born_step(rho, cls, windows, ask, uniforms, used)
             parent, center = center, np.empty(len(rho), dtype=np.intp)
             center[child] = parent[cls]
-            asked[:, k], seen[:, k + 1], cls = ask[cls], level(rho)[child], child
+            asked[:, k], seen[:, k + 1], cls = ask[cls], row_traces(rho, level_col)[child], child
         return yes, p_yes, asked, seen
 
     yes, p_yes, asked, trajectories = run_chunked(trial_streams(seed, trials), steps,

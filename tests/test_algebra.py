@@ -193,6 +193,32 @@ def test_complement_is_projection():
     assert np.allclose((p + q).matrix, np.eye(2))
 
 
+def _builds(cls, ctx, m) -> bool:
+    try:
+        cls(ctx, m)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal=st.booleans(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.5, 2.0))
+def test_each_predicate_gives_its_constructors_verdict(diagonal, n, seed, scale):
+    # P + dE and H + i dE, with d between 0.5 and 2 EPS_ALG and E a fixed matrix of norm 1,
+    # put defects on both sides of EPS_ALG: a predicate accepts exactly what its constructor does
+    ctx = diagonal_context(PhaseSpace(tuple("abcdef"[:n]))) if diagonal else full_context(n)
+    draw = NumpyDraw(np.random.default_rng(seed))
+    p = np.diag(draw.integers(0, 2, n)) if diagonal else draw.projection(ctx).matrix
+    e = np.zeros((n, n), dtype=complex)
+    e[0, 0 if diagonal else 1] = np.exp(0.25j * np.pi)
+    d = scale * EPS_ALG
+    m = p + d * e
+    assert is_projection(element(ctx, m)) == _builds(Projection, ctx, m)
+    m = draw.hermitian(ctx).matrix + 1j * d * e
+    assert element(ctx, m).is_hermitian() == _builds(Observable, ctx, m)
+
+
 # -------------------------------------------------------------- commutators
 
 
@@ -276,7 +302,7 @@ def test_eigendecompose_rejects_non_hermitian():
 def test_eigendecompose_clusters_near_degenerate_pairs():
     ctx = full_context(2)
     a = Observable(ctx, np.diag([1.0, 1.0 + 1e-12]).astype(complex))
-    spec = eigendecompose(a, cluster_tol=1e-8)
+    spec = eigendecompose(a)
     assert len(spec.eigenvalues) == 1
     assert np.allclose(spec.projectors[0].matrix, np.eye(2))
 
@@ -398,9 +424,6 @@ def test_spectral_data_projection_is_spectral_projection_bitwise():
             for v in value_sets:
                 assert np.array_equal(spec.projection(v).matrix,
                                       spectral_projection(a, v).matrix)
-            coarse = eigendecompose(a, 1e-6)
-            assert np.array_equal(coarse.projection(value_sets[0], 1e-6).matrix,
-                                  spectral_projection(a, value_sets[0], 1e-6).matrix)
 
 
 # ------------------------------------------------------------------ within

@@ -347,9 +347,10 @@ def test_out_in_a_missing_directory_exits_3_before_running(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "run_scenario", refuse)
     (tmp_path / "file").write_text("")
-    for out in (tmp_path / "missing" / "res.csv", tmp_path / "file" / "res.csv"):
+    monkeypatch.chdir(tmp_path)  # where an empty --out would write
+    for out in (tmp_path / "missing" / "res.csv", tmp_path / "file" / "res.csv", ""):
         assert main(["run", "epr", "--trials", "5", "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: --out ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 

@@ -127,6 +127,8 @@ def test_flow_validation_and_identity():
     space = PhaseSpace(("a", "b", "c"))
     with pytest.raises(ValueError):
         Flow(space, (0, 0, 1))
+    with pytest.raises(TypeError):  # the identity flow has one constructor, `identity`
+        Flow(space)
     ident = Flow.identity(space)
     g = diagonal_element(diagonal_context(space), [1.0, 2.0, 3.0])
     assert np.array_equal(koopman_evolve(g, ident, 5).matrix, g.matrix)

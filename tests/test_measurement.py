@@ -330,7 +330,7 @@ def test_dynamics_are_checked_before_any_entry():
         with pytest.raises(ContextMismatchError):
             run_sequence(psi0, schedule, qutrit, seed=0)
         with pytest.raises(ContextMismatchError):  # a flow acts on a diagonal algebra
-            run_batch(psi0, schedule, trial_streams(0, 2), Flow(PhaseSpace(("u", "v"))))
+            run_batch(psi0, schedule, trial_streams(0, 2), Flow.identity(PhaseSpace(("u", "v"))))
     with pytest.raises(ContextMismatchError):
         run_batch(classical_state(ctx, [1, 0, 0]), [], trial_streams(0, 2), elsewhere)
     at_a = YesNoExperiment("at a", characteristic_projection(ctx, space.subset([0])))
