@@ -182,7 +182,8 @@ class NumpyDraw:
 
     def projection(self, ctx: AlgebraContext, rank=None) -> Projection:
         """A projection of full rank `rank` (drawn when None), onto the span
-        of the first columns of a random unitary."""
+        of the first columns of a random unitary; on a diagonal algebra, the
+        indicator of `rank` points in a random order."""
         n = ctx.dim
         if rank is None:
             rank = int(self.integers(0, n + 1))
@@ -190,6 +191,8 @@ class NumpyDraw:
             return algebra.zero(ctx)
         if rank == n:
             return unit(ctx)
+        if ctx.is_diagonal:
+            return Projection(ctx, (self.permutation(n) < rank).astype(complex))
         q, _ = np.linalg.qr(self._matrix((n, n)))
         v = q[:, :rank]
         p = v @ v.conj().T

@@ -344,35 +344,52 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     on are dropped with their indices, and "no" probabilities are taken only
     for rows that answered no.  A nan p answers yes here, so one check a step,
     of each child's probability, catches the floor and nan alike; only then is
-    `perform`'s error raised, for the first failing trial.  Returns the new
-    stack, each trial's row in it, the answers and p ("no": 1 - p)."""
+    `perform`'s error raised, for the first failing trial.  One row with a
+    trial on it takes its p as one float and decides in Python whether it is
+    forced, weighs "no" only if a trial answered no, and conditions once
+    unless its trials split, into rows (no, yes).  Returns the new stack,
+    each trial's row in it, the answers and p ("no": 1 - p)."""
     proj, weight = questions
     diagonal, per_row = rho.ndim == 2, isinstance(ask, np.ndarray)
-    if per_row and len(rho) == 1:
-        ask, per_row = ask[0], False  # one row: its question is asked as a shared one
+    if len(rho) == 1 and len(cls):
+        ask = ask[0] if per_row else ask  # one row asks one question
+        mass = float(row_traces(rho, weight[0, ask])[0])
+        p = _probability(mass)
+        if P_FLOOR < p < 1.0 - P_FLOOR or p != p:  # free, as a nan p is, which answers yes
+            yes = ~(uniforms.ravel()[used] >= p)
+            used += 1
+        else:
+            yes = np.full(len(cls), p >= 1.0 - P_FLOOR)
+        answers = np.count_nonzero(yes)
+        if answers < len(yes):  # a "no": only its mass can fail, as a free p's is above the floor
+            mass = float(row_traces(rho, weight[1, ask])[0])
+        if not mass > P_FLOOR:  # the floor or nan: `perform`'s error, which answers no to a nan p
+            require_probability(row_traces(rho, weight[1, ask]) if p != p else mass)
+            Outcome(False, 1.0 - p)  # raises for a nan p
+        if 0 < answers < len(yes):
+            chosen, cls = proj[[1, 0], ask], yes.astype(np.intp)
+        else:
+            chosen = proj[0 if answers else 1, ask]
+        post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
+        return post, cls, yes, np.full(len(cls), p)
     raw_yes = row_traces(rho, weight[0, ask])
     p_yes = raw_yes.clip(0.0, 1.0)[cls]  # numpy's sums give a zero as +0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
     free = (p_yes <= P_FLOOR) == forced_yes  # neither forced, as a nan p is
     yes = forced_yes | (free > (uniforms.ravel()[used] >= p_yes))  # free and not u >= p
     used += free
-    if len(rho) == 1 and len(yes) and np.count_nonzero(yes) % len(yes) == 0:
-        answer = yes[:1]  # one row, and every trial on it gave one answer
-    else:
-        child = 2 * cls + yes  # each trial's (row, answer) as one index
-        taken = np.zeros((len(rho), 2), dtype=bool)
-        taken.ravel()[child] = True
-        answer = taken[:, 1]
-        if np.count_nonzero(taken[:, 0] == answer):  # a row splits, or no trial is on it
-            row, answer = np.nonzero(taken)
-            rho, raw_yes, answer = rho[row], raw_yes[row], answer == 1
-            cls = (taken.cumsum() - 1)[child]
-            if per_row:  # each row's question goes with it
-                ask = ask[row]
+    child = 2 * cls + yes  # each trial's (row, answer) as one index
+    taken = np.zeros((len(rho), 2), dtype=bool)
+    taken.ravel()[child] = True
+    answer = taken[:, 1]
+    if np.count_nonzero(taken[:, 0] == answer):  # a row splits, or no trial is on it
+        row, answer = np.nonzero(taken)
+        rho, raw_yes, answer = rho[row], raw_yes[row], answer == 1
+        cls = (taken.cumsum() - 1)[child]
+        if per_row:  # each row's question goes with it
+            ask = ask[row]
     prob, no = raw_yes, ~answer  # each child's probability: "no" only where a row answered no
-    if len(answer) == 1 and no[0]:  # one child, a "no": its one row needs no gather
-        prob = row_traces(rho, weight[1, ask])
-    elif np.count_nonzero(no):
+    if np.count_nonzero(no):
         prob[no] = row_traces(rho[no], weight[1, ask[no] if per_row else ask])
     if np.count_nonzero(prob > P_FLOOR) != len(prob):  # the floor or nan: find the first trial
         nan = p_yes != p_yes  # `perform` answers these no, and divides by their "no" probability
@@ -380,8 +397,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
         first = ((given <= P_FLOOR) | nan).argmax()
         require_probability(given[first])
         Outcome(False, float(1.0 - p_yes[first]))  # raises for a nan p, as in `perform`
-    chosen = ((proj[0, ask] if answer[0] else proj[1, ask]) if len(answer) == 1  # one child
-              else np.where(answer.reshape(-1, *[1] * (rho.ndim - 1)), proj[0, ask], proj[1, ask]))
+    chosen = np.where(answer.reshape(-1, *[1] * (rho.ndim - 1)), proj[0, ask], proj[1, ask])
     post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
     return post, cls, yes, p_yes
 

@@ -209,7 +209,7 @@ def test_each_predicate_gives_its_constructors_verdict(diagonal, n, seed, scale)
     # put defects on both sides of EPS_ALG: a predicate accepts exactly what its constructor does
     ctx = diagonal_context(PhaseSpace(tuple("abcdef"[:n]))) if diagonal else full_context(n)
     draw = NumpyDraw(np.random.default_rng(seed))
-    p = np.diag(draw.integers(0, 2, n)) if diagonal else draw.projection(ctx).matrix
+    p = draw.projection(ctx).matrix
     e = np.zeros((n, n), dtype=complex)
     e[0, 0 if diagonal else 1] = np.exp(0.25j * np.pi)
     d = scale * EPS_ALG

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from draws import HypothesisDraw
 from hypothesis import HealthCheck, Phase, given, settings
@@ -178,6 +179,21 @@ def test_diagonal_commutativity_fails_when_commutes_disagrees(monkeypatch):
     res = checks._check_diagonal_commutativity("default")
     assert not res.passed and res.defect == math.inf
     assert res.line().startswith("FAIL algebra.diagonal_commutativity: defect=inf")
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_projection_draw_has_every_rank_on_both_kinds(diagonal, data):
+    # both draws build a checked `Projection` of each rank from 0 to n
+    n = data.draw(st.integers(1, 6))
+    ctx = (algebra.diagonal_context(algebra.PhaseSpace(tuple(f"x{i}" for i in range(n))))
+           if diagonal else algebra.full_context(n))
+    for draw in (checks.NumpyDraw(np.random.default_rng(n)), HypothesisDraw(data)):
+        for rank in range(n + 1):
+            p = draw.projection(ctx, rank)
+            assert type(p) is algebra.Projection and p.context == ctx
+            assert np.linalg.matrix_rank(p.matrix) == rank
 
 
 def test_check_result_line_format():

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from draws import measures_with_mass_on, states_with_mass_on
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -871,6 +872,37 @@ def test_one_row_step_asks_its_index_bitwise_as_a_shared_one(diagonal, draws):
                  for ask in (np.array([k]), k)]
         per_row, shared = ([np.asarray(x).tobytes() for x in step] for step in steps)
         assert per_row == shared
+
+
+@settings(max_examples=150, deadline=None)
+@given(states_with_mass_on() | measures_with_mass_on(), st.sampled_from(["free", "yes", "no"]),
+       st.lists(st.tuples(st.booleans(), st.floats(0.0, 0.99)), min_size=1, max_size=6))
+def test_many_trials_on_one_row_are_perform_each(case, forced, wants):
+    # 1-6 trials on one row, each drawing below p (wants yes) or at or above
+    # it, so all answer yes, all no, or they split; on the state conditioned
+    # on P, the answer to P is forced yes and the answer to 1 - P forced no,
+    # unless roundoff on a full algebra leaves p short of the floor
+    state, p = case
+    if forced != "free":
+        state, p = condition(state, p), p if forced == "yes" else complement(p)
+    exp, diagonal = YesNoExperiment("asked", p), state.context.is_diagonal
+    p_yes = yes_probability(state, p)
+    free = P_FLOOR < p_yes < 1.0 - P_FLOOR
+    assert free or forced != "free"
+    draws = [f * p_yes if want else p_yes + f * (1.0 - p_yes) for want, f in wants]
+    questions = compile_questions((measure(p.matrix) if diagonal else p.matrix)[None])
+    trials = np.arange(len(draws))
+    used = trials.copy()
+    post, row, yes, p_kernel = born_step(state._stored[None], np.zeros(len(draws), dtype=np.intp),
+                                         questions, 0, np.array(draws)[:, None], used)
+    # one draw a free trial, none a forced one
+    assert (used - trials).tolist() == [int(free)] * len(draws)
+    answers = [want for want, _ in wants] if free else [p_yes >= 1.0 - P_FLOOR] * len(draws)
+    assert yes.tolist() == answers and len(post) == len(set(answers))
+    for i, u in enumerate(draws):
+        kernel = (yes[i], p_kernel[i] if yes[i] else 1.0 - p_kernel[i], used[i] - i, post[row[i]])
+        scalar = outcome_bytes(functools.partial(one_trial, perform, state, exp, u))
+        assert outcome_bytes(lambda: kernel) == scalar
 
 
 @pytest.mark.parametrize("case, negative", [
