@@ -12,20 +12,22 @@ products, local embeddings, and partial traces cover the composite systems
 needed for entangled-pair experiments; classical values multiply as their n
 numbers, and the other two are for full algebras only.
 
-One trial is `perform`: `run_sequence` loops it over the evolved schedule.
-A batch runs as one stack of distinct states, trials that share an answer
-history sharing one conditioned state: `born_step` asks one question of
-every trial, or each row its own, takes "no" probabilities only for rows
-that answered no, conditions each state once per answer, checks the step
-once for the floor and nan, and gives each trial `perform`'s bits and errors.
-On a diagonal algebra the stack holds measures, a schedule stays the (n, d)
-stack of its indicator rows from evolution to compiled question, the update
-is `condition`'s Bayes rule, and the final states are those measures.  A
-trial draws one block of uniforms, sized to its run's most draws, and its
-one pointer moves only on unforced outcomes, so in every phase the k-th
-uniform used is the k-th `perform` would draw.  `run_batch` loops the step
-over a fixed schedule; a caller that stops trials early passes only their
-rows' indices.  `trial_records` lays out every scenario's per-trial records.
+One trial is `perform`, which `run_sequence` loops over the evolved
+schedule: the library's one-trial API, and the reference the kernel is
+tested against; no scenario steps with it.  A batch runs as one stack of
+distinct states, trials that share an answer history sharing one conditioned
+state: `born_step` asks one question of every trial, or each row its own,
+takes "no" probabilities only for rows that answered no, conditions each
+state once per answer, checks the step once for the floor and nan, and gives
+each trial `perform`'s bits and errors.  On a diagonal algebra the stack
+holds measures, a schedule stays the (n, d) stack of its indicator rows from
+evolution to compiled question, the update is `condition`'s Bayes rule, and
+the final states are those measures.  A trial draws one block of uniforms,
+sized to its run's most draws, and its one pointer moves only on unforced
+outcomes, so in every phase the k-th uniform used is the k-th `perform`
+would draw.  `run_batch` loops the step over a fixed schedule; a caller that
+stops trials early passes only their rows' indices.  `trial_records` lays
+out every scenario's per-trial records.
 
 Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
@@ -69,6 +71,7 @@ from .states import (
     State,
     _conditioned,
     _probability,
+    _trace,
     _weigh,
     bayes,
     renormalize,
@@ -94,40 +97,15 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrialStreams:
-    """The streams of one seed's trials, in order.  Iterating yields each
-    trial's own generator, `trial_generator(seed, i)`; `run_chunked` reads
-    the same streams from one Philox re-pointed at each trial."""
+    """The streams of one seed's trials, in order: trial i's is `trial_generator(seed, i)`."""
 
     seed: int
     trials: range
-
-    def __iter__(self):
-        return (trial_generator(self.seed, i) for i in self.trials)
 
 
 def trial_streams(seed: int, trials) -> TrialStreams:
     """The streams of trials 0 .. trials-1, or of the trials in a range."""
     return TrialStreams(int(seed), trials if isinstance(trials, range) else range(trials))
-
-
-def _stream_starts(streams: TrialStreams) -> tuple:
-    """The generator `run_chunked` fills rows from, and a function giving the
-    bit-generator state it is set to before row k: one Philox keyed by the
-    seed, its counter at i * 2**128 (i the row's trial) with an empty buffer,
-    the state `trial_generator(seed, i)` starts in."""
-    gen = make_generator(streams.seed)
-    state = gen.bit_generator.state  # counter 0, empty buffer
-    # as lists: the state setter reads them in half the time of arrays
-    state["state"] = {"counter": [0, 0, 0, 0], "key": state["state"]["key"].tolist()}
-    state["buffer"] = state["buffer"].tolist()
-    counter = state["state"]["counter"]  # four 64-bit words, lowest first
-
-    def start(k):
-        i = streams.trials[k]
-        counter[2], counter[3] = i & 0xFFFFFFFFFFFFFFFF, i >> 64
-        return state
-
-    return gen, start
 
 
 @dataclass(frozen=True)
@@ -290,10 +268,10 @@ def _check_schedule(state: State, schedule):
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("schedule times must be non-decreasing")
     for entry in schedule:
-        if entry.experiment.projection.context != state.context:
-            raise ContextMismatchError(
-                f"experiment {entry.experiment.label!r} lives in a different algebra"
-            )
+        ctx = entry.experiment.projection.context
+        if ctx is not state.context and ctx != state.context:  # identity decides first
+            raise ContextMismatchError(f"experiment {entry.experiment.label!r} lives in a "
+                                       "different algebra")
 
 
 def run_chunked(streams: TrialStreams, draws: int, state_bytes: int, run) -> tuple:
@@ -301,15 +279,23 @@ def run_chunked(streams: TrialStreams, draws: int, state_bytes: int, run) -> tup
     `state_bytes` per trial.  `run(uniforms, used)` gets each trial's next
     `draws` uniforms as a row and its pointer, the flat index of that row's
     start; the per-trial arrays it returns are joined on axis 0.  Each row is
-    drawn from one generator set to that trial's start (`_stream_starts`)."""
-    gen, start = _stream_starts(streams)
+    drawn from one Philox keyed by the seed, set before it to the state
+    `trial_generator(seed, i)` starts in (i the row's trial): its counter at
+    i * 2**128, its buffer empty."""
+    gen = make_generator(streams.seed)
+    state = gen.bit_generator.state  # counter 0, empty buffer
+    # as lists: the state setter reads them in half the time of arrays
+    counter = [0, 0, 0, 0]  # four 64-bit words, lowest first
+    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
+    state["buffer"] = state["buffer"].tolist()
     trials = len(streams.trials)
     size = max(1, CHUNK_BYTES // (8 * draws + state_bytes))
 
     def block(first):
         uniforms = np.empty((min(size, trials - first), draws))
-        for k, row in enumerate(uniforms, first):
-            gen.bit_generator.state = start(k)
+        for row, i in zip(uniforms, streams.trials[first:]):
+            counter[2], counter[3] = i & 0xFFFFFFFFFFFFFFFF, i >> 64
+            gen.bit_generator.state = state
             gen.random(out=row)
         return run(uniforms, np.arange(len(uniforms), dtype=np.intp) * draws)
 
@@ -345,33 +331,39 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     for rows that answered no.  A nan p answers yes here, so one check a step,
     of each child's probability, catches the floor and nan alike; only then is
     `perform`'s error raised, for the first failing trial.  One row with a
-    trial on it takes its p as one float and decides in Python whether it is
-    forced, weighs "no" only if a trial answered no, and conditions once
-    unless its trials split, into rows (no, yes).  Returns the new stack,
-    each trial's row in it, the answers and p ("no": 1 - p)."""
+    trial on it weighs as `perform` does (`_trace`), decides in Python whether
+    p is forced, weighs "no" only if a trial answered no, and conditions once,
+    a measure by dividing the product it weighed by its mass, unless its
+    trials split, into rows (no, yes).  Returns the new stack, each trial's
+    row in it, the answers and p ("no": 1 - p)."""
     proj, weight = questions
     diagonal, per_row = rho.ndim == 2, isinstance(ask, np.ndarray)
     if len(rho) == 1 and len(cls):
         ask = ask[0] if per_row else ask  # one row asks one question
-        mass = float(row_traces(rho, weight[0, ask])[0])
+        mass, joint = _trace(rho[0], weight[0, ask])
         p = _probability(mass)
         if P_FLOOR < p < 1.0 - P_FLOOR or p != p:  # free, as a nan p is, which answers yes
             yes = ~(uniforms.ravel()[used] >= p)
             used += 1
         else:
-            yes = np.full(len(cls), p >= 1.0 - P_FLOOR)
+            yes = (np.ones if p >= 1.0 - P_FLOOR else np.zeros)(len(cls), dtype=bool)
         answers = np.count_nonzero(yes)
         if answers < len(yes):  # a "no": only its mass can fail, as a free p's is above the floor
-            mass = float(row_traces(rho, weight[1, ask])[0])
+            mass, joint = _trace(rho[0], weight[1, ask])
         if not mass > P_FLOOR:  # the floor or nan: `perform`'s error, which answers no to a nan p
-            require_probability(row_traces(rho, weight[1, ask]) if p != p else mass)
+            require_probability(_trace(rho[0], weight[1, ask])[0] if p != p else mass)
             Outcome(False, 1.0 - p)  # raises for a nan p
         if 0 < answers < len(yes):
             chosen, cls = proj[[1, 0], ask], yes.astype(np.intp)
+            post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
+        elif diagonal:  # one child: Bayes is the product just weighed, over its mass
+            post = (joint / mass)[None]
         else:
             chosen = proj[0 if answers else 1, ask]
-        post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
-        return post, cls, yes, np.full(len(cls), p)
+            post = renormalize(chosen @ rho @ chosen)
+        p_yes = np.empty(len(cls))
+        p_yes.fill(p)
+        return post, cls, yes, p_yes
     raw_yes = row_traces(rho, weight[0, ask])
     p_yes = raw_yes.clip(0.0, 1.0)[cls]  # numpy's sums give a zero as +0.0, as yes_probability does
     forced_yes = p_yes >= 1.0 - P_FLOOR
@@ -397,7 +389,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
         first = ((given <= P_FLOOR) | nan).argmax()
         require_probability(given[first])
         Outcome(False, float(1.0 - p_yes[first]))  # raises for a nan p, as in `perform`
-    chosen = np.where(answer.reshape(-1, *[1] * (rho.ndim - 1)), proj[0, ask], proj[1, ask])
+    chosen = proj[1 - answer, ask]
     post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
     return post, cls, yes, p_yes
 

@@ -20,13 +20,13 @@ series and (optionally) per-trial records, laid out by `trial_records`.
 Trial i draws from the Philox stream of `trial_streams(seed, trials)` whose
 counter starts at i * 2**128, identical to the root stream jumped i times,
 so results are reproducible and independent of how trials are scheduled.
-Polarization, precise Zeno, three observers and both EPR runs advance all
-trials as one stack through `run_batch`; two-slit asks each question of its
-stop-at-first-yes chains only of the trials still without a yes; and
-`zeno_coarse` asks each row of its stack the window its state has reached.
-Only the classical Zeno control steps trial by trial with `perform`: it
-builds its point questions once, n values each, and asks the evolved ones
-as these points relabelled by the flow, never as evolved matrices.
+Every scenario advances all its trials as one stack (`born_step`):
+polarization, precise Zeno, three observers and both EPR runs through
+`run_batch`; two-slit and the classical Zeno control ask each question of
+their stop-at-first-yes chains only of the trials still without a yes, the
+latter its n points, each n numbers, relabelled by the flow and never
+evolved as matrices; and `zeno_coarse` asks each row of its stack the window
+its state has reached.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .measurement import (
     embed_local,
     entry_dict,
     partial_trace,
-    perform,
     run_batch,
     row_traces,
     run_chunked,
@@ -262,12 +261,9 @@ def _run_zeno_precise(params, trials, seed, record_trials):
     omega, t_total, n = params["omega"], params["T"], params["n"]
     ctx = _qubit()
     ham = Hamiltonian(Observable(ctx, (omega / 2.0) * SIGMA_X))
-    survive = Projection(ctx, np.diag([1.0, 0.0]).astype(complex))
+    survive = YesNoExperiment("still in the initial level", Projection(ctx, np.diag([1.0, 0.0])))
     initial = pure_state(ctx, [1.0, 0.0])
-    schedule = [
-        ScheduleEntry(t_total * (k + 1) / n, YesNoExperiment("still in the initial level", survive))
-        for k in range(n)
-    ]
+    schedule = [ScheduleEntry(t_total * (k + 1) / n, survive) for k in range(n)]
     analytic = math.cos(omega * t_total / (2.0 * n)) ** (2 * n)
 
     batch = run_batch(initial, schedule, trial_streams(seed, trials), ham)
@@ -508,45 +504,51 @@ def _run_three_observer(params, trials, seed, record_trials):
                           summary, {}, records)
 
 
-def _run_classical_control(params, trials, seed, record_trials):
-    run = {"zeno": _classical_zeno, "epr": _classical_epr}[params["scenario"]]
-    return run(params, trials, seed, record_trials)
-
-
 def _classical_zeno(params, trials, seed, record_trials):
-    n_points = params["num_points"]
-    steps = params["steps"]
+    n_points, steps = params["num_points"], params["steps"]
     space = PhaseSpace(tuple(f"x{i + 1}" for i in range(n_points)))
-    ctx = diagonal_context(space)
     cycle = Flow(space, tuple((i + 1) % n_points for i in range(n_points)))
-    initial = classical_state(ctx, np.eye(1, n_points)[0])
-    point_exps = [
-        YesNoExperiment(f"at {space.points[j]}", characteristic_projection(ctx, space.subset([j])))
-        for j in range(n_points)
-    ]
+    start = np.eye(1, n_points)  # the point mass at x1, a stack of one measure
+    points = compile_questions(np.eye(n_points))  # question k: "at x_{k+1}?"
 
-    # Precise observation of a point mass is deterministic: every yes/no
-    # answer is forced, so all trials coincide and no draws are consumed.
-    # The Koopman lift of a point indicator is a point indicator,
-    # 1_{x_j} o T_t = 1_{T_t^-1(x_j)}: at time t question j is the point
-    # experiment of at(-t)[j], recorded under the label of x_j.
-    trajectories = [[0] for _ in range(trials)]
-    entries = [[] for _ in range(trials)]
-    for positions, log, rng in zip(trajectories, entries, trial_streams(seed, trials)):
-        state = initial
-        for t in range(1, steps + 1):
-            pos = None
-            for j, k in enumerate(cycle.at(-t)):
-                out, state = perform(state, point_exps[k], rng)
+    # A point mass observed precisely: every answer is forced, so all trials
+    # coincide and draw nothing.  The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)}
+    # makes question j at time t, labelled x_j, point at(-t)[j].  Each trial is
+    # asked j = 0, 1, ... until its yes (after n - 1 noes the last point has all
+    # the mass), and its row after the yes starts its next step.
+    def run(uniforms, used):
+        t = len(used)
+        rho, cls, pos = start, np.zeros(t, dtype=np.intp), np.zeros((t, steps + 1), dtype=np.intp)
+        prob = np.empty((t, steps, n_points if record_trials else 0))  # of each answer
+        for step in range(1, steps + 1):
+            kept, row_of, rows, ahead = [], np.empty(t, dtype=np.intp), np.arange(t), used.copy()
+            for j, k in enumerate(cycle.at(-step)):
+                rho, cls, yes, p = born_step(rho, cls, points, k, uniforms, ahead)
                 if record_trials:
-                    log.append(entry_dict(t, point_exps[j].label, out.yes, out.probability))
-                if out.yes:
-                    pos = j
-                    break
-            positions.append(pos)
+                    prob[rows, step - 1, j] = np.where(yes, p, 1.0 - p)
+                if np.count_nonzero(yes):
+                    said, at, inverse = rows[yes], cls[yes], 0
+                    pos[said, step], used[said] = j, ahead[yes]
+                    if len(at) > 1:  # one copy of each row a trial said yes on
+                        at, inverse = np.unique(at, return_inverse=True)
+                    row_of[said] = sum(map(len, kept)) + inverse
+                    kept.append(rho[at])
+                    cls, rows, ahead = cls[~yes], rows[~yes], ahead[~yes]
+                    if not len(rows):
+                        break
+            rho, cls = np.concatenate(kept), row_of
+        return pos, prob
 
-    records = trial_records(trajectory=trajectories, entries=entries) if record_trials else None
-    traj = trajectories[0]
+    # per trial: a uniform for each question it can be asked, one measure
+    # row a state in the stack, and with records each answer's probability
+    pos, prob = run_chunked(trial_streams(seed, trials), steps * n_points,
+                            (40 + (8 * steps if record_trials else 0)) * n_points, run)
+    traj, labels = pos[0].tolist(), [f"at {x}" for x in space.points]
+    records = trial_records(trajectory=(trajectories := pos.tolist()), entries=[
+        [entry_dict(step, labels[j], j == last, q)
+         for step, last, asked in zip(range(1, steps + 1), positions[1:], answers)
+         for j, q in enumerate(asked[:last + 1].tolist())]
+        for positions, answers in zip(trajectories, prob)]) if record_trials else None
     moves = sum(a != b for a, b in zip(traj, traj[1:]))
     echo = {"scenario": "zeno", "num_points": n_points, "steps": steps}
     summary = {
@@ -554,7 +556,7 @@ def _classical_zeno(params, trials, seed, record_trials):
         "advanced_every_step": moves == steps,
         "frozen_steps": steps - moves,
         "cycles_completed": steps // n_points,
-        "all_trials_identical": all(t == traj for t in trajectories),
+        "all_trials_identical": bool((pos == pos[0]).all()),
     }
     series = {"position_trajectory": traj}
     return ScenarioResult("classical_control", echo, seed, trials, summary, series, records)
@@ -628,10 +630,10 @@ def _classical_control_footprint(params):
     if params["scenario"] == "epr":
         return _schedule_footprint(2, 4)
     n, steps = params["num_points"], params["steps"]
-    # n point questions of n values each, and the 1 - P of those answered
-    # "no", one more a step; step t asks (t mod n) + 1 questions
-    return ((n + min(steps, n)) * (16 * n + _QUESTION_BYTES), 40 * (steps + 1),
-            _RECORD_BYTES + steps * min(steps + 1, n) * _ENTRY_BYTES)
+    # the point questions, 32 n^2 bytes while compiled, and a chunk's uniforms and measures;
+    # per record each answer's probability, n a step, and step t's (t mod n) + 1 measurements
+    return (32 * n * n + chunk_peak_bytes(steps * n, (40 + 8 * steps) * n), 40 * (steps + 1),
+            _RECORD_BYTES + steps * (16 * n + min(steps + 1, n) * _ENTRY_BYTES))
 
 
 def peak_bytes(name: str, params: dict, trials: int, record_trials: bool) -> int:
@@ -778,7 +780,8 @@ SCENARIOS = {
                 ParamSpec("num_points", "integer", 4, "cycle length (zeno only)", minimum=2),
                 ParamSpec("steps", "integer", 8, "observation steps (zeno only)", minimum=0),
             ),
-            _run_classical_control,
+            lambda params, *run: (_classical_zeno if params["scenario"] == "zeno"
+                                  else _classical_epr)(params, *run),
             _classical_control_footprint,
         ),
     )

@@ -7,9 +7,9 @@ conditional probability.  On the diagonal (classical) algebra that update
 *is* the Bayes rule mu'(U) = mu(U & S) / mu(S), so a diagonal state *is* its
 measure mu: it is read and judged as mu, builds rho = diag(mu) only when
 `rho` is first read, and `expectation`, `yes_probability`, `condition` and
-`state_distance` work on mu alone.  `yes_probability`, `condition` and
-`perform` share one weighing of the state, `_weigh`; the kernel and
-`classical_condition` share `bayes`.
+`state_distance` work on mu alone.  `yes_probability`, `condition`,
+`perform` and a one-row kernel step share one weighing, `_trace`; the
+kernel and `classical_condition` share `bayes`.
 """
 
 from __future__ import annotations
@@ -162,12 +162,17 @@ def expectation(state: State, a: AlgebraElement) -> complex:
     return complex(state.rho.ravel().dot(a.matrix.T.ravel()))
 
 
-def _weigh(state: State, p: Projection) -> tuple:
-    """Tr(rho P), unclamped, as a float, and on a diagonal algebra the joint mu * s it sums."""
-    if state.context.is_diagonal:
-        joint = state.mu * p.values.real
+def _trace(rho: np.ndarray, p_t: np.ndarray) -> tuple:
+    """Tr(rho P), unclamped, as a float, from rho and P's transpose, and on a
+    diagonal algebra, from mu and the indicator s, also the joint mu * s it sums."""
+    if rho.ndim == 1:
+        joint = rho * p_t
         return float(np.add.reduce(joint)), joint  # sum(), minus its Python wrapper
-    return float(state.rho.ravel().dot(p.matrix.T.ravel()).real), None  # sum_ij rho[i,j] P[j,i]
+    return float(rho.ravel().dot(p_t.ravel()).real), None  # sum_ij rho[i,j] P[j,i]
+
+
+def _weigh(state: State, p: Projection) -> tuple:  # `_trace` of a state and a projection
+    return _trace(state._stored, p.values.real if state.context.is_diagonal else p.matrix.T)
 
 
 def _probability(mass: float) -> float:

@@ -49,6 +49,7 @@ from noncomm.measurement import (
     perform,
     run_batch,
     tensor,
+    trial_generator,
     trial_streams,
 )
 from noncomm.states import (
@@ -225,7 +226,8 @@ def test_diagonal_batch_keeps_final_measures():
         ctx, space.subset(m)))) for k, m in enumerate([[0, 1], [1, 2, 3], [1], [2, 3]])]
     batch = run_batch(state, schedule, trial_streams(6, 7))
     assert batch.final.shape == (7, 4) and batch.final.dtype == float
-    for i, rng in enumerate(trial_streams(6, 7)):
+    for i in range(7):
+        rng = trial_generator(6, i)
         current = state
         for entry in schedule:
             current = perform(current, entry.experiment, rng)[1]
@@ -236,8 +238,9 @@ def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
     # every conditioning of the run is Bayes on the measure and every point
     # question keeps its n values: no diag(...) is built, neither by the one
     # lazy builder (for a state's `rho` or a question's `matrix`) nor by
-    # np.diag, and no question holds a matrix when the run ends
-    calls, questions = [], []
+    # np.diag, the points are compiled once as rows of n values, and every
+    # question asked is asked of a stack of measures
+    calls, compiled, stacks = [], [], []
 
     def spy(values):
         calls.append(values.shape)
@@ -248,23 +251,26 @@ def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
             calls.append(np.shape(v))
         return numpy_diag(v, k)
 
-    def experiment(label, projection):
-        questions.append(YesNoExperiment(label, projection))
-        return questions[-1]
+    def compile_points(projections):
+        compiled.append(compile_questions(projections))
+        return compiled[-1]
+
+    def step(rho, *args):
+        stacks.append(rho.shape[1:])
+        return born_step(rho, *args)
 
     numpy_diag = np.diag
     for module in (noncomm.algebra, noncomm.dynamics):
         monkeypatch.setattr(module, "measure_matrix", spy)
     monkeypatch.setattr(np, "diag", diag)
-    monkeypatch.setattr(noncomm.scenarios, "YesNoExperiment", experiment)
+    monkeypatch.setattr(noncomm.scenarios, "compile_questions", compile_points)
+    monkeypatch.setattr(noncomm.scenarios, "born_step", step)
     run_scenario("classical_control", {"num_points": 16, "steps": 64}, 3, 17)
-    assert calls == [] and len(questions) == 16
-    asked = [q.projection for q in questions] + [q.__dict__["_no"] for q in questions
-                                                 if "_no" in q.__dict__]  # the "no"s built
-    assert len(asked) > 16
-    for p in asked:
-        with pytest.raises(AttributeError):
-            AlgebraElement.matrix.__get__(p)  # the slot itself, which builds nothing
+    assert calls == [] and len(compiled) == 1
+    proj, weight = compiled[0]
+    assert proj.shape == (2, 16, 16) and weight is proj  # (s, 1 - s) for each point
+    # step t asks (t mod 16) + 1 points: 4 periods of 1 + 2 + ... + 16
+    assert stacks == [(16,)] * 544
 
 
 def test_classical_zeno_at_a_thousand_points_fits_and_runs():

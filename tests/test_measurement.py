@@ -348,6 +348,11 @@ def test_dynamics_are_checked_before_any_entry():
 # ---------------------------------------------------------------- run_batch
 
 
+def generators(seed, trials):
+    """Each trial's own generator, `trial_generator(seed, i)`, in order."""
+    return [trial_generator(seed, i) for i in range(trials)]
+
+
 def scalar_reference(state, schedule, rngs):
     """The per-trial loop that run_batch replaces: `perform` entry by entry.
     Returns, per trial, the answers, the probabilities and the final state as
@@ -365,7 +370,7 @@ def scalar_reference(state, schedule, rngs):
 
 def assert_batch_matches_scalar(state, schedule, seed, trials):
     batch = run_batch(state, schedule, trial_streams(seed, trials))
-    reference = scalar_reference(state, schedule, trial_streams(seed, trials))
+    reference = scalar_reference(state, schedule, generators(seed, trials))
     assert batch.yes.shape == batch.probability.shape == (trials, len(schedule))
     for i, (yes, prob, final) in enumerate(reference):
         assert batch.yes[i].tolist() == yes
@@ -485,7 +490,7 @@ def test_run_batch_raises_where_perform_raises(rho, error):
     state = State._unchecked(QUBIT, rho)
     schedule = [ScheduleEntry(0.0, YesNoExperiment("ground", GROUND))]
     with pytest.raises(error) as scalar:
-        scalar_reference(state, schedule, trial_streams(0, 8))
+        scalar_reference(state, schedule, generators(0, 8))
     with pytest.raises(error) as batched:
         run_batch(state, schedule, trial_streams(0, 8))
     assert str(batched.value) == str(scalar.value)
@@ -599,7 +604,7 @@ def test_draw_pointer_carries_across_phases():
         return point, uniforms.ravel()[used], used - np.arange(len(used)) * uniforms.shape[1]
 
     point, following, used = run_chunked(trial_streams(seed, trials), 2 * len(exps) + 1, 0, run)
-    for i, rng in enumerate(trial_streams(seed, trials)):
+    for i, rng in enumerate(generators(seed, trials)):
         assert (point[i], used[i]) == scalar_first_yes(state, exps, rng)
         assert following[i] == rng.random()
 
@@ -616,11 +621,11 @@ def test_first_yes_asks_each_question_only_of_undecided_trials(monkeypatch):
         return out
 
     monkeypatch.setattr(scenarios, "born_step", spy)
-    uniforms = np.array([rng.random(draws) for rng in trial_streams(seed, trials)])
+    uniforms = np.array([rng.random(draws) for rng in generators(seed, trials)])
     used = np.arange(trials) * draws
     point = scenarios._first_yes(state.rho[None], np.zeros(trials, dtype=np.intp),
                                  compiled(exps), uniforms, used)
-    first = [scalar_first_yes(state, exps, rng)[0] for rng in trial_streams(seed, trials)]
+    first = [scalar_first_yes(state, exps, rng)[0] for rng in generators(seed, trials)]
     assert 1 < len(asked) <= len(exps) and len(set(first)) > 1
     undecided = list(range(trials))
     for m, (trial, asked_of, yes) in enumerate(asked):
@@ -630,7 +635,7 @@ def test_first_yes_asks_each_question_only_of_undecided_trials(monkeypatch):
     # the last question is not asked: whoever reaches it is on the last point,
     # with the draws of the questions asked and no more
     assert len(asked) <= len(exps) - 1
-    streams = list(trial_streams(seed, trials))
+    streams = generators(seed, trials)
     for i in undecided:
         assert point[i] == len(exps) - 1
         assert used[i] - i * draws == scalar_first_yes(state, exps[:-1], streams[i])[1]
@@ -703,12 +708,12 @@ def test_first_yes_drops_rows_no_trial_is_on(monkeypatch):
         return out
 
     monkeypatch.setattr(scenarios, "born_step", spy)
-    uniforms = np.array([rng.random(draws) for rng in trial_streams(seed, trials)])
+    uniforms = np.array([rng.random(draws) for rng in generators(seed, trials)])
     used = np.arange(trials) * draws
     point = scenarios._first_yes(state.rho[None], np.zeros(trials, dtype=np.intp),
                                  compiled(exps), uniforms, used)
     assert any(rows == children > live for rows, live, children in steps[1:])
-    for i, rng in enumerate(trial_streams(seed, trials)):
+    for i, rng in enumerate(generators(seed, trials)):
         assert (point[i], used[i] - i * draws) == scalar_first_yes(state, exps, rng)
 
 

@@ -31,7 +31,6 @@ from noncomm.measurement import (
     tensor,
     trial_generator,
     trial_records,
-    trial_streams,
 )
 from noncomm.scenarios import (
     SCENARIOS,
@@ -327,7 +326,8 @@ def scalar_classical_zeno(n_points, steps, trials, seed):
                                   characteristic_projection(ctx, space.subset([j])))
                   for j in range(n_points)]
     trajectories, records = [], []
-    for i, rng in enumerate(trial_streams(seed, trials)):
+    for i in range(trials):
+        rng = trial_generator(seed, i)
         state, positions, entries = classical_state(ctx, np.eye(n_points)[0]), [0], []
         for t in range(1, steps + 1):
             pos = None
@@ -354,10 +354,11 @@ def scalar_classical_zeno(n_points, steps, trials, seed):
             "series": {"position_trajectory": traj}, "trial_records": records}
 
 
-# steps below, equal to, a multiple of and not a multiple of the period
+# steps below, equal to, a multiple of and not a multiple of the period; many
+# trials on few points, and few on many points
 @pytest.mark.parametrize("n_points, steps, trials, seed", [
     (2, 5, 3, 0), (4, 8, 3, SEED), (5, 3, 2, 7), (7, 30, 2, 11), (16, 64, 2, 9),
-    (48, 96, 1, 2**64 - 1),
+    (48, 96, 1, 2**64 - 1), (16, 20, 40, 5), (1000, 2, 3, 13),
 ])
 def test_classical_zeno_matches_evolved_schedule_reference(n_points, steps, trials, seed):
     res = run_scenario("classical_control",
@@ -610,7 +611,8 @@ def _mean_or_none(xs):
 def scalar_pair(initial, ask_a, ask_b, seed, trials):
     """Per trial: ask A, note B's yes-probability, ask B (one `perform` each)."""
     runs = []
-    for rng in trial_streams(seed, trials):
+    for i in range(trials):
+        rng = trial_generator(seed, i)
         out_a, st = perform(initial, ask_a, rng)
         b_pre = yes_probability(st, ask_b.projection)
         out_b, st = perform(st, ask_b, rng)
@@ -695,7 +697,8 @@ def scalar_two_slit(amp_l, amp_r, seed, trials):
         return m - 1, state
 
     records = []
-    for i, rng in enumerate(trial_streams(seed, trials)):
+    for i in range(trials):
+        rng = trial_generator(seed, i)
         pos, _ = sample_point(screen_state, points, rng)
         out_path, st = perform(joint_state, left, rng)
         pos_wp, _ = sample_point(st, joint_points, rng)
@@ -764,7 +767,8 @@ def scalar_zeno_coarse(params, trials, seed, record_trials):
     initial_level = float(expectation(initial, level_obs).real)
     trajectories = np.zeros((trials, steps + 1))
     entries = [[] for _ in range(trials)]
-    for i, (log, rng) in enumerate(zip(entries, trial_streams(seed, trials))):
+    for i, log in enumerate(entries):
+        rng = trial_generator(seed, i)
         state, center, levels_seen = initial, start, [initial_level]
         for step in range(1, steps + 1):
             state = State._renormalized(ctx, u @ state.rho @ u_adj)
@@ -819,7 +823,7 @@ def test_zeno_coarse_steps_no_trial_alone_and_builds_each_window_once(monkeypatc
         built.append([v.intervals for v in value_sets])
         return projections(self, value_sets, *args)
 
-    monkeypatch.setattr(scenarios, "perform", refuse)
+    monkeypatch.setattr(measurement, "perform", refuse)
     monkeypatch.setattr(SpectralData, "projections", counting)
     monkeypatch.setattr(SpectralData, "projection", lambda *args: pytest.fail("one window built alone"))
     # from level 1, one level a step: 16 centers reach 14 windows of 3, built as one stack
