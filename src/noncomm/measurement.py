@@ -331,25 +331,30 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     for rows that answered no.  A nan p answers yes here, so one check a step,
     of each child's probability, catches the floor and nan alike; only then is
     `perform`'s error raised, for the first failing trial.  One row with a
-    trial on it weighs as `perform` does (`_trace`), decides in Python whether
-    p is forced, weighs "no" only if a trial answered no, and conditions once,
-    a measure by dividing the product it weighed by its mass, unless its
-    trials split, into rows (no, yes).  Returns the new stack, each trial's
-    row in it, the answers and p ("no": 1 - p)."""
+    trial on it takes p as one float, decides in Python whether it is forced,
+    and conditions once, unless its trials split, into rows (no, yes).  A
+    measure weighs both answers in one product, summed row by row as `_trace`
+    sums, and divides the one kept by its mass; a density matrix weighs as
+    `perform` does, "no" only if a trial answered no.  Returns the new stack,
+    each trial's row in it, the answers and p ("no": 1 - p)."""
     proj, weight = questions
     diagonal, per_row = rho.ndim == 2, isinstance(ask, np.ndarray)
     if len(rho) == 1 and len(cls):
         ask = ask[0] if per_row else ask  # one row asks one question
-        mass, joint = _trace(rho[0], weight[0, ask])
+        if diagonal:  # a sum along the contiguous last axis is pairwise, as `_trace`'s
+            mass, no_mass = np.add.reduce(joint := rho[0] * weight[:, ask], -1).tolist()
+        else:
+            mass = _trace(rho[0], weight[0, ask])[0]
         p = _probability(mass)
         if P_FLOOR < p < 1.0 - P_FLOOR or p != p:  # free, as a nan p is, which answers yes
             yes = ~(uniforms.ravel()[used] >= p)
             used += 1
-        else:
-            yes = (np.ones if p >= 1.0 - P_FLOOR else np.zeros)(len(cls), dtype=bool)
-        answers = np.count_nonzero(yes)
+            answers = np.count_nonzero(yes)
+        else:  # forced: every trial answers alike
+            yes, answers = np.empty(len(cls), dtype=bool), len(cls) if p >= 1.0 - P_FLOOR else 0
+            yes.fill(answers > 0)
         if answers < len(yes):  # a "no": only its mass can fail, as a free p's is above the floor
-            mass, joint = _trace(rho[0], weight[1, ask])
+            mass = no_mass if diagonal else _trace(rho[0], weight[1, ask])[0]
         if not mass > P_FLOOR:  # the floor or nan: `perform`'s error, which answers no to a nan p
             require_probability(_trace(rho[0], weight[1, ask])[0] if p != p else mass)
             Outcome(False, 1.0 - p)  # raises for a nan p
@@ -357,10 +362,10 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
             chosen, cls = proj[[1, 0], ask], yes.astype(np.intp)
             post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
         elif diagonal:  # one child: Bayes is the product just weighed, over its mass
-            post = (joint / mass)[None]
+            post = (joint[0 if answers else 1] / mass)[None]
         else:
             chosen = proj[0 if answers else 1, ask]
-            post = renormalize(chosen @ rho @ chosen)
+            post = renormalize(chosen @ rho[0] @ chosen)[None]
         p_yes = np.empty(len(cls))
         p_yes.fill(p)
         return post, cls, yes, p_yes

@@ -513,20 +513,21 @@ def _classical_zeno(params, trials, seed, record_trials):
 
     # A point mass observed precisely: every answer is forced, so all trials
     # coincide and draw nothing.  The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)}
-    # makes question j at time t, labelled x_j, point at(-t)[j].  Each trial is
-    # asked j = 0, 1, ... until its yes (after n - 1 noes the last point has all
-    # the mass), and its row after the yes starts its next step.
+    # makes question j at time t, labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].
+    # Each trial is asked j = 0, 1, ... until its yes (after n - 1 noes the last
+    # point has all the mass), and its row after the yes starts its next step.
     def run(uniforms, used):
-        t = len(used)
+        t, back, order = len(used), cycle.at(-1), range(n_points)  # order: at(0)
         rho, cls, pos = start, np.zeros(t, dtype=np.intp), np.zeros((t, steps + 1), dtype=np.intp)
         prob = np.empty((t, steps, n_points if record_trials else 0))  # of each answer
         for step in range(1, steps + 1):
             kept, row_of, rows, ahead = [], np.empty(t, dtype=np.intp), np.arange(t), used.copy()
-            for j, k in enumerate(cycle.at(-step)):
+            order = [back[k] for k in order]  # at(-step), gathered from at(1 - step)
+            for j, k in enumerate(order):
                 rho, cls, yes, p = born_step(rho, cls, points, k, uniforms, ahead)
                 if record_trials:
                     prob[rows, step - 1, j] = np.where(yes, p, 1.0 - p)
-                if np.count_nonzero(yes):
+                if yes[0] if len(yes) == 1 else np.count_nonzero(yes):  # a lone trial's, read as is
                     said, at, inverse = rows[yes], cls[yes], 0
                     pos[said, step], used[said] = j, ahead[yes]
                     if len(at) > 1:  # one copy of each row a trial said yes on
@@ -630,10 +631,11 @@ def _classical_control_footprint(params):
     if params["scenario"] == "epr":
         return _schedule_footprint(2, 4)
     n, steps = params["num_points"], params["steps"]
+    q, r = divmod(steps, n)  # a cycle of n steps asks n (n + 1) / 2 points, r more r (r + 3) / 2
     # the point questions, 32 n^2 bytes while compiled, and a chunk's uniforms and measures;
     # per record each answer's probability, n a step, and step t's (t mod n) + 1 measurements
     return (32 * n * n + chunk_peak_bytes(steps * n, (40 + 8 * steps) * n), 40 * (steps + 1),
-            _RECORD_BYTES + steps * (16 * n + min(steps + 1, n) * _ENTRY_BYTES))
+            _RECORD_BYTES + 16 * n * steps + (q * n * (n + 1) + r * (r + 3)) // 2 * _ENTRY_BYTES)
 
 
 def peak_bytes(name: str, params: dict, trials: int, record_trials: bool) -> int:

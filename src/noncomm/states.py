@@ -8,7 +8,7 @@ conditional probability.  On the diagonal (classical) algebra that update
 measure mu: it is read and judged as mu, builds rho = diag(mu) only when
 `rho` is first read, and `expectation`, `yes_probability`, `condition` and
 `state_distance` work on mu alone.  `yes_probability`, `condition`,
-`perform` and a one-row kernel step share one weighing, `_trace`; the
+`perform` and a one-row kernel step weigh with `_trace`'s bits; the
 kernel and `classical_condition` share `bayes`.
 """
 

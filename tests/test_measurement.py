@@ -910,6 +910,75 @@ def test_many_trials_on_one_row_are_perform_each(case, forced, wants):
         assert outcome_bytes(lambda: kernel) == scalar
 
 
+class CountedStream:
+    """A trial's stream, counting the draws taken."""
+
+    def __init__(self, rng):
+        self.rng, self.taken = rng, 0
+
+    def random(self):
+        self.taken += 1
+        return self.rng.random()
+
+
+def perform_point_chain(state, exps, rng):
+    """One trial asked each of `exps` with `perform` until its first yes: each
+    answer's (yes, its probability, draws, measure after) as bytes, or the
+    (type, message) of the error that ends the chain."""
+    steps, stream = [], CountedStream(rng)
+    for exp in exps:
+        taken = stream.taken
+        try:
+            out, state = perform(state, exp, stream)
+        except NumericalInvariantError as err:
+            return steps + [(type(err), str(err))]
+        steps.append(tuple(np.asarray(x).tobytes() for x in (
+            out.yes, out.probability, stream.taken - taken, state.mu)))
+        if out.yes:
+            break
+    return steps
+
+
+# pairwise summation is one block up to 128 numbers and recurses past them
+@pytest.mark.parametrize("n", [*range(2, 18), 129, 300])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), trials=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
+def test_one_row_point_chain_is_perform_for_every_trial(n, data, trials, seed):
+    # the classical Zeno's chain on a measure that is no point mass: "is it at
+    # x_k?" for k in a drawn order until each trial's first yes, the last point
+    # too; the trials still without a yes share the "no" row, so every question
+    # is asked of one row, which weighs both answers in one product
+    state, _ = data.draw(measures_with_mass_on(n))
+    order = data.draw(st.permutations(range(n)))
+    space = state.context.phase_space
+    exps = [YesNoExperiment(f"x{k}", characteristic_projection(state.context, space.subset([k])))
+            for k in order]
+    expected = [perform_point_chain(state, exps, rng) for rng in generators(seed, trials)]
+    uniforms = np.array([rng.random(n) for rng in generators(seed, trials)])
+    questions, kernel = compile_questions(np.eye(n)), [[] for _ in range(trials)]
+    rho, live, used = state.mu[None], np.arange(trials), np.arange(trials) * n
+    failed = False
+    for k in order:
+        start = used.copy()
+        try:
+            post, row, yes, p_yes = born_step(rho, np.zeros(len(live), dtype=np.intp), questions,
+                                              k, uniforms, used)
+        except NumericalInvariantError as err:  # raised for the first live trial that fails here
+            first = next(i for i in live if isinstance(expected[i][len(kernel[i])][0], type))
+            kernel[first].append((type(err), str(err)))
+            failed = True
+            break
+        for i, y, p, taken, after in zip(live, yes, p_yes, used - start, post[row]):
+            kernel[i].append(tuple(np.asarray(x).tobytes() for x in (
+                y, p if y else 1.0 - p, taken, after)))
+        live, used, row = live[~yes], used[~yes], row[~yes]
+        if not len(live):
+            break
+        rho = post[row[:1]]
+    for got, want in zip(kernel, expected):  # after an error, as far as the kernel went
+        assert got == (want[:len(got)] if failed else want)
+
+
 @pytest.mark.parametrize("case, negative", [
     ("full", False), ("diagonal", False), ("full-d1", True), ("diagonal-signed-measure", False)])
 def test_step_keeps_the_sign_of_a_zero_yes_probability_as_perform(case, negative):

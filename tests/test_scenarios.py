@@ -572,6 +572,28 @@ def test_scenario_defaults_fit_in_memory():
             assert need < min(256 << 20, memory_limit()), (name, scenario, need)
 
 
+@pytest.mark.parametrize("n_points, steps", [(16, 64), (5, 12), (3, 7), (4, 4)])
+def test_classical_zeno_record_estimate_prices_each_measurement(n_points, steps):
+    # step t asks (t mod n) + 1 points, so a record holds that many measurements
+    # a step, besides n answer probabilities a step, 16 bytes each
+    params = validate_params("classical_control", {"scenario": "zeno", "num_points": n_points,
+                                                   "steps": steps})
+    per_record = (peak_bytes("classical_control", params, 1, True)
+                  - peak_bytes("classical_control", params, 1, False))
+    (record,) = run_scenario("classical_control", params, trials=1, seed=0,
+                             record_trials=True).trial_records
+    assert per_record == (scenarios._RECORD_BYTES + 16 * n_points * steps
+                          + len(record["entries"]) * scenarios._ENTRY_BYTES)
+
+
+def test_classical_zeno_records_of_a_thousand_trials_are_priced_below_640_mib(monkeypatch):
+    # 544 measurements a record, not 64 * 16: the estimate alone, nothing is run
+    monkeypatch.setattr(scenarios, "run_chunked", None)
+    params = validate_params("classical_control", {"scenario": "zeno", "num_points": 16,
+                                                   "steps": 64})
+    assert peak_bytes("classical_control", params, trials=1000, record_trials=True) < 640 << 20
+
+
 # each scenario with one dimension grown, as far as the suite's time allows
 @pytest.mark.parametrize("name, params, trials, record", [
     ("zeno_precise", {"n": 4000}, 1, False),
