@@ -129,11 +129,6 @@ def parse_set_options(chunks) -> dict:
     return out
 
 
-def _format_number(x) -> str:
-    # 17 significant digits: lossless round trip for doubles
-    return format(float(x), ".17g")
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -142,7 +137,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_number(value)
+        return format(float(value), ".17g")  # 17 significant digits: a lossless round trip
     if isinstance(value, (list, tuple)):
         return json.dumps(value)
     return str(value)
@@ -185,11 +180,13 @@ def _level(depth: int):
     return encoder, "\n" + "  " * depth, sep
 
 
-def _indented(obj, depth: int = 0, end: str = "") -> str:
+def _indented(obj, memo: dict, depth: int = 0, end: str = "") -> str:
     """`json.dumps(obj, indent=2) + end` for `obj` at nesting `depth`, with
     str keys.  A container of scalars is one call of the C encoder, whose
     outer brackets are re-wrapped with the newlines and indents `indent=2`
-    puts there; any other container joins its children's text."""
+    puts there; any other container joins its children's text, and is keyed
+    in `memo` (one a document, which keeps every id) by (id, depth): a marker
+    at its first sight, its text from the second on, which later ones reuse."""
     encoder, pad, sep = _level(depth)
     if isinstance(obj, dict):
         values, brackets = obj.values(), "{}"
@@ -205,16 +202,23 @@ def _indented(obj, depth: int = 0, end: str = "") -> str:
     else:
         body = "".join(encoder(obj, 0))
         return f"{body[0]}{pad}  {body[1:-1]}{pad}{body[-1]}{end}"
-    items = [_indented(v, depth + 1) for v in values]
+    if (text := memo.get(key := (id(obj), depth))) is not None:
+        return text
+    items = [_indented(v, memo, depth + 1) for v in values]
     if brackets == "{}":
         items = [f"{json.encoder.encode_basestring_ascii(k)}: {item}" for k, item in zip(obj, items)]
-    return f"{brackets[0]}{pad}  {sep.join(items)}{pad}{brackets[1]}{end}"
+    items[0] = f"{brackets[0]}{pad}  {items[0]}"  # bracket the end items: only the join copies all
+    items[-1] = f"{items[-1]}{pad}{brackets[1]}{end}"
+    text = sep.join(items)
+    memo[key] = text if key in memo else None  # the root, whose text has `end`, is met once
+    return text
 
 
 def json_text(doc) -> str:
     """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, at C-encoder speed:
-    ASCII-escaped, NaN and infinities as `NaN`/`Infinity`, keys in order."""
-    return _indented(doc, end="\n")
+    ASCII-escaped, NaN and infinities as `NaN`/`Infinity`, keys in order.  A
+    container of containers met more than once (shared entries) is encoded twice."""
+    return _indented(doc, {}, end="\n")
 
 
 def result_json(result: ScenarioResult) -> str:

@@ -201,10 +201,15 @@ class BatchOutcomes:
                              # or on a diagonal algebra the (trials, d) measures
 
     def entries(self, schedule) -> list:
-        """Each trial's measurements, as a list of `entry_dict`s."""
+        """Each trial's measurements, as a list of `entry_dict`s: trials whose
+        answer and probability rows are equal bit for bit (0.0 and -0.0 write
+        different text) share one list, built once; read it, do not change it."""
         stamps = [(e.time, e.experiment.label) for e in schedule]
-        return [[entry_dict(t, label, y, p) for (t, label), y, p in zip(stamps, ys, ps)]
-                for ys, ps in zip(self.yes.tolist(), self.probability.tolist())]
+        keys = [ys.tobytes() + ps.tobytes() for ys, ps in zip(self.yes, self.probability)]
+        rows = dict(zip(keys, zip(self.yes.tolist(), self.probability.tolist())))
+        built = {key: [entry_dict(t, label, y, p) for (t, label), y, p in zip(stamps, ys, ps)]
+                 for key, (ys, ps) in rows.items()}
+        return [built[key] for key in keys]
 
 
 def perform(state: State, experiment: YesNoExperiment,
@@ -334,7 +339,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     trial on it takes p as one float, decides in Python whether it is forced,
     and conditions once, unless its trials split, into rows (no, yes).  A
     measure weighs both answers in one product, summed row by row as `_trace`
-    sums, and divides the one kept by its mass; a density matrix weighs as
+    sums, and divides each kept row by its mass; a density matrix weighs as
     `perform` does, "no" only if a trial answered no.  Returns the new stack,
     each trial's row in it, the answers and p ("no": 1 - p)."""
     proj, weight = questions
@@ -342,7 +347,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     if len(rho) == 1 and len(cls):
         ask = ask[0] if per_row else ask  # one row asks one question
         if diagonal:  # a sum along the contiguous last axis is pairwise, as `_trace`'s
-            mass, no_mass = np.add.reduce(joint := rho[0] * weight[:, ask], -1).tolist()
+            mass, no_mass = (masses := np.add.reduce(joint := rho[0] * weight[:, ask], -1)).tolist()
         else:
             mass = _trace(rho[0], weight[0, ask])[0]
         p = _probability(mass)
@@ -358,9 +363,10 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
         if not mass > P_FLOOR:  # the floor or nan: `perform`'s error, which answers no to a nan p
             require_probability(_trace(rho[0], weight[1, ask])[0] if p != p else mass)
             Outcome(False, 1.0 - p)  # raises for a nan p
-        if 0 < answers < len(yes):
-            chosen, cls = proj[[1, 0], ask], yes.astype(np.intp)
-            post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
+        if 0 < answers < len(yes):  # rows (no, yes); Bayes divides the products weighed above
+            cls = yes.astype(np.intp)
+            post = (joint[::-1] / masses[::-1, None] if diagonal else
+                    renormalize((chosen := proj[[1, 0], ask]) @ rho @ chosen))
         elif diagonal:  # one child: Bayes is the product just weighed, over its mass
             post = (joint[0 if answers else 1] / mass)[None]
         else:

@@ -407,6 +407,47 @@ def test_json_text_is_json_dumps_indent_2(tree):
     assert cli.json_text(tree) == json.dumps(tree, indent=2) + "\n"
 
 
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+@example([[1, [2]], {"k": [3]}])
+def test_json_text_writes_a_shared_container_as_json_dumps(tree):
+    # one object met twice at one depth, then at two more depths
+    doc = [tree, tree, {"k": tree}, [[tree]]]
+    assert cli.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def memos_of_json_text(monkeypatch, doc) -> list:
+    """Every memo `json_text` hands `_indented` while it writes `doc`."""
+    memos, indented = [], cli._indented
+
+    def spy(obj, memo, *args, **kwargs):
+        memos.append(memo)
+        return indented(obj, memo, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_indented", spy)
+    assert cli.json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    return memos
+
+
+def test_json_text_keeps_text_only_for_a_container_met_twice(monkeypatch):
+    once, shared = [{"a": [1]}], [[2], {"b": 3}]
+    memos = memos_of_json_text(monkeypatch, {"once": once, "shared": [shared, shared, [shared]]})
+    memo, = {id(memo): memo for memo in memos}.values()  # one memo for the document
+    # `shared` twice at depth 2, once at depth 3; flat containers take no entry
+    assert {key for key, text in memo.items() if text is not None} == {(id(shared), 2)}
+    assert memo[id(shared), 3] is None and memo[id(once), 1] is None
+
+
+def test_json_text_keeps_no_text_for_records_of_distinct_histories(monkeypatch):
+    # each polarizer at 45 degrees to the last: 2**20 histories for 30 trials
+    res = run_scenario("polarization_sequence", {"angles": [0, 45] * 10 + [0]}, trials=30,
+                       seed=3, record_trials=True)
+    assert len({id(record["entries"]) for record in res.trial_records}) == 30
+    memo, = {id(memo): memo for memo in memos_of_json_text(monkeypatch, res.to_dict())}.values()
+    assert all((id(record["entries"]), 3) in memo for record in res.trial_records)
+    assert set(memo.values()) == {None}
+
+
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_result_json_is_json_dumps_indent_2(name, record):

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import re
 
@@ -35,6 +36,7 @@ from noncomm.dynamics import (
     schrodinger_state,
 )
 from noncomm.measurement import (
+    BatchOutcomes,
     MeasurementRecord,
     Outcome,
     ScheduleEntry,
@@ -42,6 +44,7 @@ from noncomm.measurement import (
     born_step,
     compile_questions,
     embed_local,
+    entry_dict,
     evolve_schedule,
     make_generator,
     partial_trace,
@@ -467,6 +470,33 @@ def test_run_batch_does_not_depend_on_chunking(monkeypatch):
             assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
         assert run_scenario("zeno_precise", {"n": 20}, trials=23, seed=8,
                             record_trials=True).to_dict() == doc
+
+
+def test_entries_share_one_list_per_bit_equal_row():
+    schedule = [ScheduleEntry(0.0, YesNoExperiment("a", GROUND)),
+                ScheduleEntry(1.0, YesNoExperiment("b", GROUND))]
+    half, ulp = 0.5, np.nextafter(0.5, 1.0)
+    # rows 0, 1 and 5 are equal bit for bit; 2 differs by the sign of a zero,
+    # 3 by one ulp, 4 by one answer
+    row_of = [0, 0, 1, 2, 3, 0]
+    yes = np.array([[True, False]] * 4 + [[False, False], [True, False]])
+    probability = np.array([[half, 0.0], [half, 0.0], [half, -0.0], [ulp, 0.0], [half, 0.0],
+                            [half, 0.0]])
+    batch = BatchOutcomes(yes, probability, probability, np.zeros(6, dtype=np.intp),
+                          np.zeros((6, 2)))
+    got = batch.entries(schedule)
+    # the per-trial comprehension it replaces; text, since 0.0 == -0.0
+    want = [[entry_dict(e.time, e.experiment.label, y, p) for e, y, p in zip(schedule, ys, ps)]
+            for ys, ps in zip(yes.tolist(), probability.tolist())]
+    assert [json.dumps(entries) for entries in got] == [json.dumps(entries) for entries in want]
+    assert [[a is b for b in got] for a in got] == [[i == j for j in row_of] for i in row_of]
+
+
+def test_epr_records_hold_one_entries_list_per_answer_history():
+    # A then B on the singlet: A's answer decides B's, so two histories
+    res = run_scenario("epr", trials=40, record_trials=True)
+    assert len({id(record["entries"]) for record in res.trial_records}) == 2
+    assert len({json.dumps(record["entries"]) for record in res.trial_records}) == 2
 
 
 def test_run_batch_checks_like_run_sequence():
