@@ -36,8 +36,8 @@ import json
 import math
 import operator
 import os
+import secrets
 import sys
-import tempfile
 
 from . import __version__
 from .algebra import ContextMismatchError
@@ -143,26 +143,32 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header, rows) -> str:
+def result_csv(result: ScenarioResult) -> str:
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(["scenario", "statistic", "value"])
+    writer.writerows([result.scenario, key, _csv_cell(value)]
+                     for key, value in (*result.summary.items(), *result.series.items()))
     return buf.getvalue()
 
 
-def result_csv(result: ScenarioResult) -> str:
-    return _csv_text(["scenario", "statistic", "value"],
-                     ([result.scenario, key, _csv_cell(value)]
-                      for key, value in (*result.summary.items(), *result.series.items())))
-
-
 def trials_csv(result: ScenarioResult) -> str:
-    return _csv_text(["trial", "record"],
-                     ([rec.get("trial"), json.dumps(rec)] for rec in result.trial_records or ()))
+    """A row a record: its trial and `json.dumps(rec)`, quoted whole with its quotes doubled,
+    as csv quotes it.  Trials of one history share an `entries` list, encoded once (by id: the
+    records keep every id) into its stand-in, the first `"entries": 0`: no column name has a `"`."""
+    texts, rows = {}, ["trial,record\n"]
+    for rec in result.trial_records or ():
+        if isinstance(entries := rec.get("entries"), list):
+            body = texts.get(id(entries)) or texts.setdefault(id(entries), json.dumps(entries))
+            text = json.dumps({**rec, "entries": 0}).replace('"entries": 0', f'"entries": {body}', 1)
+        else:
+            text = json.dumps(rec)
+        quoted = text.replace('"', '""')
+        rows.append(f'{_csv_cell(rec.get("trial"))},"{quoted}"\n')
+    return "".join(rows)
 
 
 _CONTAINERS = (list, tuple, dict)
@@ -226,17 +232,20 @@ def result_json(result: ScenarioResult) -> str:
 
 
 def _atomic_write(path: str, text: str):
-    """Write through a fresh temp file in the target's directory, so runs
-    sharing an output path never share a temp file."""
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
-                               dir=os.path.dirname(path) or ".")
+    """Write `text` as UTF-8 in one write to a new file beside `path`, created under the
+    caller's umask, which is never changed, then renamed over `path`.  Its name is the target's
+    cut to fit NAME_MAX (255 bytes), a dot and 8 random hex digits; a taken one is redrawn."""
+    head, name = os.path.split(os.fsencode(path))
+    for _ in range(100):
+        tmp = os.path.join(head, name[:246] + b"." + secrets.token_hex(4).encode())
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+    else:
+        raise FileExistsError(f"no free temporary name beside {path!r}")
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -475,14 +475,22 @@ def _tensor_contexts(contexts) -> AlgebraContext:
     raise ValueError("cannot tensor full and diagonal algebras together")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.kron(a, b)` of two arrays by the broadcast `multiply` numpy's own does,
+    without its wrapper: each entry is the same one product."""
+    sa, sb = (1,) * (b.ndim - a.ndim) + a.shape, (1,) * (a.ndim - b.ndim) + b.shape
+    return np.multiply(a.reshape([n for m in sa for n in (m, 1)]),
+                       b.reshape([n for m in sb for n in (1, m)])).reshape(np.multiply(sa, sb))
+
+
 def tensor(*items):
     """Kronecker product of contexts, states, or elements (all of one kind).
 
     Slot 0 is the leftmost factor: the basis vector e_i (x) e_j of the product
     has index i * dim_1 + j.  The product has the class its factors share:
     products of projections are projections and products of states are
-    states.  Classical values multiply as their n numbers.
-    """
+    states.  The kept arrays, n numbers for a classical value, multiply left
+    to right by `_kron`, bit for bit `np.kron`."""
     if not items:
         raise ValueError("tensor of nothing")
     if len(items) == 1:
@@ -498,14 +506,13 @@ def tensor(*items):
         return _tensor_contexts(items)
     cls = next(c for c in (Projection, Observable, kind) if all(isinstance(x, c) for x in items))
     return cls(_tensor_contexts([x.context for x in items]),
-               functools.reduce(np.kron, [x._stored for x in items]))
+               functools.reduce(_kron, [x._stored for x in items]))
 
 
 def embed_local(a: AlgebraElement, slot: int, dims) -> AlgebraElement:
-    """Embed a one-factor element into a product algebra: 1 (x) ... A ... (x) 1.
-
-    Embeddings into different slots commute.
-    """
+    """Embed a one-factor element into a product algebra: 1 (x) ... A ... (x) 1,
+    the 1x1 unit times each factor in turn by `_kron`, of A's class and, as the
+    units add no defect, not judged again.  Embeddings into different slots commute."""
     dims = tuple(int(d) for d in dims)
     if not 0 <= slot < len(dims):
         raise ValueError(f"slot {slot} out of range for {len(dims)} factors")
@@ -513,13 +520,10 @@ def embed_local(a: AlgebraElement, slot: int, dims) -> AlgebraElement:
         raise ValueError("local embedding is defined for full matrix algebras")
     if a.dim != dims[slot]:
         raise ValueError(f"element dimension {a.dim} does not match dims[{slot}]={dims[slot]}")
-    m = np.eye(1, dtype=complex)
-    for k, d in enumerate(dims):
-        m = np.kron(m, a.matrix if k == slot else np.eye(d, dtype=complex))
-    ctx = full_context(int(np.prod(dims)))
-    if isinstance(a, (Projection, Observable)):
-        return type(a)(ctx, m)
-    return AlgebraElement(ctx, m)
+    m = functools.reduce(_kron, [a.matrix if k == slot else np.eye(d, dtype=complex)
+                                 for k, d in enumerate(dims)], np.eye(1, dtype=complex))
+    cls = type(a) if isinstance(a, (Projection, Observable)) else AlgebraElement
+    return cls._unchecked(full_context(int(np.prod(dims))), m)
 
 
 def partial_trace(state: State, keep_slot: int, dims) -> State:

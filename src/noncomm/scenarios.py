@@ -46,6 +46,7 @@ from .algebra import (
     PhaseSpace,
     Projection,
     ValueSet,
+    _judge_projections,
     characteristic_projection,
     diagonal_context,
     eigendecompose,
@@ -55,6 +56,7 @@ from .dynamics import Flow, Hamiltonian, propagator
 from .measurement import (
     ScheduleEntry,
     YesNoExperiment,
+    _kron,
     born_step,
     chunk_peak_bytes,
     compile_questions,
@@ -197,10 +199,12 @@ def _qubit():
     return full_context(2)
 
 
-def _ket_projector(ctx, v) -> Projection:
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return Projection(ctx, np.outer(v, v.conj()))
+def _ket_projectors(ctx, kets) -> list:
+    """Each ket's projection `np.outer(u, u.conj())`, u over its own norm, judged as one stack."""
+    units = [u / np.linalg.norm(u) for u in (np.asarray(v, dtype=complex) for v in kets)]
+    stack = np.array([np.outer(u, u.conj()) for u in units])
+    _judge_projections(stack)
+    return [Projection._unchecked(ctx, p) for p in stack]
 
 
 # ---------------------------------------------------------------- scenarios
@@ -211,11 +215,8 @@ def _run_polarization(params, trials, seed, record_trials):
     ctx = _qubit()
     thetas = np.deg2rad(angles)
     initial = pure_state(ctx, [math.cos(thetas[0]), math.sin(thetas[0])])
-    experiments = [
-        YesNoExperiment(f"polarizer {angles[k]:g} deg",
-                        _ket_projector(ctx, [math.cos(t), math.sin(t)]))
-        for k, t in enumerate(thetas)
-    ]
+    polarizers = _ket_projectors(ctx, [[math.cos(t), math.sin(t)] for t in thetas])
+    experiments = [YesNoExperiment(f"polarizer {a:g} deg", p) for a, p in zip(angles, polarizers)]
     schedule = [ScheduleEntry(float(k), experiments[k]) for k in range(1, len(angles))]
 
     analytic = math.prod(math.cos(t2 - t1) ** 2 for t1, t2 in zip(thetas, thetas[1:]))
@@ -435,11 +436,11 @@ def _run_two_slit(params, trials, seed, record_trials):
     # "is it at screen point m?" on the screen and on screen (x) path, and
     # "did it go through the left slit?" (1 (x) |left><left|), compiled once
     points = np.array([np.diag(row) for row in np.eye(m_points, dtype=complex)])
-    at_screen, at_joint = compile_questions(points), compile_questions(np.kron(points, np.eye(2)))
-    path_left = compile_questions(np.kron(np.eye(m_points), np.diag([1.0 + 0j, 0.0]))[None])
+    at_screen, at_joint = compile_questions(points), compile_questions(_kron(points, np.eye(2)))
+    path_left = compile_questions(_kron(np.eye(m_points), np.diag([1.0 + 0j, 0.0]))[None])
 
     screen_state = pure_state(ctx_screen, combined)
-    psi_joint = np.kron(amp_l, np.array([1.0, 0.0])) + np.kron(amp_r, np.array([0.0, 1.0]))
+    psi_joint = _kron(amp_l, np.array([1.0, 0.0])) + _kron(amp_r, np.array([0.0, 1.0]))
     joint_state = pure_state(ctx_joint, psi_joint)
 
     def run(uniforms, used):
@@ -479,7 +480,7 @@ def _run_three_observer(params, trials, seed, record_trials):
     middle = params["middle"]
     ctx = _qubit()
     p_exp = YesNoExperiment("spin-up along z", Projection(ctx, np.diag([1.0, 0.0]).astype(complex)))
-    q_exp = YesNoExperiment("spin-up along x", _ket_projector(ctx, [1.0, 1.0]))
+    q_exp = YesNoExperiment("spin-up along x", _ket_projectors(ctx, [[1.0, 1.0]])[0])
     chains = {"plus": ([p_exp, q_exp, p_exp], 0.5), "none": ([p_exp, p_exp], 0.0),
               "repeat": ([p_exp, p_exp, p_exp], 0.0)}
     chain, analytic = chains[middle]

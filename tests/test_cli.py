@@ -1,9 +1,12 @@
+import csv
 import ctypes.util
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
+import secrets
 import subprocess
 import sys
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from noncomm import cli
 from noncomm.cli import main, parse_value, split_assignments
+from noncomm.measurement import trial_records
 from noncomm.scenarios import SCENARIOS, run_scenario
 from noncomm.schema import MANIFEST_SCHEMA, RESULT_SCHEMA
 from noncomm.states import NumericalInvariantError, ZeroProbabilityError
@@ -341,6 +345,56 @@ def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_never_changes_the_process_umask(tmp_path, monkeypatch):
+    # another thread's file, created while the umask was briefly 0, would be world-writable
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    assert main(["run", "three_observer", "--trials", "5", "--snapshots",
+                 "--out", str(tmp_path / "res.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "res.csv", "res.csv.manifest.json", "res.csv.trials.csv"]
+
+
+def test_outputs_take_the_mode_open_gives_under_the_callers_umask(tmp_path):
+    # a child, so the umask it sets is not this process's
+    out = tmp_path / "res.csv"
+    subprocess.run([sys.executable, "-c", "import os, sys; os.umask(0o027); "
+                    "from noncomm.cli import main; sys.exit(main(sys.argv[1:]))",
+                    "run", "epr", "--trials", "8", "--snapshots", "--out", str(out)], check=True)
+    for name in ("res.csv", "res.csv.trials.csv", "res.csv.manifest.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
+
+
+def test_out_with_a_240_character_basename_writes_result_and_manifest(tmp_path):
+    # the manifest's name is 254 characters, so its temporary name must be cut to fit
+    out = tmp_path / ("r" * 236 + ".csv")
+    assert main(["run", "epr", "--trials", "5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
+    assert manifest["outputs"] == [str(out)] and "anticorrelation_rate" in out.read_text()
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_temp_name_collision_draws_again_and_keeps_the_foreign_file(tmp_path, monkeypatch):
+    out, foreign = tmp_path / "res.csv", tmp_path / "res.csv.deadbeef"
+    foreign.write_text("not ours")
+    names = iter(["deadbeef", "deadbeef", "cafef00d"])
+    monkeypatch.setattr(secrets, "token_hex", lambda nbytes: next(names))
+    cli._atomic_write(str(out), "ours\n")
+    assert out.read_text() == "ours\n" and foreign.read_text() == "not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv", "res.csv.deadbeef"]
+    # a bounded number of draws: when every one is taken, the write fails and changes nothing
+    drawn = []
+    monkeypatch.setattr(secrets, "token_hex", lambda nbytes: drawn.append(nbytes) or "deadbeef")
+    with pytest.raises(FileExistsError):
+        cli._atomic_write(str(out), "theirs\n")
+    monkeypatch.undo()
+    assert 1 < len(drawn) <= 1000
+    assert out.read_text() == "ours\n" and foreign.read_text() == "not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv", "res.csv.deadbeef"]
+
+
 def test_out_in_a_missing_directory_exits_3_before_running(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the scenario ran")
@@ -446,6 +500,49 @@ def test_json_text_keeps_no_text_for_records_of_distinct_histories(monkeypatch):
     memo, = {id(memo): memo for memo in memos_of_json_text(monkeypatch, res.to_dict())}.values()
     assert all((id(record["entries"]), 3) in memo for record in res.trial_records)
     assert set(memo.values()) == {None}
+
+
+def _trials_csv_by_json_dumps(res) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "record"])
+    writer.writerows([rec.get("trial"), json.dumps(rec)] for rec in res.trial_records)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trials_csv_writes_json_dumps_of_each_record(name):
+    res = run_scenario(name, trials=12, seed=5, record_trials=True)
+    assert cli.trials_csv(res) == _trials_csv_by_json_dumps(res)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_TREES, max_size=3), min_size=1, max_size=3),
+       st.lists(st.tuples(_SCALARS, st.integers(0, 2)), min_size=1, max_size=6), st.booleans())
+def test_trials_csv_with_shared_entries_lists_is_csv_of_json_dumps(pool, rows, entries_first):
+    columns = {"value": [v for v, _ in rows], "entries": [pool[k % len(pool)] for _, k in rows]}
+    if entries_first:
+        columns = {"entries": columns["entries"], "value": columns["value"]}
+    res = dataclasses.replace(run_scenario("three_observer", trials=1, seed=0),
+                              trial_records=trial_records(**columns))
+    assert cli.trials_csv(res) == _trials_csv_by_json_dumps(res)
+
+
+def test_trials_csv_encodes_each_distinct_entries_list_once(monkeypatch):
+    res = run_scenario("zeno_precise", {"n": 20}, trials=40, seed=1, record_trials=True)
+    distinct = {id(rec["entries"]) for rec in res.trial_records}
+    assert 1 < len(distinct) < 40
+    encoded, dumps = [], json.dumps
+
+    def spy(obj, **kwargs):
+        encoded.append(id(obj))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    text = cli.trials_csv(res)
+    monkeypatch.undo()
+    assert sorted(i for i in encoded if i in distinct) == sorted(distinct)
+    assert text == _trials_csv_by_json_dumps(res)
 
 
 @pytest.mark.parametrize("record", [False, True])

@@ -8,6 +8,7 @@ import pytest
 from draws import measures_with_mass_on, states_with_mass_on
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from noncomm import measurement, scenarios
 from noncomm.algebra import (
@@ -1266,6 +1267,75 @@ def test_tensor_is_the_kronecker_product_of_the_kept_arrays(kind, cls, dims, see
         s, t = (tensor_factor(kind, State, n, rng) for n in dims)
         want = expectation(s, a) * expectation(t, b)
         assert abs(expectation(tensor(s, t), ab) - want) <= 1e-12 * (1.0 + abs(want))
+
+
+# Entries where a product's bits are easiest to lose: signed zeros, subnormals, and
+# magnitudes whose products overflow or underflow
+_KRON_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1e-160, 1.0, -1.0, 1e154,
+               -3e200, 1.7e308, -1.7e308]
+_KRON_ENTRIES = st.one_of(st.sampled_from(_KRON_EDGES),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def kron_arrays(draw, shape, entries=_KRON_ENTRIES):
+    """A float or complex array of the given shape, or of that many axes of 1-3 entries
+    each, its parts drawn from `entries`."""
+    if isinstance(shape, int):
+        shape = draw(hnp.array_shapes(min_dims=shape, max_dims=shape, max_side=3))
+    arr = draw(hnp.arrays(float, shape, elements=entries))
+    if draw(st.booleans()):
+        arr = arr.astype(complex)
+        arr.imag = draw(hnp.arrays(float, shape, elements=entries))
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(kron_arrays(n), kron_arrays(n))),
+       st.tuples(kron_arrays(2), kron_arrays(3)).map(lambda ab: ab[::-1]),
+       st.tuples(kron_arrays(1), kron_arrays(2)))
+def test_kron_helper_is_np_kron_bitwise(same_ndim, three_by_two, one_by_two):
+    for a, b in (same_ndim, three_by_two, one_by_two):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got, want = measurement._kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+_FINITE_PRODUCTS = st.one_of(st.sampled_from([x for x in _KRON_EDGES if abs(x) < 1e100]),
+                             st.floats(-1e90, 1e90))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([FULL, DIAGONAL]), st.sampled_from([AlgebraElement, Projection, Observable]),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+       st.data())
+def test_tensor_and_embed_local_are_np_kron_bitwise(kind, cls, dims, seed, data):
+    # tensor of 1-3 factors: edge entries for plain elements, drawn values for the others
+    rng = np.random.default_rng(seed)
+    if cls is AlgebraElement:
+        def factor(n):
+            if kind == DIAGONAL:
+                ctx = diagonal_context(PhaseSpace(tuple(map(str, range(n)))))
+                return element(ctx, data.draw(kron_arrays((n,), _FINITE_PRODUCTS)))
+            return element(full_context(n), data.draw(kron_arrays((n, n), _FINITE_PRODUCTS)))
+
+        factors = [factor(n) for n in dims]
+    else:
+        factors = [tensor_factor(kind, cls, n, rng) for n in dims]
+    product = tensor(*factors)
+    assert type(product) is cls
+    want = functools.reduce(np.kron, [x._stored for x in factors])
+    assert product._stored.tobytes() == want.tobytes()
+    if kind == DIAGONAL:
+        return
+    # embed_local at every slot: the 1x1 unit times each factor in turn
+    for slot, a in enumerate(factors):
+        want = np.eye(1, dtype=complex)
+        for k, d in enumerate(dims):
+            want = np.kron(want, a.matrix if k == slot else np.eye(d, dtype=complex))
+        embedded = embed_local(a, slot, dims)
+        assert type(embedded) is cls and embedded.matrix.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- embed_local

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noncomm import measurement, scenarios
 from noncomm.algebra import (
@@ -79,6 +81,37 @@ def test_polarization_repeat_passes_surely():
 def test_polarization_needs_two_angles():
     with pytest.raises(ParameterError):
         run_scenario("polarization_sequence", {"angles": [10.0]}, trials=1, seed=0)
+
+
+def _one_projection_per_ket(ctx, v):
+    v = np.asarray(v, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return Projection(ctx, np.outer(v, v.conj()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
+@example([0.0, 45.0, 90.0])  # the default polarizers
+@example([0.0, 22.5, 45.0, 67.5, 90.0, 112.5, 135.0, 157.5, 180.0, 202.5])
+def test_stacked_ket_projectors_are_one_projection_per_ket_bitwise(angles):
+    ctx = full_context(2)
+    kets = [[math.cos(t), math.sin(t)] for t in np.deg2rad(angles)] + [[1.0, 1.0]]  # Q
+    built = scenarios._ket_projectors(ctx, kets)
+    assert len(built) == len(kets)
+    for v, p in zip(kets, built):
+        want = _one_projection_per_ket(ctx, v)
+        assert type(p) is Projection and p.context == ctx
+        assert p.matrix.tobytes() == want.matrix.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=d, max_size=d),
+    min_size=1, max_size=5)))
+def test_stacked_ket_projectors_of_drawn_complex_kets_are_bitwise(kets):
+    ctx = full_context(len(kets[0]))
+    for v, p in zip(kets, scenarios._ket_projectors(ctx, kets)):
+        assert p.matrix.tobytes() == _one_projection_per_ket(ctx, v).matrix.tobytes()
 
 
 # -------------------------------------------------------------- zeno precise
