@@ -54,6 +54,7 @@ EXIT_NUMERICAL_ERROR = 4
 
 _NAMES = {"pi": math.pi, "e": math.e, "tau": math.tau, "true": True, "false": False,
           "nan": math.nan, "infinity": math.inf, "null": None}
+_power_of_ten = functools.lru_cache(1)((10).__pow__)  # 10 ** digits, kept for the last limit
 
 
 def _digits() -> int:  # the interpreter's int-to-str digit limit, its default if unlimited
@@ -61,7 +62,7 @@ def _digits() -> int:  # the interpreter's int-to-str digit limit, its default i
 
 
 def _number(x):  # a float, or an int within the digit limit: not a bool, list or str
-    if type(x) is float or type(x) is int and abs(x) < 10 ** _digits():
+    if type(x) is float or type(x) is int and abs(x) < _power_of_ten(_digits()):
         return x
     raise ValueError("not a number")
 

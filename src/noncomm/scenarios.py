@@ -58,6 +58,7 @@ from .measurement import (
     YesNoExperiment,
     _kron,
     born_step,
+    certain_noes,
     chunk_peak_bytes,
     compile_questions,
     embed_local,
@@ -516,15 +517,17 @@ def _classical_zeno(params, trials, seed, record_trials):
     # coincide and draw nothing.  The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)}
     # makes question j at time t, labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].
     # Each trial is asked j = 0, 1, ... until its yes (after n - 1 noes the last
-    # point has all the mass), and its row after the yes starts its next step.
+    # point has all the mass), and its row after the yes starts its next step;
+    # on one row the certain noes before that yes are weighed, not asked.
     def run(uniforms, used):
         t, back, order = len(used), cycle.at(-1), range(n_points)  # order: at(0)
         rho, cls, pos = start, np.zeros(t, dtype=np.intp), np.zeros((t, steps + 1), dtype=np.intp)
-        prob = np.empty((t, steps, n_points if record_trials else 0))  # of each answer
+        prob = np.ones((t, steps, n_points if record_trials else 0))  # each answer's, 1 if unasked
         for step in range(1, steps + 1):
             kept, row_of, rows, ahead = [], np.empty(t, dtype=np.intp), np.arange(t), used.copy()
             order = [back[k] for k in order]  # at(-step), gathered from at(1 - step)
-            for j, k in enumerate(order):
+            skip = certain_noes(rho, points, order)  # each a no of probability 1 that keeps rho
+            for j, k in enumerate(order[skip:], skip):
                 rho, cls, yes, p = born_step(rho, cls, points, k, uniforms, ahead)
                 if record_trials:
                     prob[rows, step - 1, j] = np.where(yes, p, 1.0 - p)

@@ -40,6 +40,25 @@ def test_parse_value_forms():
     assert parse_value('"quoted"') == "quoted"
 
 
+def test_an_int_of_the_digit_limit_is_a_number_under_every_limit():
+    # 10^D - 1, D nines, is a number and 10^D stays text, where D is the
+    # interpreter's int-to-str digit limit, its default when unlimited; the
+    # bound follows the limit as it is set, none is kept from an earlier one
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits, setting in ((4300, 0), (1000, 1000), (4300, 4300), (2000, 2000)):
+            sys.set_int_max_str_digits(setting)
+            assert type(parse_value("9" * digits)) is int
+            assert parse_value(f"10**{digits}") == f"10**{digits}"
+            assert parse_value(f"-{'9' * digits} + 1") == 2 - 10**digits
+            assert cli._number(-(10**digits - 1)) == 1 - 10**digits
+            for past in (10**digits, -(10**digits), 10**4300 if digits < 4300 else 10**5000):
+                with pytest.raises(ValueError, match="not a number"):
+                    cli._number(past)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_split_assignments_respects_brackets():
     assert split_assignments("omega=pi,T=1,n=100") == ["omega=pi", "T=1", "n=100"]
     assert split_assignments("amp_l=[1,-1],state=singlet") == ["amp_l=[1,-1]",

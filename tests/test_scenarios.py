@@ -965,6 +965,20 @@ def test_schedule_scenario_bytes_pinned(tmp_path, scenario, settings, seed, tria
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `noncomm run classical_control --set scenario=zeno,num_points=64,steps=256
+# --trials 5 --seed 3 --format json --snapshots` output, recorded when every
+# step asked each point in turn up to the yes, its certain noes included; the
+# run's one BLAS product, which finds those noes, is only compared with 0, so
+# the bytes hold on any OpenBLAS kernel
+def test_long_classical_zeno_bytes_pinned(tmp_path):
+    out = tmp_path / "result.json"
+    assert main(["run", "classical_control", "--set", "scenario=zeno,num_points=64,steps=256",
+                 "--trials", "5", "--seed", "3", "--format", "json", "--snapshots",
+                 "--out", str(out)]) == 0
+    digest = "43d1cb51d01aaaa056b73c56e793f3b9f3de890d5db53b55f7eab5e5649498a0"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_zeno_coarse_builds_its_propagator_once(monkeypatch):
     calls = []
 
