@@ -22,11 +22,11 @@ counter starts at i * 2**128, identical to the root stream jumped i times,
 so results are reproducible and independent of how trials are scheduled.
 Every scenario advances all its trials as one stack (`born_step`):
 polarization, precise Zeno, three observers and both EPR runs through
-`run_batch`; two-slit and the classical Zeno control ask each question of
-their stop-at-first-yes chains only of the trials still without a yes, the
-latter its n points, each n numbers, relabelled by the flow and never
-evolved as matrices; and `zeno_coarse` asks each row of its stack the window
-its state has reached.
+`run_batch`; two-slit asks each question of its stop-at-first-yes chains
+only of the trials still without a yes; `zeno_coarse` asks each row of its
+stack the window its state has reached; and the classical Zeno control, whose
+answers are all forced, runs its one chain once for every trial, asking its n
+points, each n numbers, relabelled by the flow and never evolved as matrices.
 """
 
 from __future__ import annotations
@@ -182,12 +182,19 @@ def _as_complex(v):
     return _number(v, complex)
 
 
+def _listed(v, entry):
+    """Each entry of a list or tuple through `entry`; a string or dict iterates, but is no list."""
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(v).__name__}")
+    return [entry(x) for x in v]
+
+
 _KINDS = {  # each kind's conversion, raising TypeError, ValueError or OverflowError
     "number": lambda v: _number(v, float),
     "integer": lambda v: _number(v, int),
     "string": str,
-    "number_list": lambda v: [_number(x, float) for x in v],
-    "complex_list": lambda v: [_as_complex(x) for x in v],
+    "number_list": lambda v: _listed(v, lambda x: _number(x, float)),
+    "complex_list": lambda v: _listed(v, _as_complex),
 }
 
 
@@ -509,51 +516,37 @@ def _run_three_observer(params, trials, seed, record_trials):
 def _classical_zeno(params, trials, seed, record_trials):
     n_points, steps = params["num_points"], params["steps"]
     space = PhaseSpace(tuple(f"x{i + 1}" for i in range(n_points)))
-    cycle = Flow(space, tuple((i + 1) % n_points for i in range(n_points)))
-    start = np.eye(1, n_points)  # the point mass at x1, a stack of one measure
+    back = np.array(Flow(space, tuple((i + 1) % n_points for i in range(n_points))).at(-1))
     points = compile_questions(np.eye(n_points))  # question k: "at x_{k+1}?"
+    labels = [f"at {x}" for x in space.points]
 
     # A point mass observed precisely: every answer is forced, so all trials
-    # coincide and draw nothing.  The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)}
-    # makes question j at time t, labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].
-    # Each trial is asked j = 0, 1, ... until its yes (after n - 1 noes the last
-    # point has all the mass), and its row after the yes starts its next step;
-    # on one row the certain noes before that yes are weighed, not asked.
-    def run(uniforms, used):
-        t, back, order = len(used), cycle.at(-1), range(n_points)  # order: at(0)
-        rho, cls, pos = start, np.zeros(t, dtype=np.intp), np.zeros((t, steps + 1), dtype=np.intp)
-        prob = np.ones((t, steps, n_points if record_trials else 0))  # each answer's, 1 if unasked
-        for step in range(1, steps + 1):
-            kept, row_of, rows, ahead = [], np.empty(t, dtype=np.intp), np.arange(t), used.copy()
-            order = [back[k] for k in order]  # at(-step), gathered from at(1 - step)
-            skip = certain_noes(rho, points, order)  # each a no of probability 1 that keeps rho
-            for j, k in enumerate(order[skip:], skip):
-                rho, cls, yes, p = born_step(rho, cls, points, k, uniforms, ahead)
-                if record_trials:
-                    prob[rows, step - 1, j] = np.where(yes, p, 1.0 - p)
-                if yes[0] if len(yes) == 1 else np.count_nonzero(yes):  # a lone trial's, read as is
-                    said, at, inverse = rows[yes], cls[yes], 0
-                    pos[said, step], used[said] = j, ahead[yes]
-                    if len(at) > 1:  # one copy of each row a trial said yes on
-                        at, inverse = np.unique(at, return_inverse=True)
-                    row_of[said] = sum(map(len, kept)) + inverse
-                    kept.append(rho[at])
-                    cls, rows, ahead = cls[~yes], rows[~yes], ahead[~yes]
-                    if not len(rows):
-                        break
-            rho, cls = np.concatenate(kept), row_of
-        return pos, prob
+    # coincide and draw nothing, and the chain runs once, one trial on one measure
+    # row with no uniforms (a free answer would index the empty block and raise).
+    # The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)} makes question j at time t,
+    # labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].  It is asked j = 0, 1, ...
+    # until its yes (after n - 1 noes the last point has all the mass); the certain
+    # noes before it are weighed, not asked, each a no of probability 1.
+    rho, none = np.eye(1, n_points), np.empty((1, 0))  # the point mass at x1; no uniforms
+    cls, used = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    order, traj, entries = np.arange(n_points), [0], []  # order: at(0)
+    for step in range(1, steps + 1):
+        order = back[order]  # at(-step), gathered from at(1 - step)
+        skip = certain_noes(rho, points, order)
+        if record_trials:
+            entries += [entry_dict(step, labels[j], False, 1.0) for j in range(skip)]
+        for j, k in enumerate(order[skip:].tolist(), skip):
+            rho, cls, yes, p = born_step(rho, cls, points, k, none, used)
+            (said,), (p,) = yes.tolist(), p.tolist()
+            if record_trials:
+                entries.append(entry_dict(step, labels[j], said, p if said else 1.0 - p))
+            if said:
+                traj.append(j)
+                break
 
-    # per trial: a uniform for each question it can be asked, one measure
-    # row a state in the stack, and with records each answer's probability
-    pos, prob = run_chunked(trial_streams(seed, trials), steps * n_points,
-                            (40 + (8 * steps if record_trials else 0)) * n_points, run)
-    traj, labels = pos[0].tolist(), [f"at {x}" for x in space.points]
-    records = trial_records(trajectory=(trajectories := pos.tolist()), entries=[
-        [entry_dict(step, labels[j], j == last, q)
-         for step, last, asked in zip(range(1, steps + 1), positions[1:], answers)
-         for j, q in enumerate(asked[:last + 1].tolist())]
-        for positions, answers in zip(trajectories, prob)]) if record_trials else None
+    # every trial's outputs are the chain's: its records share its lists; read them only
+    records = trial_records(trajectory=[traj] * trials,
+                            entries=[entries] * trials) if record_trials else None
     moves = sum(a != b for a, b in zip(traj, traj[1:]))
     echo = {"scenario": "zeno", "num_points": n_points, "steps": steps}
     summary = {
@@ -561,7 +554,7 @@ def _classical_zeno(params, trials, seed, record_trials):
         "advanced_every_step": moves == steps,
         "frozen_steps": steps - moves,
         "cycles_completed": steps // n_points,
-        "all_trials_identical": bool((pos == pos[0]).all()),
+        "all_trials_identical": True,  # no trial draws
     }
     series = {"position_trajectory": traj}
     return ScenarioResult("classical_control", echo, seed, trials, summary, series, records)
@@ -636,10 +629,10 @@ def _classical_control_footprint(params):
         return _schedule_footprint(2, 4)
     n, steps = params["num_points"], params["steps"]
     q, r = divmod(steps, n)  # a cycle of n steps asks n (n + 1) / 2 points, r more r (r + 3) / 2
-    # the point questions, 32 n^2 bytes while compiled, and a chunk's uniforms and measures;
-    # per record each answer's probability, n a step, and step t's (t mod n) + 1 measurements
-    return (32 * n * n + chunk_peak_bytes(steps * n, (40 + 8 * steps) * n), 40 * (steps + 1),
-            _RECORD_BYTES + 16 * n * steps + (q * n * (n + 1) + r * (r + 3)) // 2 * _ENTRY_BYTES)
+    # once the point questions, 32 n^2 bytes while compiled, and the one chain's positions;
+    # nothing per trial; per record step t's (t mod n) + 1 measurements
+    return (32 * n * n + 40 * (steps + 1), 0,
+            _RECORD_BYTES + (q * n * (n + 1) + r * (r + 3)) // 2 * _ENTRY_BYTES)
 
 
 def peak_bytes(name: str, params: dict, trials: int, record_trials: bool) -> int:

@@ -250,6 +250,10 @@ REFUSED = {
     "window_width": ("window_width", ["zeno_coarse", "--set", "window_width=99", *_HUGE_RUN]),
     "initial_level": ("initial_level", ["zeno_coarse", "--set", "initial_level=99", *_HUGE_RUN]),
     "one-angle": ("angles", ["polarization_sequence", "--set", "angles=[0]", *_HUGE_RUN]),
+    "angles-string": ("angles", ["polarization_sequence", "--set", "angles=090"]),
+    "config-angles-string": ("angles", ["polarization_sequence", "--config",
+                                        '{"parameters": {"angles": "0945"}}']),
+    "amp_l-string": ("amp_l", ["two_slit", "--set", 'amp_l="11"']),
     "amp-lengths": ("amp_l", ["two_slit", "--set", "amp_l=[1],amp_r=[1,1]", *_HUGE_RUN]),
     "omega*T": ("omega", ["zeno_precise", "--set", "omega=1e308,T=10", *_HUGE_RUN]),
 }

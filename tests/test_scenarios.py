@@ -400,6 +400,25 @@ def test_classical_zeno_matches_evolved_schedule_reference(n_points, steps, tria
     assert res.to_dict() == scalar_classical_zeno(n_points, steps, trials, seed)
 
 
+def test_classical_zeno_work_does_not_grow_with_trials(monkeypatch):
+    # every answer is forced, so the one chain is asked, once, whatever the trial count:
+    # each step one question of the one measure row, for one trial, with no uniforms
+    def step(rho, cls, questions, ask, uniforms, used):
+        calls.append((rho.shape, len(cls), uniforms.shape, used.tolist()))
+        return measurement.born_step(rho, cls, questions, ask, uniforms, used)
+
+    monkeypatch.setattr(scenarios, "born_step", step)
+    monkeypatch.setattr(scenarios, "run_chunked", None)
+    for trials in (1, 1000):
+        calls = []
+        res = run_scenario("classical_control", {"num_points": 16, "steps": 64}, trials,
+                           seed=3, record_trials=True)
+        assert calls == [((1, 16), 1, (1, 0), [0])] * 64
+        assert len(res.trial_records) == trials
+        assert len({id(r["entries"]) for r in res.trial_records}) == 1
+        assert len({id(r["trajectory"]) for r in res.trial_records}) == 1
+
+
 def test_classical_zeno_keeps_no_dense_evolved_schedule():
     # one period of evolved dense 48 x 48 projections alone is 85 MB
     tracemalloc.start()
@@ -480,6 +499,21 @@ def test_trials_and_seed_are_validated_like_integer_parameters(arg, value):
 def test_booleans_are_not_numbers(name, params, trials, seed):
     with pytest.raises(ParameterError, match="boolean"):
         run_scenario(name, params, trials=trials, seed=seed)
+
+
+# a string or a dict iterates, by character or by key, but is not a list of numbers
+@pytest.mark.parametrize("name, params", [
+    ("polarization_sequence", {"angles": "090"}),
+    ("polarization_sequence", {"angles": "0945"}),
+    ("polarization_sequence", {"angles": {"0": 1, "9": 2}}),
+    ("polarization_sequence", {"angles": 45.0}),
+    ("two_slit", {"amp_l": "11"}),
+    ("two_slit", {"amp_r": {"1": 0, "-1": 0}}),
+])
+def test_a_list_parameter_is_a_list_or_tuple(name, params):
+    (param,) = params
+    with pytest.raises(ParameterError, match=f"bad value for {param}: .*expected a list"):
+        run_scenario(name, params, trials=2, seed=0)
 
 
 def test_integral_trials_and_seed_are_accepted():
@@ -607,21 +641,20 @@ def test_scenario_defaults_fit_in_memory():
 
 @pytest.mark.parametrize("n_points, steps", [(16, 64), (5, 12), (3, 7), (4, 4)])
 def test_classical_zeno_record_estimate_prices_each_measurement(n_points, steps):
-    # step t asks (t mod n) + 1 points, so a record holds that many measurements
-    # a step, besides n answer probabilities a step, 16 bytes each
+    # step t asks (t mod n) + 1 points, so a record holds that many measurements a step
     params = validate_params("classical_control", {"scenario": "zeno", "num_points": n_points,
                                                    "steps": steps})
     per_record = (peak_bytes("classical_control", params, 1, True)
                   - peak_bytes("classical_control", params, 1, False))
     (record,) = run_scenario("classical_control", params, trials=1, seed=0,
                              record_trials=True).trial_records
-    assert per_record == (scenarios._RECORD_BYTES + 16 * n_points * steps
+    assert per_record == (scenarios._RECORD_BYTES
                           + len(record["entries"]) * scenarios._ENTRY_BYTES)
 
 
 def test_classical_zeno_records_of_a_thousand_trials_are_priced_below_640_mib(monkeypatch):
     # 544 measurements a record, not 64 * 16: the estimate alone, nothing is run
-    monkeypatch.setattr(scenarios, "run_chunked", None)
+    monkeypatch.setattr(scenarios, "born_step", None)
     params = validate_params("classical_control", {"scenario": "zeno", "num_points": 16,
                                                    "steps": 64})
     assert peak_bytes("classical_control", params, trials=1000, record_trials=True) < 640 << 20
