@@ -29,7 +29,6 @@ from .algebra import (
     eigendecompose,
     full_context,
     is_projection,
-    make_context,
     norms,
     spectral_projection,
     unit,

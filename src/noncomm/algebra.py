@@ -3,9 +3,10 @@
 One representation covers both kinds of observable algebra used by the rest
 of the package: the full algebra of n x n complex matrices (quantum), and the
 commutative algebra of functions on a finite phase space, whose elements
-are diagonal matrices (classical).  A classical value is its n numbers: a
-diagonal element keeps only its `values`, as a diagonal state keeps only its
-measure `mu`, and builds its matrix on first read.  Every value has one
+are diagonal matrices (classical).  An algebra is classical exactly when its
+context binds a phase space; nothing else records it.  A classical value is
+its n numbers: a diagonal element keeps only its `values`, as a diagonal
+state keeps only its measure `mu`, and builds its matrix on first read.  Every value has one
 constructor, which reads the matrix or, on a diagonal algebra, the n numbers,
 and judges them by its class's rule.  On top of the raw arithmetic sit
 projections (P^2 = P = P*), Hermitian observables, and the functional
@@ -27,9 +28,6 @@ import numpy as np
 # far below any scale the scenarios probe.
 EPS_ALG = 1e-9
 CLUSTER_TOL = 1e-8
-
-FULL = "full"
-DIAGONAL = "diagonal"
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -130,56 +128,35 @@ class ValueSet:
 
 @dataclass(frozen=True)
 class AlgebraContext:
-    """The observable algebra: its dimension and kind.
+    """The observable algebra: its dimension and, for a classical one, its phase space.
 
-    kind "full" is the whole matrix algebra; kind "diagonal" is the
-    commutative function algebra over a bound phase space, with dim equal to
-    the number of points.
+    Without a phase space it is the whole d x d matrix algebra; with one it is
+    the commutative function algebra over that space, with dim equal to the
+    number of points.
     """
 
     dim: int
-    kind: str = FULL
     phase_space: PhaseSpace | None = None
 
     def __post_init__(self):
-        if self.kind not in (FULL, DIAGONAL):
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("algebra dimension must be at least 1")
-        if self.kind == DIAGONAL:
-            if self.phase_space is None:
-                raise ValueError("diagonal algebra requires a phase space")
-            if len(self.phase_space) != self.dim:
-                raise ValueError(
-                    f"dim {self.dim} does not match phase space of "
-                    f"{len(self.phase_space)} points"
-                )
-        elif self.phase_space is not None:
-            raise ValueError("full matrix algebra does not bind a phase space")
+        if self.phase_space is not None and len(self.phase_space) != self.dim:
+            raise ValueError(
+                f"dim {self.dim} does not match phase space of {len(self.phase_space)} points"
+            )
 
     @property
     def is_diagonal(self) -> bool:
-        return self.kind == DIAGONAL
+        return self.phase_space is not None
 
 
 def full_context(dim: int) -> AlgebraContext:
-    return AlgebraContext(dim=dim, kind=FULL)
+    return AlgebraContext(dim)
 
 
 def diagonal_context(phase_space: PhaseSpace) -> AlgebraContext:
-    return AlgebraContext(dim=len(phase_space), kind=DIAGONAL, phase_space=phase_space)
-
-
-def make_context(kind: str, dim: int | None = None,
-                 phase_space: PhaseSpace | None = None) -> AlgebraContext:
-    """Factory accepting either a dimension (full) or a phase space
-    (diagonal); `AlgebraContext` rejects what does not fit the kind."""
-    if kind == DIAGONAL and phase_space is not None and dim is None:
-        dim = len(phase_space)
-    if dim is None:
-        raise ValueError(f"{kind} context requires "
-                         f"{'a phase space' if kind == DIAGONAL else 'dim'}")
-    return AlgebraContext(dim, kind, phase_space if kind == DIAGONAL else None)
+    return AlgebraContext(len(phase_space), phase_space)
 
 
 def require_same_context(a, b):
@@ -277,7 +254,8 @@ class AlgebraValue:
         return self.context.dim
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, kind={self.context.kind})"
+        kind = "diagonal" if self.context.is_diagonal else "full"
+        return f"{type(self).__name__}(dim={self.dim}, kind={kind})"
 
 
 class AlgebraElement(AlgebraValue):

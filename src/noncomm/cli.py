@@ -313,7 +313,8 @@ def _cmd_run(args) -> int:
         seeds = (args.seed, config.get("seed"), os.environ.get("NONCOMM_SEED"))
         seed = next((s for s in seeds if s is not None), SEED.default)
         trials = args.trials if args.trials is not None else config.get("trials", TRIALS.default)
-        result = run_scenario(name, overrides, trials, seed, args.snapshots)
+        written = args.format == "json" or args.out is not None  # records: not in CSV on stdout
+        result = run_scenario(name, overrides, trials, seed, args.snapshots and written)
     except UnknownScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO

@@ -26,8 +26,10 @@ the final states are those measures.  A trial draws one block of uniforms,
 sized to its run's most draws, and its one pointer moves only on unforced
 outcomes, so in every phase the k-th uniform used is the k-th `perform`
 would draw.  `run_batch` loops the step over a fixed schedule; a caller that
-stops trials early passes only their rows' indices.  `trial_records` lays
-out every scenario's per-trial records.
+stops trials early passes only their rows' indices.  Its result keeps each
+answer and the yes-probability it was drawn against, and derives an answer's
+own probability only for the records.  `trial_records` lays out every
+scenario's per-trial records.
 
 Randomness comes from numpy's Philox counter-based generator.  A run is
 keyed by a 64-bit seed; trial i of a multi-trial experiment uses the Philox
@@ -51,8 +53,6 @@ import numpy as np
 import numpy.random  # loaded with the package, so no run's memory counts numpy's lazy import
 
 from .algebra import (
-    DIAGONAL,
-    FULL,
     AlgebraContext,
     AlgebraElement,
     ContextMismatchError,
@@ -191,22 +191,23 @@ def trial_records(**columns) -> list:
 @dataclass(frozen=True)
 class BatchOutcomes:
     """One fixed schedule run over a batch of trials: row i is trial i,
-    column k schedule entry k."""
+    column k schedule entry k.  An answer's probability is not kept: it is
+    p_yes for a "yes" and 1 - p_yes for a "no"."""
 
-    yes: np.ndarray          # (trials, n) bool answers
-    probability: np.ndarray  # (trials, n) pre-measurement probability of each answer
-    p_yes: np.ndarray        # (trials, n) clamped probability of "yes" before each entry
-    draws: np.ndarray        # (trials,) uniforms consumed, one per unforced outcome
-    final: np.ndarray        # (trials, d, d) density matrices after the last entry,
-                             # or on a diagonal algebra the (trials, d) measures
+    yes: np.ndarray    # (trials, n) bool answers
+    p_yes: np.ndarray  # (trials, n) clamped probability of "yes" before each entry
+    draws: np.ndarray  # (trials,) uniforms consumed, one per unforced outcome
+    final: np.ndarray  # (trials, d, d) density matrices after the last entry,
+                       # or on a diagonal algebra the (trials, d) measures
 
     def entries(self, schedule) -> list:
         """Each trial's measurements, as a list of `entry_dict`s: trials whose
         answer and probability rows are equal bit for bit (0.0 and -0.0 write
         different text) share one list, built once; read it, do not change it."""
         stamps = [(e.time, e.experiment.label) for e in schedule]
-        keys = [ys.tobytes() + ps.tobytes() for ys, ps in zip(self.yes, self.probability)]
-        rows = dict(zip(keys, zip(self.yes.tolist(), self.probability.tolist())))
+        probability = np.where(self.yes, self.p_yes, 1.0 - self.p_yes)
+        keys = [ys.tobytes() + ps.tobytes() for ys, ps in zip(self.yes, probability)]
+        rows = dict(zip(keys, zip(self.yes.tolist(), probability.tolist())))
         built = {key: [entry_dict(t, label, y, p) for (t, label), y, p in zip(stamps, ys, ps)]
                  for key, (ys, ps) in rows.items()}
         return [built[key] for key in keys]
@@ -439,8 +440,7 @@ def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> B
         rho, cls = start[None], np.zeros(t, dtype=np.intp)
         for k in range(n):
             rho, cls, yes[:, k], p_yes[:, k] = born_step(rho, cls, questions, k, uniforms, used)
-        prob = np.where(yes, p_yes, 1.0 - p_yes)
-        return yes, prob, p_yes, used - np.arange(t) * n, rho[cls]
+        return yes, p_yes, used - np.arange(t) * n, rho[cls]
 
     return BatchOutcomes(*run_chunked(streams, n, 16 * d * d, run))
 
@@ -473,11 +473,10 @@ def run_sequence(state: State, schedule, dynamics=None, *, seed: int | None = No
 
 
 def _tensor_contexts(contexts) -> AlgebraContext:
-    kinds = {c.kind for c in contexts}
-    if kinds == {FULL}:
-        dim = int(np.prod([c.dim for c in contexts]))
-        return full_context(dim)
-    if kinds == {DIAGONAL}:
+    diagonal = {c.is_diagonal for c in contexts}
+    if diagonal == {False}:
+        return full_context(int(np.prod([c.dim for c in contexts])))
+    if diagonal == {True}:
         labels = contexts[0].phase_space.points
         for c in contexts[1:]:
             labels = tuple(f"{a}⊗{b}" for a in labels for b in c.phase_space.points)
@@ -526,7 +525,7 @@ def embed_local(a: AlgebraElement, slot: int, dims) -> AlgebraElement:
     dims = tuple(int(d) for d in dims)
     if not 0 <= slot < len(dims):
         raise ValueError(f"slot {slot} out of range for {len(dims)} factors")
-    if a.context.kind != FULL:
+    if a.context.is_diagonal:
         raise ValueError("local embedding is defined for full matrix algebras")
     if a.dim != dims[slot]:
         raise ValueError(f"element dimension {a.dim} does not match dims[{slot}]={dims[slot]}")
@@ -545,7 +544,7 @@ def partial_trace(state: State, keep_slot: int, dims) -> State:
     dims = tuple(int(d) for d in dims)
     if not 0 <= keep_slot < len(dims):
         raise ValueError(f"slot {keep_slot} out of range for {len(dims)} factors")
-    if state.context.kind != FULL:
+    if state.context.is_diagonal:
         raise ValueError("partial trace is defined for full matrix algebras")
     if int(np.prod(dims)) != state.dim:
         raise ValueError(f"factor dimensions {dims} do not multiply to {state.dim}")

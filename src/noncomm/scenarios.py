@@ -524,25 +524,21 @@ def _classical_zeno(params, trials, seed, record_trials):
     # coincide and draw nothing, and the chain runs once, one trial on one measure
     # row with no uniforms (a free answer would index the empty block and raise).
     # The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)} makes question j at time t,
-    # labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].  It is asked j = 0, 1, ...
-    # until its yes (after n - 1 noes the last point has all the mass); the certain
-    # noes before it are weighed, not asked, each a no of probability 1.
+    # labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].  The certain noes before
+    # the point with the mass are weighed, not asked, each a no of probability 1; that
+    # point is then asked once, a forced yes, since a yes hands a point mass back.
     rho, none = np.eye(1, n_points), np.empty((1, 0))  # the point mass at x1; no uniforms
     cls, used = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     order, traj, entries = np.arange(n_points), [0], []  # order: at(0)
     for step in range(1, steps + 1):
         order = back[order]  # at(-step), gathered from at(1 - step)
-        skip = certain_noes(rho, points, order)
+        skip = int(certain_noes(rho, points, order))  # an int, as JSON writes the trajectory
+        rho, cls, yes, p = born_step(rho, cls, points, order[skip], none, used)
         if record_trials:
-            entries += [entry_dict(step, labels[j], False, 1.0) for j in range(skip)]
-        for j, k in enumerate(order[skip:].tolist(), skip):
-            rho, cls, yes, p = born_step(rho, cls, points, k, none, used)
             (said,), (p,) = yes.tolist(), p.tolist()
-            if record_trials:
-                entries.append(entry_dict(step, labels[j], said, p if said else 1.0 - p))
-            if said:
-                traj.append(j)
-                break
+            entries += [entry_dict(step, labels[j], False, 1.0) for j in range(skip)]
+            entries.append(entry_dict(step, labels[skip], said, p if said else 1.0 - p))
+        traj.append(skip)
 
     # every trial's outputs are the chain's: its records share its lists; read them only
     records = trial_records(trajectory=[traj] * trials,
@@ -603,9 +599,11 @@ _RECORD_BYTES = 640
 def _schedule_footprint(n, d):
     """A fixed n-entry schedule on d x d matrices through `run_batch`: the
     evolved and compiled stacks with a chunk, per trial its result rows and
-    final state, per record n measurements."""
+    final state, held twice while the chunks are joined (an answer and its p_yes:
+    18 bytes, of which zeno_precise's measured peak needs 17.3-17.5), per
+    record n measurements."""
     return (n * (_QUESTION_BYTES + 192 * d * d) + chunk_peak_bytes(n, 16 * d * d),
-            40 * n + 32 * d * d + 16, _RECORD_BYTES + n * _ENTRY_BYTES)
+            18 * n + 32 * d * d + 16, _RECORD_BYTES + n * _ENTRY_BYTES)
 
 
 def _zeno_coarse_footprint(params):

@@ -9,6 +9,7 @@ from noncomm.algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    AlgebraContext,
     ContextMismatchError,
     Observable,
     PhaseSpace,
@@ -24,7 +25,6 @@ from noncomm.algebra import (
     element,
     full_context,
     is_projection,
-    make_context,
     norms,
     operator_norm,
     spectral_projection,
@@ -40,15 +40,15 @@ TOL = 1e-12
 # ---------------------------------------------------------------- contexts
 
 
-def test_make_context_full_qubit():
-    ctx = make_context("full", dim=2)
-    assert ctx.dim == 2 and not ctx.is_diagonal
+def test_full_context_qubit():
+    ctx = full_context(2)
+    assert ctx.dim == 2 and not ctx.is_diagonal and ctx.phase_space is None
 
 
-def test_make_context_diagonal_four_points():
+def test_diagonal_context_four_points():
     space = PhaseSpace(("x1", "x2", "x3", "x4"))
-    ctx = make_context("diagonal", phase_space=space)
-    assert ctx.dim == 4 and ctx.is_diagonal
+    ctx = diagonal_context(space)
+    assert ctx.dim == 4 and ctx.is_diagonal and ctx.phase_space is space
 
 
 def test_context_validation_errors():
@@ -59,12 +59,8 @@ def test_context_validation_errors():
     with pytest.raises(ValueError):
         PhaseSpace(("a", "a"))
     space = PhaseSpace(("a", "b"))
-    with pytest.raises(ValueError):
-        make_context("diagonal", dim=3, phase_space=space)  # via AlgebraContext check
-    with pytest.raises(ValueError):
-        from noncomm.algebra import AlgebraContext
-
-        AlgebraContext(dim=3, kind="diagonal", phase_space=space)
+    with pytest.raises(ValueError, match="does not match phase space of 2 points"):
+        AlgebraContext(3, space)
 
 
 def test_phase_subset_validation():

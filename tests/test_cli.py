@@ -15,10 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noncomm import cli
+from noncomm import cli, scenarios
 from noncomm.cli import main, parse_value, split_assignments
 from noncomm.measurement import trial_records
-from noncomm.scenarios import SCENARIOS, run_scenario
+from noncomm.scenarios import SCENARIOS, peak_bytes, run_scenario, validate_params
 from noncomm.schema import MANIFEST_SCHEMA, RESULT_SCHEMA
 from noncomm.states import NumericalInvariantError, ZeroProbabilityError
 
@@ -589,6 +589,27 @@ def test_run_snapshots_outputs(tmp_path):
     trials_file = tmp_path / "res.csv.trials.csv"
     assert trials_file.exists()
     assert trials_file.read_text().startswith("trial,record")
+
+
+def test_snapshots_with_csv_on_stdout_build_no_records(monkeypatch, capsys):
+    # CSV on stdout writes no record, so --snapshots neither builds nor prices them:
+    # under a limit between the two estimates the run goes ahead, as without it
+    params = validate_params("zeno_precise", {})
+    lean, heavy = (peak_bytes("zeno_precise", params, 200, record) for record in (False, True))
+    argv = ["run", "zeno_precise", "--trials", "200", "--seed", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return run_scenario(*args)
+
+    monkeypatch.setattr(scenarios, "memory_limit", lambda: (lean + heavy) // 2)
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    assert main([*argv, "--snapshots"]) == 0
+    assert capsys.readouterr().out.encode() == plain.encode()
+    assert [args[-1] for args in calls] == [False]
 
 
 def test_run_determinism_byte_identical(tmp_path):

@@ -464,7 +464,7 @@ def test_flow_schedule_stays_indicator_rows():
     moved = run_batch(state, evolve_schedule(schedule[:16], flow), trial_streams(5, 4))
     again = run_batch(state, schedule[:16], trial_streams(5, 4), flow)
     assert again.yes.tolist() == moved.yes.tolist()
-    assert again.probability.tobytes() == moved.probability.tobytes()
+    assert again.p_yes.tobytes() == moved.p_yes.tobytes()
     assert again.final.tobytes() == moved.final.tobytes()
     assert batch.final.shape == (4, 128)
 
@@ -479,7 +479,7 @@ def test_diagonal_schedule_under_a_hamiltonian_asks_its_evolved_copy():
     batch = run_batch(state, schedule, trial_streams(3, 5), ham)
     copy = run_batch(state, evolve_schedule(schedule, ham), trial_streams(3, 5))
     assert batch.yes.tolist() == copy.yes.tolist()
-    assert batch.probability.tobytes() == copy.probability.tobytes()
+    assert batch.p_yes.tobytes() == copy.p_yes.tobytes()
     assert batch.final.tobytes() == copy.final.tobytes()
 
 

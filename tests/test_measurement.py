@@ -12,8 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from noncomm import measurement, scenarios
 from noncomm.algebra import (
-    DIAGONAL,
-    FULL,
     SIGMA_X,
     SIGMA_Z,
     AlgebraElement,
@@ -375,10 +373,10 @@ def scalar_reference(state, schedule, rngs):
 def assert_batch_matches_scalar(state, schedule, seed, trials):
     batch = run_batch(state, schedule, trial_streams(seed, trials))
     reference = scalar_reference(state, schedule, generators(seed, trials))
-    assert batch.yes.shape == batch.probability.shape == (trials, len(schedule))
+    assert batch.yes.shape == batch.p_yes.shape == (trials, len(schedule))
     for i, (yes, prob, final) in enumerate(reference):
         assert batch.yes[i].tolist() == yes
-        assert batch.probability[i].tolist() == prob
+        assert [p if y else 1.0 - p for y, p in zip(yes, batch.p_yes[i].tolist())] == prob
         assert batch.final[i].shape == final.shape
         assert batch.final[i].tobytes() == final.tobytes()
     return batch
@@ -467,7 +465,7 @@ def test_run_batch_does_not_depend_on_chunking(monkeypatch):
     for chunk_bytes in (1, 3 * (8 * 20 + 16 * 4)):
         monkeypatch.setattr(measurement, "CHUNK_BYTES", chunk_bytes)
         part = run_batch(psi0, schedule, trial_streams(8, 23))
-        for name in ("yes", "probability", "draws", "final"):
+        for name in ("yes", "p_yes", "draws", "final"):
             assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
         assert run_scenario("zeno_precise", {"n": 20}, trials=23, seed=8,
                             record_trials=True).to_dict() == doc
@@ -477,18 +475,18 @@ def test_entries_share_one_list_per_bit_equal_row():
     schedule = [ScheduleEntry(0.0, YesNoExperiment("a", GROUND)),
                 ScheduleEntry(1.0, YesNoExperiment("b", GROUND))]
     half, ulp = 0.5, np.nextafter(0.5, 1.0)
-    # rows 0, 1 and 5 are equal bit for bit; 2 differs by the sign of a zero,
-    # 3 by one ulp, 4 by one answer
+    # rows 0, 1 and 5 are equal bit for bit; 2 differs by the sign of a zero on
+    # a "yes", 3 by one ulp on a "no", 4 by one answer
     row_of = [0, 0, 1, 2, 3, 0]
-    yes = np.array([[True, False]] * 4 + [[False, False], [True, False]])
-    probability = np.array([[half, 0.0], [half, 0.0], [half, -0.0], [ulp, 0.0], [half, 0.0],
-                            [half, 0.0]])
-    batch = BatchOutcomes(yes, probability, probability, np.zeros(6, dtype=np.intp),
-                          np.zeros((6, 2)))
+    yes = np.array([[False, True]] * 4 + [[False, False], [False, True]])
+    p_yes = np.array([[half, 0.0], [half, 0.0], [half, -0.0], [ulp, 0.0], [half, 0.0],
+                      [half, 0.0]])
+    batch = BatchOutcomes(yes, p_yes, np.zeros(6, dtype=np.intp), np.zeros((6, 2)))
     got = batch.entries(schedule)
     # the per-trial comprehension it replaces; text, since 0.0 == -0.0
-    want = [[entry_dict(e.time, e.experiment.label, y, p) for e, y, p in zip(schedule, ys, ps)]
-            for ys, ps in zip(yes.tolist(), probability.tolist())]
+    want = [[entry_dict(e.time, e.experiment.label, y, p if y else 1.0 - p)
+             for e, y, p in zip(schedule, ys, ps)]
+            for ys, ps in zip(yes.tolist(), p_yes.tolist())]
     assert [json.dumps(entries) for entries in got] == [json.dumps(entries) for entries in want]
     assert [[a is b for b in got] for a in got] == [[i == j for j in row_of] for i in row_of]
 
@@ -574,7 +572,8 @@ def test_one_trial_run_is_row_i_of_the_batch(case):
         rng = trial_generator(seed, i)
         rec = run_sequence(state, schedule, dynamics, rng=rng)
         assert rec.outcomes() == batch.yes[i].tolist()
-        assert [e.outcome.probability for e in rec.entries] == batch.probability[i].tolist()
+        assert [e.outcome.probability for e in rec.entries] == [
+            p if y else 1.0 - p for y, p in zip(rec.outcomes(), batch.p_yes[i].tolist())]
         final = rec.final_state.mu if state.context.is_diagonal else rec.final_state.rho
         assert final.tobytes() == batch.final[i].tobytes()
         counted = trial_generator(seed, i)
@@ -1221,10 +1220,10 @@ def test_tensor_mixed_kinds_rejected():
 
 
 
-def tensor_factor(kind, cls, n, rng):
-    """A random value of class `cls` on an n-dimensional algebra of `kind`."""
-    ctx = full_context(n) if kind == FULL else diagonal_context(
-        PhaseSpace(tuple(f"x{i}" for i in range(n))))
+def tensor_factor(diagonal, cls, n, rng):
+    """A random value of class `cls` on an n-dimensional algebra, diagonal or full."""
+    space = PhaseSpace(tuple(f"x{i}" for i in range(n)))
+    ctx = diagonal_context(space) if diagonal else full_context(n)
     shape = (n,) if ctx.is_diagonal else (n, n)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if cls is State:
@@ -1242,12 +1241,12 @@ def tensor_factor(kind, cls, n, rng):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([FULL, DIAGONAL]),
+@given(st.booleans(),
        st.sampled_from([State, Projection, Observable, AlgebraElement]),
        st.tuples(st.integers(1, 4), st.integers(1, 4)), st.integers(0, 2**32 - 1))
-def test_tensor_is_the_kronecker_product_of_the_kept_arrays(kind, cls, dims, seed):
+def test_tensor_is_the_kronecker_product_of_the_kept_arrays(diagonal, cls, dims, seed):
     rng = np.random.default_rng(seed)
-    a, b = (tensor_factor(kind, cls, n, rng) for n in dims)
+    a, b = (tensor_factor(diagonal, cls, n, rng) for n in dims)
     ab = tensor(a, b)
     assert type(ab) is cls
     kron = np.kron(a._stored, b._stored)
@@ -1255,7 +1254,7 @@ def test_tensor_is_the_kronecker_product_of_the_kept_arrays(kind, cls, dims, see
         assert np.allclose(ab._stored, kron, rtol=1e-12, atol=1e-15)
     else:
         assert ab._stored.tobytes() == kron.tobytes()
-    if kind == DIAGONAL:  # the bits of the dense Kronecker product's diagonal
+    if diagonal:  # the bits of the dense Kronecker product's diagonal
         dense = np.kron(*(x.rho if cls is State else x.matrix for x in (a, b)))
         if cls is State:  # as the dense state constructor repairs it
             arr = np.diag(np.diag(dense))
@@ -1264,7 +1263,7 @@ def test_tensor_is_the_kronecker_product_of_the_kept_arrays(kind, cls, dims, see
         assert ab._stored.tobytes() == (measure(dense) if cls is State
                                         else np.diagonal(dense)).tobytes()
     if cls is not State:
-        s, t = (tensor_factor(kind, State, n, rng) for n in dims)
+        s, t = (tensor_factor(diagonal, State, n, rng) for n in dims)
         want = expectation(s, a) * expectation(t, b)
         assert abs(expectation(tensor(s, t), ab) - want) <= 1e-12 * (1.0 + abs(want))
 
@@ -1307,27 +1306,27 @@ _FINITE_PRODUCTS = st.one_of(st.sampled_from([x for x in _KRON_EDGES if abs(x) <
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([FULL, DIAGONAL]), st.sampled_from([AlgebraElement, Projection, Observable]),
+@given(st.booleans(), st.sampled_from([AlgebraElement, Projection, Observable]),
        st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1),
        st.data())
-def test_tensor_and_embed_local_are_np_kron_bitwise(kind, cls, dims, seed, data):
+def test_tensor_and_embed_local_are_np_kron_bitwise(diagonal, cls, dims, seed, data):
     # tensor of 1-3 factors: edge entries for plain elements, drawn values for the others
     rng = np.random.default_rng(seed)
     if cls is AlgebraElement:
         def factor(n):
-            if kind == DIAGONAL:
+            if diagonal:
                 ctx = diagonal_context(PhaseSpace(tuple(map(str, range(n)))))
                 return element(ctx, data.draw(kron_arrays((n,), _FINITE_PRODUCTS)))
             return element(full_context(n), data.draw(kron_arrays((n, n), _FINITE_PRODUCTS)))
 
         factors = [factor(n) for n in dims]
     else:
-        factors = [tensor_factor(kind, cls, n, rng) for n in dims]
+        factors = [tensor_factor(diagonal, cls, n, rng) for n in dims]
     product = tensor(*factors)
     assert type(product) is cls
     want = functools.reduce(np.kron, [x._stored for x in factors])
     assert product._stored.tobytes() == want.tobytes()
-    if kind == DIAGONAL:
+    if diagonal:
         return
     # embed_local at every slot: the 1x1 unit times each factor in turn
     for slot, a in enumerate(factors):
@@ -1460,7 +1459,7 @@ def test_run_chunked_builds_one_philox_per_run(monkeypatch):
     monkeypatch.setattr(measurement, "CHUNK_BYTES", 4 * (8 * 3 + 16 * 4))  # four trials a chunk
     part = run_batch(psi0, schedule, trial_streams(9, 10))
     assert built == [{"key": 9}]
-    for name in ("yes", "probability", "draws", "final"):
+    for name in ("yes", "p_yes", "draws", "final"):
         assert getattr(part, name).tobytes() == getattr(whole, name).tobytes()
 
 

@@ -663,6 +663,7 @@ def test_classical_zeno_records_of_a_thousand_trials_are_priced_below_640_mib(mo
 # each scenario with one dimension grown, as far as the suite's time allows
 @pytest.mark.parametrize("name, params, trials, record", [
     ("zeno_precise", {"n": 4000}, 1, False),
+    ("zeno_precise", {"n": 400}, 2000, False),
     ("polarization_sequence", {"angles": list(range(0, 200))}, 60, True),
     ("three_observer", {}, 3000, True),
     ("two_slit", {"amp_l": [1.0] * 32, "amp_r": [0.5, -0.5] * 16}, 8, True),
