@@ -86,7 +86,7 @@ class Flow:
 
     def at(self, t: int) -> tuple:
         """The permutation realizing time t: each cycle of `step` rotated t places."""
-        if t != int(t):
+        if t != t or abs(t) == np.inf or t != int(t):  # nan, +-inf or a fraction
             raise ValueError("classical time must be an integer")
         t = int(t)
         perm = [0] * len(self.step)

@@ -406,16 +406,6 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     return post, cls, yes, p_yes
 
 
-def certain_noes(rho: np.ndarray, questions, order) -> int:
-    """How many leading questions of `order` `born_step` answers with a certain no that hands
-    the measure stack `rho` back bit for bit: on one row summing to exactly 1.0, each 0/1
-    question weighing exactly 0 on |row| (p = +0.0, no draw, and its "no" is the row over 1.0)."""
-    if rho.ndim != 2 or len(rho) != 1 or np.add.reduce(rho[0]) != 1.0:  # a nan sum too
-        return 0
-    weighed = questions[1][0] @ np.abs(rho[0])  # all n questions in one product; none cancels
-    return np.count_nonzero(np.logical_and.accumulate(weighed[order] == 0.0))
-
-
 def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> BatchOutcomes:
     """Run one schedule, fixed in advance, over a batch of trials at once.
 

@@ -25,8 +25,9 @@ polarization, precise Zeno, three observers and both EPR runs through
 `run_batch`; two-slit asks each question of its stop-at-first-yes chains
 only of the trials still without a yes; `zeno_coarse` asks each row of its
 stack the window its state has reached; and the classical Zeno control, whose
-answers are all forced, runs its one chain once for every trial, asking its n
-points, each n numbers, relabelled by the flow and never evolved as matrices.
+answers are all forced and hand its point mass back, weighs its n points, each
+n numbers, once and asks one of them once for every trial and step, each step
+only relabelling the points by the flow, never evolving them as matrices.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .measurement import (
     YesNoExperiment,
     _kron,
     born_step,
-    certain_noes,
     chunk_peak_bytes,
     compile_questions,
     embed_local,
@@ -520,22 +520,25 @@ def _classical_zeno(params, trials, seed, record_trials):
     points = compile_questions(np.eye(n_points))  # question k: "at x_{k+1}?"
     labels = [f"at {x}" for x in space.points]
 
-    # A point mass observed precisely: every answer is forced, so all trials
-    # coincide and draw nothing, and the chain runs once, one trial on one measure
-    # row with no uniforms (a free answer would index the empty block and raise).
+    # A point mass observed precisely is a fixed point of its own observation: all
+    # trials coincide and draw nothing, so the chain runs once, for one trial on one
+    # measure row with no uniforms (a free answer would index the empty block and raise).
     # The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)} makes question j at time t,
-    # labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].  The certain noes before
-    # the point with the mass are weighed, not asked, each a no of probability 1; that
-    # point is then asked once, a forced yes, since a yes hands a point mass back.
-    rho, none = np.eye(1, n_points), np.empty((1, 0))  # the point mass at x1; no uniforms
-    cls, used = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    # labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].  From the mass on x1, a point
+    # without it weighs exactly +0.0, a certain no of probability 1 whose update is the
+    # row over 1.0, the row; and the yes to x1 is the row times its indicator over 1.0,
+    # the row again.  So the state never moves: the points are weighed once, x1 is asked
+    # once, and each step only relabels, its certain noes the leading labels weighing 0.
+    rho = np.eye(1, n_points)  # the point mass at x1
+    weighed = points[1][0] @ rho[0]  # each point's mass
+    _, _, yes, p = born_step(rho, np.zeros(1, dtype=np.intp), points, 0, np.empty((1, 0)),
+                             np.zeros(1, dtype=np.intp))
+    (said,), (p,) = yes.tolist(), p.tolist()  # a bool and a float, as JSON writes them
     order, traj, entries = np.arange(n_points), [0], []  # order: at(0)
     for step in range(1, steps + 1):
         order = back[order]  # at(-step), gathered from at(1 - step)
-        skip = int(certain_noes(rho, points, order))  # an int, as JSON writes the trajectory
-        rho, cls, yes, p = born_step(rho, cls, points, order[skip], none, used)
+        skip = int(np.count_nonzero(np.logical_and.accumulate(weighed[order] == 0.0)))  # for JSON
         if record_trials:
-            (said,), (p,) = yes.tolist(), p.tolist()
             entries += [entry_dict(step, labels[j], False, 1.0) for j in range(skip)]
             entries.append(entry_dict(step, labels[skip], said, p if said else 1.0 - p))
         traj.append(skip)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noncomm.algebra
@@ -44,7 +44,6 @@ from noncomm.measurement import (
     ScheduleEntry,
     YesNoExperiment,
     born_step,
-    certain_noes,
     compile_questions,
     evolve_schedule,
     perform,
@@ -55,7 +54,6 @@ from noncomm.measurement import (
 )
 from noncomm.states import (
     P_FLOOR,
-    NumericalInvariantError,
     State,
     ZeroProbabilityError,
     classical_condition,
@@ -174,69 +172,21 @@ def test_condition_classical_condition_and_kernel_agree_bitwise(case, u, v):
             assert tuple(x[k:k + 1].tobytes() for x in stacked) == row
 
 
-@st.composite
-def one_row_chains(draw):
-    """A measure row, 0/1 questions (the points, then random subsets), an order
-    to ask them in and the uniforms of 1 to 4 trials.  A few points carry the
-    mass; the rest are +0.0, -0.0, subnormal, or at or near P_FLOOR.  The row
-    sums to exactly 1.0, to 1 + 1 ulp or 1 - 1 ulp, or holds a nan."""
-    n = draw(st.sampled_from(DIMS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    fill = np.array([0.0, -0.0, 5e-324, 2.5e-308, P_FLOOR, np.nextafter(P_FLOOR, 1.0),
-                     np.nextafter(P_FLOOR, 0.0), P_FLOOR / 4, 4 * P_FLOOR])
-    mu = fill[rng.integers(0, draw(st.sampled_from((1, 2, 4, len(fill)))), n)]
-    heavy = rng.random(n) < draw(st.sampled_from((0.0, 0.2, 1.0)))
-    heavy[rng.integers(n)] = True
-    mu[heavy] = rng.dirichlet(np.ones(np.count_nonzero(heavy)))
-    target = draw(st.sampled_from((1.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), None)))
-    if target is None:
-        mu[rng.integers(n)] = np.nan
-    else:  # the largest mass takes up the difference, exactly after a step or two
-        for _ in range(4):
-            mu[np.argmax(mu)] += target - np.add.reduce(mu)
-    questions = np.concatenate([np.eye(n), (rng.random((n, n)) < 0.3).astype(float)])
-    order = rng.permutation(n).tolist() if draw(st.booleans()) else \
-        rng.integers(0, 2 * n, draw(st.integers(1, 2 * n))).tolist()
-    return mu, questions, order, rng.random((draw(st.integers(1, 4)), len(order)))
-
-
-def chain_steps(rho, questions, order, uniforms, skip=0):
-    """What `born_step` gives after each question of `order`, asked in turn
-    of every trial from one row: the stack, each trial's row, draw pointer and
-    answer, and p, as bytes, or the error that ends the chain.  The first
-    `skip` questions are taken as certain noes, not asked."""
-    trials = len(uniforms)
-    cls, used = np.zeros(trials, dtype=np.intp), np.arange(trials) * len(order)
-    steps = [(rho.shape, rho.tobytes(), cls.tobytes(), used.tobytes(),
-             np.zeros(trials, dtype=bool).tobytes(), np.zeros(trials).tobytes())] * skip
-    try:
-        for k in order[skip:]:
-            rho, cls, yes, p = born_step(rho, cls, questions, k, uniforms, used)
-            steps.append((rho.shape, *(x.tobytes() for x in (rho, cls, used, yes, p))))
-    except (ZeroProbabilityError, NumericalInvariantError) as err:
-        steps.append((type(err), str(err)))
-    return steps
-
-
-@settings(max_examples=400, deadline=None)
-@given(one_row_chains())
-@example((np.array([2.0**-40, 1.0 - 2.0**-40, 0.0]), np.eye(3), [2, 0, 1], np.array([[0.5] * 3])))
-@example((np.array([0.0, np.nextafter(1.0, 2.0)]), np.eye(2), [0, 1], np.array([[0.5] * 2])))
-def test_certain_noes_skip_the_chain_bitwise(case):
-    # the skipped questions are certain noes that hand the row back, and
-    # `born_step` from the first kept one goes on as the whole chain does
-    mu, points, order, uniforms = case
-    questions = compile_questions(points)
-    skip = certain_noes(mu[None], questions, order)
-    assert chain_steps(mu[None], questions, order, uniforms, skip) == \
-        chain_steps(mu[None], questions, order, uniforms)
-    # and it skips every leading question whose points hold no nonzero of a row
-    # summing to 1.0, so a helper that skipped nothing would fail here
-    touched = [np.count_nonzero(mu[points[k] != 0]) > 0 for k in order] + [True]
-    assert skip == (touched.index(True) if np.add.reduce(mu) == 1.0 else 0)
-    # more than one row, or a density matrix, skips nothing
-    assert certain_noes(np.stack([mu, mu]), questions, order) == 0
-    assert certain_noes(np.diag(mu)[None], questions, order) == 0
+@pytest.mark.parametrize("n", [2, 3, 16, 33, 1000])
+def test_a_point_mass_is_a_fixed_point_of_every_point_question(n):
+    # the classical Zeno's records rest on this: a point mass asked any point
+    # question answers it with certainty, draws nothing and is handed back bit
+    # for bit, so one ask of its point stands for every step's yes, and every
+    # other point is a no of p_yes +0.0
+    questions = compile_questions(np.eye(n))
+    for c in sorted({0, 1, n // 2, n - 1}):
+        for k in range(n):
+            used = np.zeros(1, dtype=np.intp)
+            post, cls, yes, p = born_step(np.eye(1, n, c), np.zeros(1, dtype=np.intp),
+                                          questions, k, np.empty((1, 0)), used)
+            assert yes.tolist() == [k == c] and cls.tolist() == [0] and used.tolist() == [0]
+            assert p.tobytes() == np.array([1.0 if k == c else +0.0]).tobytes()
+            assert post.shape == (1, n) and post.tobytes() == np.eye(1, n, c).tobytes()
 
 
 def test_point_masses_and_the_epr_measure_condition_as_the_dense_update():
@@ -324,7 +274,10 @@ def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
 
     def step(rho, *args):
         stacks.append(rho.shape[1:])
-        return born_step(rho, *args)
+        assert rho.tobytes() == np.eye(1, 16).tobytes()
+        out = born_step(rho, *args)
+        assert out[0].shape == (1, 16) and out[0].tobytes() == np.eye(1, 16).tobytes()
+        return out
 
     numpy_diag = np.diag
     for module in (noncomm.algebra, noncomm.dynamics):
@@ -336,9 +289,9 @@ def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
     assert calls == [] and len(compiled) == 1
     proj, weight = compiled[0]
     assert proj.shape == (2, 16, 16) and weight is proj  # (s, 1 - s) for each point
-    # step t would ask (t mod 16) + 1 points, 544 in all; the t mod 16 certain
-    # noes ahead of the one with mass are weighed at once, so each step asks one
-    assert stacks == [(16,)] * 64
+    # step t would ask (t mod 16) + 1 points, 544 in all; the point mass is a fixed
+    # point of each, so the points are weighed once and the run asks one, once
+    assert stacks == [(16,)]
 
 
 def test_classical_zeno_at_a_thousand_points_fits_and_runs():

@@ -341,9 +341,14 @@ def test_dynamics_are_checked_before_any_entry():
         evolve_schedule([ScheduleEntry(1, at_a)], elsewhere)
     with pytest.raises(ContextMismatchError):
         evolve_schedule([ScheduleEntry(0.0, YesNoExperiment("g", GROUND))], qutrit)
-    # classical time is an integer: a fractional time is rejected, not truncated
-    with pytest.raises(ValueError, match="integer"):
-        evolve_schedule([ScheduleEntry(1.5, at_a)], Flow(space, (1, 2, 0)))
+    # classical time is an integer: a fractional or non-finite time is rejected, not
+    # truncated, and by the run as by the schedule
+    for t in (1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            evolve_schedule([ScheduleEntry(t, at_a)], Flow(space, (1, 2, 0)))
+        with pytest.raises(ValueError, match="integer"):
+            run_batch(classical_state(ctx, [1, 0, 0]), [ScheduleEntry(t, at_a)],
+                      trial_streams(0, 2), Flow(space, (1, 2, 0)))
     assert evolve_schedule([], qutrit) == [] and evolve_schedule([], None) == []
 
 

@@ -401,11 +401,15 @@ def test_classical_zeno_matches_evolved_schedule_reference(n_points, steps, tria
 
 
 def test_classical_zeno_work_does_not_grow_with_trials(monkeypatch):
-    # every answer is forced, so the one chain is asked, once, whatever the trial count:
-    # each step one question of the one measure row, for one trial, with no uniforms
+    # every answer is forced and a point mass is a fixed point of every point question,
+    # so the one chain asks once, whatever the steps and trials: x1 of the one measure
+    # row, for one trial, with no uniforms, and the row it hands back is the row
     def step(rho, cls, questions, ask, uniforms, used):
         calls.append((rho.shape, len(cls), uniforms.shape, used.tolist()))
-        return measurement.born_step(rho, cls, questions, ask, uniforms, used)
+        assert rho.tobytes() == np.eye(1, 16).tobytes()
+        out = measurement.born_step(rho, cls, questions, ask, uniforms, used)
+        assert out[0].shape == (1, 16) and out[0].tobytes() == np.eye(1, 16).tobytes()
+        return out
 
     monkeypatch.setattr(scenarios, "born_step", step)
     monkeypatch.setattr(scenarios, "run_chunked", None)
@@ -413,7 +417,7 @@ def test_classical_zeno_work_does_not_grow_with_trials(monkeypatch):
         calls = []
         res = run_scenario("classical_control", {"num_points": 16, "steps": 64}, trials,
                            seed=3, record_trials=True)
-        assert calls == [((1, 16), 1, (1, 0), [0])] * 64
+        assert calls == [((1, 16), 1, (1, 0), [0])]
         assert len(res.trial_records) == trials
         assert len({id(r["entries"]) for r in res.trial_records}) == 1
         assert len({id(r["trajectory"]) for r in res.trial_records}) == 1
