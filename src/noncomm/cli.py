@@ -8,8 +8,9 @@
 `run` gathers the parameters, trial count and seed from the command line,
 the config file and NONCOMM_SEED (used when --seed is absent), and hands
 them as given to `run_scenario`, which alone judges them.  Exit codes for
-`run`: 0 success, 2 unknown scenario, 3 config/schema error, 4 numerical
-invariant violation during the run.  `check` exits 1 if any invariant fails.
+`run`: 0 success, 2 unknown scenario, 3 config/schema error or an output
+that cannot be written, 4 numerical invariant violation during the run.
+`check` exits 1 if any invariant fails.
 
 Result files are deterministic: two runs with the same scenario, parameters,
 and seed produce byte-identical files.  Timestamps live only in the manifest
@@ -303,10 +304,16 @@ def _cmd_run(args) -> int:
     try:
         if args.out == "":
             raise ParameterError("--out is empty")
-        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ParameterError(f"--out {args.out!r} is not in an existing directory")
-        if args.out is not None and os.path.isdir(args.out):
-            raise ParameterError(f"--out {args.out!r} is a directory")
+        if args.out is not None:
+            head = os.path.dirname(args.out) or "."
+            if not os.path.isdir(head):
+                raise ParameterError(f"--out {args.out!r} is not in an existing directory")
+            if os.path.isdir(args.out):
+                raise ParameterError(f"--out {args.out!r} is a directory")
+            longest = len(os.fsencode(os.path.basename(args.out))) + len(".manifest.json")
+            if 0 < (limit := os.pathconf(head, "PC_NAME_MAX")) < longest:  # the manifest's name
+                raise ParameterError(f"--out {args.out!r} is too long: its manifest's name would "
+                                     f"be {longest} bytes, past the {limit} its directory allows")
         config = _load_config(args.config)
         overrides = dict(config.get("parameters", {}))
         overrides.update(parse_set_options(args.set))
@@ -332,24 +339,19 @@ def _cmd_run(args) -> int:
         return EXIT_OK
 
     outputs = [args.out]
-    _atomic_write(args.out, payload)
-    if args.snapshots and args.format == "csv":
-        trials_path = args.out + ".trials.csv"
-        _atomic_write(trials_path, trials_csv(result))
-        outputs.append(trials_path)
-    manifest = {
-        "tool": "noncomm",
-        "version": __version__,
-        "scenario": name,
-        "parameters": result.parameters,
-        "seed": result.seed,
-        "trials": result.trials,
-        "blas_core": blas_core(),
-        "started": started,
-        "finished": _utc_now(),
-        "outputs": outputs,
-    }
-    _atomic_write(args.out + ".manifest.json", json_text(manifest))
+    try:
+        _atomic_write(args.out, payload)
+        if args.snapshots and args.format == "csv":
+            outputs.append(args.out + ".trials.csv")
+            _atomic_write(outputs[1], trials_csv(result))
+        manifest = {"tool": "noncomm", "version": __version__, "scenario": name,
+                    "parameters": result.parameters, "seed": result.seed, "trials": result.trials,
+                    "blas_core": blas_core(), "started": started, "finished": _utc_now(),
+                    "outputs": outputs}
+        _atomic_write(args.out + ".manifest.json", json_text(manifest))
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     return EXIT_OK
 
 

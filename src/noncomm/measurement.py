@@ -337,20 +337,21 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     for rows that answered no.  A nan p answers yes here, so one check a step,
     of each child's probability, catches the floor and nan alike; only then is
     `perform`'s error raised, for the first failing trial.  One row with a
-    trial on it takes p as one float, decides in Python whether it is forced,
-    and conditions once, unless its trials split, into rows (no, yes).  A
-    measure weighs both answers in one product, summed row by row as `_trace`
-    sums, and divides each kept row by its mass; a density matrix weighs as
-    `perform` does, "no" only if a trial answered no.  Returns the new stack,
-    each trial's row in it, the answers and p ("no": 1 - p)."""
+    trial on it takes p as one float, weighed as `perform` weighs it ("no"
+    only if a trial answered no), decides in Python whether it is forced, and
+    conditions once, unless its trials split, into rows (no, yes).  Both
+    blocks end in the one update, Bayes on measures and P rho P renormalized
+    on density matrices.  Returns the new stack, each trial's row in it, the
+    answers and p ("no": 1 - p)."""
     proj, weight = questions
     diagonal, per_row = rho.ndim == 2, isinstance(ask, np.ndarray)
+
+    def update(rho, chosen):  # the one conditional update: Bayes, or P rho P renormalized
+        return bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
+
     if len(rho) == 1 and len(cls):
         ask = ask[0] if per_row else ask  # one row asks one question
-        if diagonal:  # a sum along the contiguous last axis is pairwise, as `_trace`'s
-            mass, no_mass = (masses := np.add.reduce(joint := rho[0] * weight[:, ask], -1)).tolist()
-        else:
-            mass = _trace(rho[0], weight[0, ask])[0]
+        mass = _trace(rho[0], weight[0, ask])[0]
         p = _probability(mass)
         if P_FLOOR < p < 1.0 - P_FLOOR or p != p:  # free, as a nan p is, which answers yes
             yes = ~(uniforms.ravel()[used] >= p)
@@ -360,19 +361,14 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
             yes, answers = np.empty(len(cls), dtype=bool), len(cls) if p >= 1.0 - P_FLOOR else 0
             yes.fill(answers > 0)
         if answers < len(yes):  # a "no": only its mass can fail, as a free p's is above the floor
-            mass = no_mass if diagonal else _trace(rho[0], weight[1, ask])[0]
+            mass = _trace(rho[0], weight[1, ask])[0]
         if not mass > P_FLOOR:  # the floor or nan: `perform`'s error, which answers no to a nan p
             require_probability(_trace(rho[0], weight[1, ask])[0] if p != p else mass)
             Outcome(False, 1.0 - p)  # raises for a nan p
-        if 0 < answers < len(yes):  # rows (no, yes); Bayes divides the products weighed above
-            cls = yes.astype(np.intp)
-            post = (joint[::-1] / masses[::-1, None] if diagonal else
-                    renormalize((chosen := proj[[1, 0], ask]) @ rho @ chosen))
-        elif diagonal:  # one child: Bayes is the product just weighed, over its mass
-            post = (joint[0 if answers else 1] / mass)[None]
-        else:
-            chosen = proj[0 if answers else 1, ask]
-            post = renormalize(chosen @ rho[0] @ chosen)[None]
+        if 0 < answers < len(yes):  # rows (no, yes)
+            cls, post = yes.astype(np.intp), update(rho, proj[[1, 0], ask])
+        else:  # one child, conditioned as one measure or matrix
+            post = update(rho[0], proj[0 if answers else 1, ask])[None]
         p_yes = np.empty(len(cls))
         p_yes.fill(p)
         return post, cls, yes, p_yes
@@ -401,9 +397,7 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
         first = ((given <= P_FLOOR) | nan).argmax()
         require_probability(given[first])
         Outcome(False, float(1.0 - p_yes[first]))  # raises for a nan p, as in `perform`
-    chosen = proj[1 - answer, ask]
-    post = bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
-    return post, cls, yes, p_yes
+    return update(rho, proj[1 - answer, ask]), cls, yes, p_yes
 
 
 def run_batch(state: State, schedule, streams: TrialStreams, dynamics=None) -> BatchOutcomes:

@@ -25,9 +25,9 @@ polarization, precise Zeno, three observers and both EPR runs through
 `run_batch`; two-slit asks each question of its stop-at-first-yes chains
 only of the trials still without a yes; `zeno_coarse` asks each row of its
 stack the window its state has reached; and the classical Zeno control, whose
-answers are all forced and hand its point mass back, weighs its n points, each
-n numbers, once and asks one of them once for every trial and step, each step
-only relabelling the points by the flow, never evolving them as matrices.
+answers are all forced and hand its point mass back, compiles and asks only
+the question of its mass's point, once for every trial and step, each step
+reading the mass's label from the flow, never evolving a question.
 """
 
 from __future__ import annotations
@@ -516,28 +516,26 @@ def _run_three_observer(params, trials, seed, record_trials):
 def _classical_zeno(params, trials, seed, record_trials):
     n_points, steps = params["num_points"], params["steps"]
     space = PhaseSpace(tuple(f"x{i + 1}" for i in range(n_points)))
-    back = np.array(Flow(space, tuple((i + 1) % n_points for i in range(n_points))).at(-1))
-    points = compile_questions(np.eye(n_points))  # question k: "at x_{k+1}?"
+    ahead = Flow(space, tuple((i + 1) % n_points for i in range(n_points))).at(1)
     labels = [f"at {x}" for x in space.points]
 
     # A point mass observed precisely is a fixed point of its own observation: all
     # trials coincide and draw nothing, so the chain runs once, for one trial on one
     # measure row with no uniforms (a free answer would index the empty block and raise).
     # The Koopman lift 1_{x_j} o T_t = 1_{T_t^-1(x_j)} makes question j at time t,
-    # labelled x_j, point at(-t)[j] = at(-1)[at(1 - t)[j]].  From the mass on x1, a point
-    # without it weighs exactly +0.0, a certain no of probability 1 whose update is the
-    # row over 1.0, the row; and the yes to x1 is the row times its indicator over 1.0,
-    # the row again.  So the state never moves: the points are weighed once, x1 is asked
-    # once, and each step only relabels, its certain noes the leading labels weighing 0.
-    rho = np.eye(1, n_points)  # the point mass at x1
-    weighed = points[1][0] @ rho[0]  # each point's mass
-    _, _, yes, p = born_step(rho, np.zeros(1, dtype=np.intp), points, 0, np.empty((1, 0)),
-                             np.zeros(1, dtype=np.intp))
+    # labelled x_j, "at point at(-t)[j]?".  From the mass on x1, a point without it
+    # weighs exactly +0.0, a certain no of probability 1 whose update is the row over
+    # 1.0, the row; and the yes to x1 is the row times its indicator over 1.0, the row
+    # again.  So the state never moves: only x1's question is compiled and asked, once,
+    # and at step t the yes is the label whose point is x1, at(t)[0] = at(1)[at(t - 1)[0]],
+    # the labels before it the certain noes.
+    rho = np.eye(1, n_points)  # the point mass at x1, and the indicator of x1
+    _, _, yes, p = born_step(rho, np.zeros(1, dtype=np.intp), compile_questions(rho), 0,
+                             np.empty((1, 0)), np.zeros(1, dtype=np.intp))
     (said,), (p,) = yes.tolist(), p.tolist()  # a bool and a float, as JSON writes them
-    order, traj, entries = np.arange(n_points), [0], []  # order: at(0)
+    skip, traj, entries = 0, [0], []  # skip: at(0)[0]
     for step in range(1, steps + 1):
-        order = back[order]  # at(-step), gathered from at(1 - step)
-        skip = int(np.count_nonzero(np.logical_and.accumulate(weighed[order] == 0.0)))  # for JSON
+        skip = ahead[skip]  # at(step)[0], an int
         if record_trials:
             entries += [entry_dict(step, labels[j], False, 1.0) for j in range(skip)]
             entries.append(entry_dict(step, labels[skip], said, p if said else 1.0 - p))
@@ -630,9 +628,11 @@ def _classical_control_footprint(params):
         return _schedule_footprint(2, 4)
     n, steps = params["num_points"], params["steps"]
     q, r = divmod(steps, n)  # a cycle of n steps asks n (n + 1) / 2 points, r more r (r + 3) / 2
-    # once the point questions, 32 n^2 bytes while compiled, and the one chain's positions;
-    # nothing per trial; per record step t's (t mod n) + 1 measurements
-    return (32 * n * n + 40 * (steps + 1), 0,
+    # once the point labels, phase space and flow, whose peak (the run plus `result_json`)
+    # measured 183-252 bytes a point at 100 to 4 * 10^5 points, the most just past a resize
+    # of the flow's `seen` set, and the one chain's positions; nothing per trial; per record
+    # step t's (t mod n) + 1 measurements
+    return (256 * n + 40 * (steps + 1), 0,
             _RECORD_BYTES + (q * n * (n + 1) + r * (r + 3)) // 2 * _ENTRY_BYTES)
 
 

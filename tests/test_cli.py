@@ -1,6 +1,7 @@
 import csv
 import ctypes.util
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -364,7 +365,10 @@ def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="disk full"):
-        main(["run", "epr", "--trials", "5", "--out", str(tmp_path / "res.csv")])
+        cli._atomic_write(str(tmp_path / "res.csv"), "ours\n")
+    assert list(tmp_path.iterdir()) == []
+    # `run` reports the failed write as one error line, exit 3
+    assert main(["run", "epr", "--trials", "5", "--out", str(tmp_path / "res.csv")]) == 3
     assert list(tmp_path.iterdir()) == []
 
 
@@ -397,6 +401,28 @@ def test_out_with_a_240_character_basename_writes_result_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / (out.name + ".manifest.json")).read_text())
     assert manifest["outputs"] == [str(out)] and "anticorrelation_rate" in out.read_text()
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_out_whose_manifest_name_is_too_long_exits_3_before_running(tmp_path, capsys):
+    # the result's name, 249 bytes, fits; its manifest's, 263, does not: nothing is written
+    out = tmp_path / ("b" * 245 + ".csv")
+    assert main(["run", "epr", "--trials", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {str(out)!r} is too long") and err.count("\n") == 1
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+
+def test_out_the_filesystem_refuses_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    def read_only(*args):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), args[0])
+
+    monkeypatch.setattr(os, "open", read_only)
+    assert main(["run", "epr", "--trials", "2", "--out", str(tmp_path / "res.csv")]) == 3
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {str(tmp_path / 'res.csv')!r}: ")
+    assert err.count("\n") == 1 and "Read-only file system" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_temp_name_collision_draws_again_and_keeps_the_foreign_file(tmp_path, monkeypatch):
@@ -744,7 +770,7 @@ def test_main_twice_leaks_nothing_into_the_second_run(tmp_path):
 OVERSIZED = {
     "zeno_precise-n": ["zeno_precise", "--set", "n=10**8", "--trials", "1"],
     "zeno_coarse-levels": ["zeno_coarse", "--set", "num_levels=10**6", "--trials", "1"],
-    "classical-points": ["classical_control", "--set", "num_points=10**5", "--trials", "1"],
+    "classical-points": ["classical_control", "--set", "num_points=10**8", "--trials", "1"],
     "epr-trials": ["epr", "--trials", str(10**10), "--snapshots"],
 }
 _UNDER_CAP = """
@@ -768,6 +794,21 @@ def test_oversized_run_exits_3_before_allocating(argv):
     assert code == 3 and peak < 1 << 20
     # the limit is the soft address-space cap, measured in the child
     assert f"more than the {cap >> 20} MiB this process may use" in proc.stderr
+
+
+def test_classical_zeno_of_a_hundred_thousand_points_runs_under_the_cap(tmp_path):
+    # the run compiles the point mass's one question and reads every step from the
+    # flow, so its bytes grow with the points, not their square
+    out = tmp_path / "cz.json"
+    argv = ["classical_control", "--set", "scenario=zeno,num_points=100000,steps=1000",
+            "--trials", str(10**12), "--format", "json", "--out", str(out)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _UNDER_CAP, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout.split()[0] == "0", proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["series"]["position_trajectory"] == list(range(1001))
+    assert doc["summary"]["frozen_steps"] == 0
 
 
 # -------------------------------------------------------------- BLAS core

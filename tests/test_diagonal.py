@@ -255,8 +255,8 @@ def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
     # every conditioning of the run is Bayes on the measure and every point
     # question keeps its n values: no diag(...) is built, neither by the one
     # lazy builder (for a state's `rho` or a question's `matrix`) nor by
-    # np.diag, the points are compiled once as rows of n values, and every
-    # question asked is asked of a stack of measures
+    # np.diag, the mass's point alone is compiled, once, as a row of n values,
+    # and every question asked is asked of a stack of measures
     calls, compiled, stacks = [], [], []
 
     def spy(values):
@@ -288,15 +288,15 @@ def test_classical_zeno_never_builds_a_measure_matrix(monkeypatch):
     run_scenario("classical_control", {"num_points": 16, "steps": 64}, 3, 17)
     assert calls == [] and len(compiled) == 1
     proj, weight = compiled[0]
-    assert proj.shape == (2, 16, 16) and weight is proj  # (s, 1 - s) for each point
+    assert proj.shape == (2, 1, 16) and weight is proj  # (s, 1 - s) for x1 alone
     # step t would ask (t mod 16) + 1 points, 544 in all; the point mass is a fixed
-    # point of each, so the points are weighed once and the run asks one, once
+    # point of each, so the run asks x1's question, once, and the flow gives the rest
     assert stacks == [(16,)]
 
 
 def test_classical_zeno_at_a_thousand_points_fits_and_runs():
-    # each point question is n numbers, so the run needs O(n^2) bytes, not
-    # the O(n^3) of n dense n x n questions
+    # one point question of n numbers is compiled, not n dense n x n ones, so
+    # the run needs O(n) bytes
     result = run_scenario("classical_control", {"num_points": 1000, "steps": 4}, trials=1)
     assert result.series["position_trajectory"] == [0, 1, 2, 3, 4]
     assert result.summary["advanced_every_step"]

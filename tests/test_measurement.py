@@ -982,7 +982,7 @@ def test_one_row_point_chain_is_perform_for_every_trial(n, data, trials, seed):
     # the classical Zeno's chain on a measure that is no point mass: "is it at
     # x_k?" for k in a drawn order until each trial's first yes, the last point
     # too; the trials still without a yes share the "no" row, so every question
-    # is asked of one row, which weighs both answers in one product
+    # is asked of one row, which weighs as `perform` does, "no" only on a no
     state, _ = data.draw(measures_with_mass_on(n))
     order = data.draw(st.permutations(range(n)))
     space = state.context.phase_space

@@ -675,6 +675,7 @@ def test_classical_zeno_records_of_a_thousand_trials_are_priced_below_640_mib(mo
     ("zeno_coarse", {"num_levels": 96, "steps": 40, "drift_rate": 0}, 2, True),
     ("zeno_coarse", {"num_levels": 4, "steps": 48}, 2000, False),
     ("classical_control", {"num_points": 120, "steps": 3}, 2, True),
+    ("classical_control", {"num_points": 20000, "steps": 3}, 2, False),
 ])
 def test_peak_estimate_bounds_measured_peak(monkeypatch, name, params, trials, record):
     # small chunks, so that the sizes grown here, not the chunk, set the peak
