@@ -107,11 +107,16 @@ class ValueSet:
 
     def __post_init__(self):
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        points = tuple(float(p) for p in self.points)
         for lo, hi in ivs:
+            if lo != lo or hi != hi:  # nan compares false, so it would match nothing
+                raise ValueError(f"interval [{lo}, {hi}] has a nan bound")
             if lo > hi:
                 raise ValueError(f"interval [{lo}, {hi}] has lower > upper")
+        if any(p != p for p in points):
+            raise ValueError(f"points {points} include nan")
         object.__setattr__(self, "intervals", ivs)
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
+        object.__setattr__(self, "points", points)
 
     def contains(self, x, atol: float = 0.0):
         """Membership of x, widened by `atol` for eigenvalue roundoff; a bool array if x is one."""

@@ -27,7 +27,7 @@ from .algebra import (
     measure,
     measure_matrix,
 )
-from .states import State
+from .states import State, renormalize
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,15 @@ class Flow:
         object.__setattr__(self, "step", step)
         if sorted(step) != list(range(len(self.space))):
             raise ValueError(f"step {step} is not a bijection of {len(self.space)} points")
-        cycles, seen = [], set()
-        for start in (i for i in range(len(step)) if i not in seen):
-            cycle = [start]
-            while step[cycle[-1]] != start:
-                cycle.append(step[cycle[-1]])
-            seen.update(cycle)
-            cycles.append(tuple(cycle))
+        cycles, seen = [], bytearray(len(step))  # a visited flag a point
+        for start in range(len(step)):
+            cycle, i = [], start
+            while not seen[i]:  # a bijection's walk from start first meets start again
+                seen[i] = 1
+                cycle.append(i)
+                i = step[i]
+            if cycle:
+                cycles.append(tuple(cycle))
         object.__setattr__(self, "cycles", tuple(cycles))
 
     @classmethod
@@ -178,4 +180,4 @@ def schrodinger_state(state: State, h: Hamiltonian, t: float) -> State:
         raise ValueError("state-picture evolution is defined for the full algebra")
     check_dynamics(h, [state.context])
     u = propagator(h, -t).matrix
-    return State._renormalized(state.context, u @ state.rho @ u.conj().T)
+    return State._unchecked(state.context, renormalize(u @ state.rho @ u.conj().T))

@@ -14,15 +14,18 @@ numbers, and the other two are for full algebras only.
 
 One trial is `perform`, which `run_sequence` loops over the evolved
 schedule: the library's one-trial API, and the reference the kernel is
-tested against; no scenario steps with it.  A batch runs as one stack of
+tested against; no scenario steps with it.  It is its definition,
+`yes_probability`, a draw unless forced, then `condition` on the answer's
+projection.  A batch runs as one stack of
 distinct states, trials that share an answer history sharing one conditioned
 state: `born_step` asks one question of every trial, or each row its own,
 takes "no" probabilities only for rows that answered no, conditions each
 state once per answer, checks the step once for the floor and nan, and gives
 each trial `perform`'s bits and errors.  On a diagonal algebra the stack
 holds measures, a schedule stays the (n, d) stack of its indicator rows from
-evolution to compiled question, the update is `condition`'s Bayes rule, and
-the final states are those measures.  A trial draws one block of uniforms,
+evolution to compiled question, and the final states are those measures.
+Every update, in `perform` and the kernel alike, is `bayes` on measures and
+`lueders` on density matrices.  A trial draws one block of uniforms,
 sized to its run's most draws, and its one pointer moves only on unforced
 outcomes, so in every phase the k-th uniform used is the k-th `perform`
 would draw.  `run_batch` loops the step over a fixed schedule; a caller that
@@ -62,20 +65,18 @@ from .algebra import (
     complement,
     diagonal_context,
     full_context,
-    require_same_context,
 )
 from .dynamics import check_dynamics, evolve_stack
 from .states import (
     P_FLOOR,
     NumericalInvariantError,
     State,
-    _conditioned,
     _probability,
-    _trace,
-    _weigh,
     bayes,
-    renormalize,
+    condition,
+    lueders,
     require_probability,
+    yes_probability,
 )
 
 # Bytes of one chunk's uniform blocks plus its state stacks in `run_chunked`.
@@ -117,10 +118,8 @@ class YesNoExperiment:
 
     @property
     def no_projection(self) -> Projection:
-        """1 - P, the projection of the answer "no", built on first use."""
-        if "_no" not in self.__dict__:  # cached_property's lock costs more than 1 - P
-            self.__dict__["_no"] = complement(self.projection)
-        return self.__dict__["_no"]
+        """1 - P, the projection of the answer "no"."""
+        return complement(self.projection)
 
 
 class Outcome(namedtuple("Outcome", ("yes", "probability"))):
@@ -215,20 +214,14 @@ class BatchOutcomes:
 
 def perform(state: State, experiment: YesNoExperiment,
             rng: np.random.Generator) -> tuple[Outcome, State]:
-    """Sample one yes/no experiment and condition the state on the result, with
-    the bits and errors of `yes_probability` then `condition`, but one context
-    check and one weighing for "yes" (of P), two for "no" (of P, then 1 - P).
+    """Sample one yes/no experiment and condition the state on the result:
+    p = `yes_probability`, then `condition` on P for "yes" or 1 - P for "no".
     An outcome within P_FLOOR of probability 0 or 1 is forced without a draw,
     which keeps draw counts stable and avoids conditioning on the impossible.
     """
-    proj = experiment.projection
-    require_same_context(state, proj)
-    weight = _weigh(state, proj)
-    p = _probability(weight[0])
+    p = yes_probability(state, experiment.projection)
     yes = p >= 1.0 - P_FLOOR or (not p <= P_FLOOR and bool(rng.random() < p))
-    if not yes:
-        weight = _weigh(state, proj := experiment.no_projection)
-    post = _conditioned(state, proj, *weight)
+    post = condition(state, experiment.projection if yes else experiment.no_projection)
     return Outcome(yes=yes, probability=p if yes else 1.0 - p), post
 
 
@@ -323,6 +316,14 @@ def row_traces(rho: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return (rho.reshape(-1, 1, weight.shape[-2]) @ weight)[:, 0, 0].real
 
 
+def _trace(rho: np.ndarray, weight: np.ndarray) -> float:
+    """`row_traces` of one row as a float, unclamped, with `expectation`'s bits:
+    the `add.reduce` of mu * s, or the one `dot` of rho with P's transpose."""
+    if rho.ndim == 1:
+        return float(np.add.reduce(rho * weight))
+    return float(rho.ravel().dot(weight.ravel()).real)
+
+
 def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.ndarray,
               used: np.ndarray) -> tuple:
     """Ask compiled questions (`compile_questions`) of every trial, with the
@@ -340,18 +341,15 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
     trial on it takes p as one float, weighed as `perform` weighs it ("no"
     only if a trial answered no), decides in Python whether it is forced, and
     conditions once, unless its trials split, into rows (no, yes).  Both
-    blocks end in the one update, Bayes on measures and P rho P renormalized
-    on density matrices.  Returns the new stack, each trial's row in it, the
+    blocks end in the one update: `bayes` on measures, `lueders` on density
+    matrices.  Returns the new stack, each trial's row in it, the
     answers and p ("no": 1 - p)."""
     proj, weight = questions
-    diagonal, per_row = rho.ndim == 2, isinstance(ask, np.ndarray)
-
-    def update(rho, chosen):  # the one conditional update: Bayes, or P rho P renormalized
-        return bayes(rho, chosen) if diagonal else renormalize(chosen @ rho @ chosen)
-
+    per_row = isinstance(ask, np.ndarray)
+    update = bayes if rho.ndim == 2 else lueders
     if len(rho) == 1 and len(cls):
         ask = ask[0] if per_row else ask  # one row asks one question
-        mass = _trace(rho[0], weight[0, ask])[0]
+        mass = _trace(rho[0], weight[0, ask])
         p = _probability(mass)
         if P_FLOOR < p < 1.0 - P_FLOOR or p != p:  # free, as a nan p is, which answers yes
             yes = ~(uniforms.ravel()[used] >= p)
@@ -361,9 +359,9 @@ def born_step(rho: np.ndarray, cls: np.ndarray, questions, ask, uniforms: np.nda
             yes, answers = np.empty(len(cls), dtype=bool), len(cls) if p >= 1.0 - P_FLOOR else 0
             yes.fill(answers > 0)
         if answers < len(yes):  # a "no": only its mass can fail, as a free p's is above the floor
-            mass = _trace(rho[0], weight[1, ask])[0]
+            mass = _trace(rho[0], weight[1, ask])
         if not mass > P_FLOOR:  # the floor or nan: `perform`'s error, which answers no to a nan p
-            require_probability(_trace(rho[0], weight[1, ask])[0] if p != p else mass)
+            require_probability(_trace(rho[0], weight[1, ask]) if p != p else mass)
             Outcome(False, 1.0 - p)  # raises for a nan p
         if 0 < answers < len(yes):  # rows (no, yes)
             cls, post = yes.astype(np.intp), update(rho, proj[[1, 0], ask])

@@ -629,10 +629,9 @@ def _classical_control_footprint(params):
     n, steps = params["num_points"], params["steps"]
     q, r = divmod(steps, n)  # a cycle of n steps asks n (n + 1) / 2 points, r more r (r + 3) / 2
     # once the point labels, phase space and flow, whose peak (the run plus `result_json`)
-    # measured 183-252 bytes a point at 100 to 4 * 10^5 points, the most just past a resize
-    # of the flow's `seen` set, and the one chain's positions; nothing per trial; per record
-    # step t's (t mod n) + 1 measurements
-    return (256 * n + 40 * (steps + 1), 0,
+    # measured 186-211 bytes a point at 300 to 4 * 10^5 points, and the one chain's
+    # positions; nothing per trial; per record step t's (t mod n) + 1 measurements
+    return (216 * n + 40 * (steps + 1), 0,
             _RECORD_BYTES + (q * n * (n + 1) + r * (r + 3)) // 2 * _ENTRY_BYTES)
 
 

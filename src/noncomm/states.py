@@ -7,9 +7,11 @@ conditional probability.  On the diagonal (classical) algebra that update
 *is* the Bayes rule mu'(U) = mu(U & S) / mu(S), so a diagonal state *is* its
 measure mu: it is read and judged as mu, builds rho = diag(mu) only when
 `rho` is first read, and `expectation`, `yes_probability`, `condition` and
-`state_distance` work on mu alone.  `yes_probability`, `condition`,
-`perform` and a one-row kernel step weigh with `_trace`'s bits; the
-kernel and `classical_condition` share `bayes`.
+`state_distance` work on mu alone.  Every conditioning in the package is one
+of two functions: `bayes` on measures and `lueders` on density matrices, in
+`condition`, `classical_condition` and the batched kernel alike; a
+yes-probability is `expectation`'s Tr(rho P), whose bits the kernel's
+weighings share.
 """
 
 from __future__ import annotations
@@ -76,13 +78,6 @@ class State(AlgebraValue):
         arr = arr / tr
         return arr.real.copy() if arr.ndim == 1 else arr
 
-    @classmethod
-    def _renormalized(cls, context, rho):
-        """Internal fast path for matrices positive by construction
-        (conjugations P rho P / unitary transports of valid states): still
-        symmetrize and fix the trace, but skip the spectral check."""
-        return cls._unchecked(context, renormalize(rho))
-
     def probabilities(self) -> np.ndarray:
         """The diagonal of rho as a real vector; for diagonal contexts this
         is the probability measure on phase space, a copy of `mu`."""
@@ -92,10 +87,19 @@ class State(AlgebraValue):
 def renormalize(rho: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix, or each matrix of a (..., d, d) stack, to unit trace:
     (rho + rho*) / Tr(rho + rho*), unhalved, as halving is exact and (a/2) / (t/2)
-    rounds as a / t, barring subnormals.  Each stacked matrix gets the bits it gets alone."""
+    rounds as a / t, barring subnormals.  Each stacked matrix gets the bits it gets alone.
+    A matrix positive by construction (P rho P, or a unitary transport of a
+    state) needs no spectral check after it: `State._unchecked` keeps it."""
     arr = rho + rho.swapaxes(-1, -2).conj()
     tr = arr.trace(0, -2, -1).real
     return arr / (tr if arr.ndim == 2 else tr[..., None, None])
+
+
+def lueders(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Lueders' rule rho' = P rho P / Tr(rho P), as P rho P renormalized, on
+    density matrices and projections that broadcast as (..., d, d) stacks; the
+    caller has checked the floor.  On a diagonal algebra it is `bayes`."""
+    return renormalize(p @ rho @ p)
 
 
 def density_state(context: AlgebraContext, matrix) -> State:
@@ -153,55 +157,39 @@ def bayes(mu: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def expectation(state: State, a: AlgebraElement) -> complex:
     """Tr(rho A); real up to roundoff when A is Hermitian.  On a diagonal
-    algebra this is the integral sum_x mu(x) a(x)."""
+    algebra this is the integral sum_x mu(x) a(x), summed as `bayes` sums its
+    mass; on a full one, sum_ij rho[i,j] A[j,i] as one `dot`, as the kernel's
+    one-row step takes it."""
     require_same_context(state, a)
     if state.context.is_diagonal:
         mu, values = state.mu, a.values
         return complex(np.add.reduce(mu * values.real), np.add.reduce(mu * values.imag))
-    # Tr(rho A) = sum_ij rho[i,j] A[j,i]
     return complex(state.rho.ravel().dot(a.matrix.T.ravel()))
-
-
-def _trace(rho: np.ndarray, p_t: np.ndarray) -> tuple:
-    """Tr(rho P), unclamped, as a float, from rho and P's transpose, and on a
-    diagonal algebra, from mu and the indicator s, also the joint mu * s it sums."""
-    if rho.ndim == 1:
-        joint = rho * p_t
-        return float(np.add.reduce(joint)), joint  # sum(), minus its Python wrapper
-    return float(rho.ravel().dot(p_t.ravel()).real), None  # sum_ij rho[i,j] P[j,i]
-
-
-def _weigh(state: State, p: Projection) -> tuple:  # `_trace` of a state and a projection
-    return _trace(state._stored, p.values.real if state.context.is_diagonal else p.matrix.T)
 
 
 def _probability(mass: float) -> float:
     return min(max(mass + 0.0, 0.0), 1.0)  # + 0.0: a zero is +0.0, as `born_step` gives it
 
 
-def _conditioned(state: State, p: Projection, mass: float, joint) -> State:
-    """`condition` from its `_weigh`: the floor, then joint / mass or P rho P renormalized."""
-    require_probability(mass)
-    if joint is None:
-        return State._renormalized(state.context, p.matrix @ state.rho @ p.matrix)
-    return State._unchecked(state.context, joint / mass)
-
-
 def yes_probability(state: State, p: Projection) -> float:
     """Probability of "yes" for the experiment with projection P, clamped to [0, 1]."""
-    require_same_context(state, p)
-    return _probability(_weigh(state, p)[0])
+    return _probability(expectation(state, p).real)
 
 
 def condition(state: State, p: Projection) -> State:
-    """State after a "yes": rho' = P rho P / Tr(rho P).
+    """State after a "yes": rho' = P rho P / Tr(rho P), by `lueders`.
 
     The returned state satisfies Tr(rho' A) = Tr(rho P A P) / Tr(rho P) for
     every A, and assigns probability 1 to a repetition of the experiment.
-    On a diagonal algebra this is Bayes' rule on the measure and P's indicator.
+    On a diagonal algebra this is `bayes` on the measure and P's indicator.
+    Either raises ZeroProbabilityError at or below P_FLOOR.
     """
     require_same_context(state, p)
-    return _conditioned(state, p, *_weigh(state, p))
+    ctx = state.context
+    if ctx.is_diagonal:
+        return State._unchecked(ctx, bayes(state.mu, p.values.real))
+    require_probability(expectation(state, p).real)
+    return State._unchecked(ctx, lueders(state.rho, p.matrix))
 
 
 def classical_condition(mu, subset: PhaseSubset) -> np.ndarray:

@@ -92,6 +92,21 @@ def test_value_set():
         ValueSet(intervals=((2.0, 1.0),))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"intervals": ((float("nan"), 5.0),)}, r"interval \[nan, 5.0\] has a nan bound"),
+    ({"intervals": ((0.0, float("nan")),)}, r"interval \[0.0, nan\] has a nan bound"),
+    ({"points": (1.0, float("nan"))}, r"points \(1.0, nan\) include nan"),
+], ids=["nan-lower", "nan-upper", "nan-point"])
+def test_value_set_refuses_nan(kwargs, message):
+    # nan compares false with every eigenvalue: the set would match nothing,
+    # and its spectral projection would be 0 without a word
+    with pytest.raises(ValueError, match=message):
+        spectral_projection(Observable(full_context(2), np.diag([1.0, 2.0])), ValueSet(**kwargs))
+    # infinite bounds are sets of the real line still
+    whole = ValueSet(intervals=((-np.inf, np.inf),), points=(np.inf,))
+    assert 1e300 in whole and -1e300 in whole
+
+
 # ------------------------------------------------------------- element ops
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import noncomm.algebra as algebra
 import noncomm.checks as checks
 import noncomm.dynamics as dynamics
+import noncomm.measurement as measurement
 import noncomm.states as states
 from noncomm.checks import SUITES, run_checks
 
@@ -114,24 +115,32 @@ def test_law_holds_on_hypothesis_draws(name):
 _bayes = states.bayes
 
 
-@pytest.mark.parametrize("module, name, mutant, law", [
+def _unchecked(state, rho):  # a conditioned state as `condition` keeps it, renormalized
+    return states.State._unchecked(state.context, states.renormalize(rho))
+
+
+@pytest.mark.parametrize("modules, name, mutant, law", [
     # the repeated question is no longer certain
-    pytest.param(checks, "condition", lambda state, p: state, "states.conditioning_idempotence",
+    pytest.param([checks], "condition", lambda state, p: state, "states.conditioning_idempotence",
                  id="condition-ignores-P"),
     # on a full algebra, renormalize(P rho) in place of renormalize(P rho P)
-    pytest.param(checks, "condition",
-                 lambda state, p: states.State._renormalized(state.context, p.matrix @ state.rho),
+    pytest.param([checks], "condition", lambda state, p: _unchecked(state, p.matrix @ state.rho),
                  "states.projection_update_functional_identity", id="condition-drops-second-P"),
+    # the same fault inside `lueders`, which `condition` and the kernel share
+    pytest.param([states, measurement], "lueders", lambda rho, p: states.renormalize(p @ rho),
+                 "states.projection_update_functional_identity", id="lueders-drops-second-P"),
     # the automorphism laws hold for either direction of time; duality does not
-    pytest.param(checks, "heisenberg_evolve", lambda a, h, t: dynamics.heisenberg_evolve(a, h, -t),
+    pytest.param([checks], "heisenberg_evolve",
+                 lambda a, h, t: dynamics.heisenberg_evolve(a, h, -t),
                  "measurement.schedule_duality", id="heisenberg-runs-backwards"),
     # `condition` and `classical_condition` share `bayes`: its fault must show
     # against exact Bayes, not cancel out
-    pytest.param(states, "bayes", lambda mu, s: _bayes(mu, s) * (1.0 + 1e-6),
+    pytest.param([states], "bayes", lambda mu, s: _bayes(mu, s) * (1.0 + 1e-6),
                  "states.diagonal_update_matches_bayes", id="bayes-off-by-1e-6"),
 ])
-def test_mutation_fails_its_law_under_both_draws(monkeypatch, module, name, mutant, law):
-    monkeypatch.setattr(module, name, mutant)
+def test_mutation_fails_its_law_under_both_draws(monkeypatch, modules, name, mutant, law):
+    for module in modules:
+        monkeypatch.setattr(module, name, mutant)
     assert not CHECKS[law]("default").passed
     with pytest.raises(AssertionError):
         _holds_on_hypothesis_draws(CHECKS[law], phases=[Phase.generate], database=None,
@@ -148,7 +157,7 @@ def test_a_law_that_raises_fails_and_the_run_goes_on(monkeypatch):
     def drops_second_p(state, p):
         if state.context.is_diagonal:
             return condition(state, p)
-        return states.State._renormalized(state.context, p.matrix @ state.rho)
+        return _unchecked(state, p.matrix @ state.rho)
 
     monkeypatch.setattr(checks, "condition", drops_second_p)
     results = run_checks("all", "strict")

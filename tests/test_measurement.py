@@ -833,9 +833,8 @@ def test_step_on_a_stack_is_perform_for_every_trial(diagonal, draws, answers, ch
     assert yes.tolist() == answers and len(post) == children
     for i, (k, u) in enumerate(zip(cls, draws)):
         kernel = (yes[i], p_yes[i] if yes[i] else 1.0 - p_yes[i], used[i] - i, post[row[i]])
-        scalar, defined = (outcome_bytes(functools.partial(one_trial, step, states[k], exp, u))
-                           for step in (perform, perform_as_defined))
-        assert outcome_bytes(lambda: kernel) == scalar == defined
+        scalar = outcome_bytes(functools.partial(one_trial, perform, states[k], exp, u))
+        assert outcome_bytes(lambda: kernel) == scalar
 
 
 def per_row_questions(diagonal, dim=3):
@@ -1054,15 +1053,6 @@ class CountingDraw:
         return self.u
 
 
-def perform_as_defined(state, exp, rng):
-    """`perform` as it is defined: `yes_probability`, then `condition` on the
-    projection of the answer, each of which weighs the state."""
-    p = yes_probability(state, exp.projection)
-    yes = p >= 1.0 - P_FLOOR or (not p <= P_FLOOR and bool(rng.random() < p))
-    post = condition(state, exp.projection if yes else exp.no_projection)
-    return Outcome(yes=yes, probability=p if yes else 1.0 - p), post
-
-
 def one_trial(step, state, exp, u):
     """(answer, its probability, draws taken, state after) when `step` runs
     one trial whose every draw is u, the state as its kept array."""
@@ -1121,8 +1111,8 @@ def floor_failure(ctx):
        st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 8 * P_FLOOR)
        | st.floats(1.0 - 8 * P_FLOOR, 1.0, exclude_max=True))
 def test_one_trial_step_is_perform_across_the_floor(case, u):
-    # the kernel, `perform` and `perform`'s definition: forced answers, drawn
-    # ones and the floor's error alike, on both algebra kinds
+    # the kernel and `perform`: forced answers, drawn ones and the floor's
+    # error alike, on both algebra kinds
     state, p = case
     p_yes = yes_probability(state, p)
     assert P_FLOOR / 8 <= min(p_yes, 1.0 - p_yes) <= 8 * P_FLOOR
@@ -1136,29 +1126,8 @@ def test_one_trial_step_is_perform_across_the_floor(case, u):
                                           questions, 0, np.array([[u]]), used)
         return yes[0], p_yes[0] if yes[0] else 1.0 - p_yes[0], used[0], post[cls[0]]
 
-    scalar, defined = (outcome_bytes(functools.partial(one_trial, step, state, exp, u))
-                       for step in (perform, perform_as_defined))
-    assert outcome_bytes(kernel) == scalar == defined
-
-
-def test_no_projection_is_built_once_per_experiment(monkeypatch):
-    calls = []
-
-    def counting(p):
-        calls.append(p)
-        return complement(p)
-
-    monkeypatch.setattr(measurement, "complement", counting)
-    exp = YesNoExperiment("excited", EXCITED)
-    for i in range(5):
-        outcome, _ = perform(pure_state(QUBIT, [1, 0]), exp, trial_generator(0, i))
-        assert not outcome.yes
-    run_batch(pure_state(QUBIT, [1, 0]), [ScheduleEntry(0.0, exp)] * 3, trial_streams(0, 4))
-    assert len(calls) == 1
-    assert exp.no_projection.matrix.tobytes() == complement(EXCITED).matrix.tobytes()
-    # a new experiment, as every run builds its own, builds its own complement
-    YesNoExperiment("excited", EXCITED).no_projection
-    assert len(calls) == 2
+    scalar = outcome_bytes(functools.partial(one_trial, perform, state, exp, u))
+    assert outcome_bytes(kernel) == scalar
 
 
 def test_koopman_schedule_makes_one_permutation_per_time(monkeypatch):

@@ -44,7 +44,8 @@ from noncomm.scenarios import (
     run_scenario,
     validate_params,
 )
-from noncomm.states import State, classical_state, expectation, pure_state, yes_probability
+from noncomm.states import (State, classical_state, expectation, pure_state, renormalize,
+                            yes_probability)
 
 SEED = 20240817
 
@@ -865,7 +866,7 @@ def scalar_zeno_coarse(params, trials, seed, record_trials):
         rng = trial_generator(seed, i)
         state, center, levels_seen = initial, start, [initial_level]
         for step in range(1, steps + 1):
-            state = State._renormalized(ctx, u @ state.rho @ u_adj)
+            state = State._unchecked(ctx, renormalize(u @ state.rho @ u_adj))
             target = int(round(expectation(state, level_obs).real))
             center += min(max(target - center, -drift), drift)
             center = min(max(center, 1), levels)
